@@ -220,6 +220,10 @@ def _cmd_kummer(config):
     }, ok
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_cell(p, cell, n):
     """A matrix/vector entry from its file form.
 
@@ -233,10 +237,19 @@ def _load_cell(p, cell, n):
         if val is None:
             return PadicElement(p, None, 0, 0)
         digits = cell.get("digits", [])
+        rel_prec = cell.get("rel_prec", len(digits))
+        if not _is_int(val) or not isinstance(digits, list):
+            raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
+        if not all(_is_int(d) and 0 <= d < p for d in digits):
+            raise ValueError("entry %r has a digit outside [0, %d)" % (cell, p))
+        if not _is_int(rel_prec) or rel_prec != len(digits):
+            raise ValueError("entry %r: rel_prec must equal the number of digits" % (cell,))
+        if digits and digits[0] == 0:
+            raise ValueError("entry %r: the leading digit of a unit is 0" % (cell,))
         unit = 0
         for i, digit in enumerate(digits):
-            unit += int(digit) * p**i
-        return PadicElement(p, val, unit, cell.get("rel_prec", len(digits)))
+            unit += digit * p**i
+        return PadicElement(p, val, unit, rel_prec)
     if isinstance(cell, (int, str)):
         return make_padic(p, _fraction(str(cell)), n)
     raise ValueError("cannot interpret %r as a matrix entry" % (cell,))

@@ -7,39 +7,46 @@ differential with high-order poles along y = 0; pushing the pole order
 back down with exact forms expresses the image of each basis element in
 the basis {dx/y, x dx/y} again.  Counting points over F_p directly
 supplies an independent value for the trace.
+
+The reduction runs on plain ints at the single modulus p^W.  A numerator
+is an int list A standing for A / p^e: a division by 2m - 1 = p^v * u
+multiplies by u^-1 and adds v to the loss counter e, so the result is
+known to absolute precision exactly W - e.  PadicElement appears only
+when the finished entries are read off.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, kronecker
-from .padic import PrecisionError, make_padic
+from .padic import PadicElement, PrecisionError, _vp
 
 
-def _vp_int(m, p):
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+# -- integer polynomials mod M, coefficients low to high ---------------------
 
-
-# -- integer polynomials, coefficients low to high -------------------------
-
-def _int_mul(a, b):
+def _int_mul(a, b, M):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
+    return [c % M for c in out]
 
 
-def _int_pow(a, e):
-    out = [1]
-    for _ in range(e):
-        out = _int_mul(out, a)
-    return out
+def _divmod_cubic(a, f, M):
+    """Quotient and remainder mod M of a by the monic cubic f.
+
+    The quotient has at least two terms and the remainder exactly three.
+    """
+    a = a + [0] * (5 - len(a))
+    f0, f1, f2 = f[0], f[1], f[2]
+    for top in range(len(a) - 1, 2, -1):
+        c = a[top] = a[top] % M
+        if c:
+            a[top - 1] -= c * f2
+            a[top - 2] -= c * f1
+            a[top - 3] -= c * f0
+    return a[3:], [c % M for c in a[:3]]
 
 
 # -- rational polynomials, for the one-off Bezout pair ---------------------
@@ -103,71 +110,14 @@ def _bezout_unit(f, g):
     return [x / c for x in u0], [x / c for x in v0]
 
 
-# -- polynomials with tracked p-adic coefficients ---------------------------
-
-def _padd(a, b, zero):
-    out = list(a) + [zero] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = out[i] + y
-    return out
-
-
-def _psub(a, b, zero):
-    out = list(a) + [zero] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = out[i] - y
-    return out
-
-
-def _pmul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_exact_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _pscale(a, s):
-    return [c * s for c in a]
-
-
-def _pderiv(a):
-    return [a[i] * i for i in range(1, len(a))]
-
-
-def _pdivmod_monic(a, d):
-    """Quotient and remainder by a monic divisor, highest term first."""
-    dd = len(d) - 1
-    r = list(a)
-    if len(r) <= dd:
-        return [], r
-    q = [None] * (len(r) - dd)
-    for top in range(len(r) - 1, dd - 1, -1):
-        c = r[top]
-        q[top - dd] = c
-        if not c.is_exact_zero():
-            for t in range(dd):
-                r[top - dd + t] = r[top - dd + t] - c * d[t]
-    return q, r[:dd]
-
-
-def _cap_abs(x, n):
-    """Truncate an element to absolute precision n, never extending."""
-    if x.is_exact_zero():
-        return x._zero_at(n)
-    if x.rel_prec == 0 or x.val >= n:
-        return x._zero_at(min(x.abs_precision(), n))
-    keep = n - x.val
-    if keep < x.rel_prec:
-        return x.with_rel_prec(keep)
-    return x
-
-
 # -- curves and the counting oracle -----------------------------------------
+
+def _discriminant(f):
+    """Discriminant of the monic cubic f, coefficients low to high."""
+    c0, c1, c2 = f[0], f[1], f[2]
+    return (18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2
+            - 4 * c1**3 - 27 * c0**2)
+
 
 @dataclass(frozen=True)
 class EllipticCurveW:
@@ -190,9 +140,7 @@ class EllipticCurveW:
             raise ValueError("bad reduction: the discriminant vanishes mod p")
 
     def discriminant(self):
-        c0, c1, c2 = self.f[0], self.f[1], self.f[2]
-        return (18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2
-                - 4 * c1**3 - 27 * c0**2)
+        return _discriminant(self.f)
 
 
 def count_points(f, p, method="character"):
@@ -208,11 +156,9 @@ def count_points(f, p, method="character"):
         raise ValueError("f must be a monic cubic, coefficients low to high")
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    c0, c1, c2 = f[0], f[1], f[2]
-    disc = (18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2
-            - 4 * c1**3 - 27 * c0**2)
-    if disc % p == 0:
+    if _discriminant(f) % p == 0:
         raise ValueError("bad reduction: the discriminant vanishes mod p")
+    c0, c1, c2 = f[0], f[1], f[2]
     values = [(x * x * x + c2 * x * x + c1 * x + c0) % p for x in range(p)]
     if method == "character":
         a_p = -sum(kronecker(v, p) for v in values)
@@ -248,46 +194,61 @@ class FrobeniusMatrix:
 
 
 def _default_buffer(p, m_init):
-    # worst case charges every p-divisible odd denominator 2m-1 to the
-    # running numerator, plus slack for the degree-reduction divisions
-    # and the discarded zero-class remainders
-    return 4 + sum(_vp_int(2 * m - 1, p) for m in range(2, m_init + 1))
+    # the loss counter reaches the sum of v_p(2m-1) over the pole steps
+    # plus one for the degree-reduction division by p; this leaves three
+    # more digits of slack
+    return 4 + sum(_vp(2 * m - 1, p) for m in range(2, m_init + 1))
 
 
-def _reduce_differential(num, m_init, fP, fprP, vP, p, W, zero):
-    """Rewrite num(x)/y^(2*m_init+1) dx as a*dx/y + b*x dx/y mod exact forms."""
-    A = list(num)
+def _reduce_differential(A, m_init, f, fpr, v, p, M):
+    """Rewrite A(x)/y^(2*m_init+1) dx as (a*dx/y + b*x dx/y) / p^e mod exact forms.
+
+    A, f, f' = fpr and the Bezout factor v (v*f' = 1 mod f) are int lists
+    mod M = p^W; returns a, b mod M and the loss counter e.
+    """
+    e = 0
     for m in range(m_init, 0, -1):
         # split A = R*f + S*f'; then S f'/y^(2m+1) dx is exact up to
-        # (2/(2m-1)) S'/y^(2m-1) dx, and R f/y^(2m+1) loses a pole order
-        S = _pdivmod_monic(_pmul(A, vP, zero), fP)[1]
-        R, rem = _pdivmod_monic(_psub(A, _pmul(S, fprP, zero), zero), fP)
-        for c in rem:
-            if not (c.is_exact_zero() or c.is_zero_at_precision()):
-                raise ArithmeticError("pole reduction left a nonzero remainder")
-        scal = make_padic(p, Fraction(2, 2 * m - 1), W)
-        A = _padd(R, _pscale(_pderiv(S), scal), zero)
-    j = len(A) - 1
-    while j >= 2:
-        c = A[j]
-        if c.is_exact_zero():
-            A = A[:j]
-        else:
-            # d(x^(j-2) y) = ((j-2) x^(j-3) f + x^(j-2) f'/2) dx/y has
-            # leading coefficient (2j-1)/2 at x^j
-            rel = [zero] * (j + 1)
-            if j >= 3:
-                for t, cf in enumerate(fP):
-                    rel[j - 3 + t] = rel[j - 3 + t] + cf * (j - 2)
-            half = make_padic(p, Fraction(1, 2), W)
-            for t, cf in enumerate(fprP):
-                rel[j - 2 + t] = rel[j - 2 + t] + cf * half
-            s = c * make_padic(p, Fraction(2, 2 * j - 1), W)
-            A = [A[t] - s * rel[t] for t in range(j)]
-        j = len(A) - 1
-    while len(A) < 2:
-        A = A + [zero]
-    return A[0], A[1]
+        # (2/(2m-1)) S'/y^(2m-1) dx, and R f/y^(2m+1) loses a pole order.
+        # With A = Q*f + r: S = r*v mod f and R = Q + (r - S*f')/f.
+        Q, r = _divmod_cubic(A, f, M)
+        S = _divmod_cubic(_int_mul(r, v, M), f, M)[1]
+        w = [-c for c in _int_mul(S, fpr, M)]
+        for t in range(3):
+            w[t] += r[t]
+        T, rem = _divmod_cubic(w, f, M)
+        if any(rem):
+            raise ArithmeticError("pole reduction left a nonzero remainder")
+        k = _vp(2 * m - 1, p)
+        pk = p**k
+        s = 2 * pow((2 * m - 1) // pk, -1, M)
+        A = [c * pk for c in Q] if k else Q
+        A[0] += pk * T[0] + s * S[1]
+        A[1] += pk * T[1] + 2 * s * S[2]
+        e += k
+    for j in range(len(A) - 1, 1, -1):
+        # twice d(x^(j-2) y) is (2(j-2) x^(j-3) f + x^(j-2) f') dx/y, with
+        # leading coefficient 2j-1 at x^j
+        k = _vp(2 * j - 1, p)
+        pk = p**k
+        c = A[j] % M * pow((2 * j - 1) // pk, -1, M)
+        A = [a * pk for a in A[:j]]
+        if j >= 3:
+            for t in range(3):
+                A[j - 3 + t] -= c * 2 * (j - 2) * f[t]
+        for t in range(2):
+            A[j - 2 + t] -= c * fpr[t]
+        e += k
+    return A[0] % M, A[1] % M, e
+
+
+def _entry(a, e, p, n):
+    """a / p^e, known to absolute precision at least n, capped at n."""
+    val = _vp(a, p) - e if a else n
+    if val >= n:
+        return PadicElement(p, n, 0, 0)
+    rel = n - val
+    return PadicElement(p, val, a // p ** (val + e) % p**rel, rel)
 
 
 def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
@@ -295,9 +256,12 @@ def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
 
     series_terms is the binomial truncation order K; the dropped tail
     carries valuation at least K+1 before reduction losses, so the
-    default K = n + 3 leaves margin.  buffer_digits widens the working
-    precision to absorb the divisions by 2m - 1; the default covers the
-    exact worst case.  Entries come back capped at absolute precision n.
+    default K = n + 3 leaves margin.  The reduction works on ints mod
+    p^W, W = n + buffer_digits, and counts the digits e lost to the
+    divisions by 2m - 1 and 2j - 1; the result holds to absolute
+    precision W - e, and PrecisionError is raised when that is below n.
+    The default buffer covers the exact worst case.  Entries come back
+    capped at absolute precision n.
     """
     p, n = curve.p, curve.n
     K = series_terms if series_terms is not None else n + 3
@@ -307,55 +271,46 @@ def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
     if buffer_digits is None:
         buffer_digits = _default_buffer(p, m_init)
     W = n + buffer_digits
+    M = p**W
 
     f = list(curve.f)
-    fp_int = _int_pow(f, p)
-    fxp = [0] * (3 * p + 1)
+    fp_int = [1]
+    for _ in range(p):
+        fp_int = _int_mul(fp_int, f, M)
+    diff = [-c for c in fp_int]
     for i, c in enumerate(f):
-        fxp[i * p] = c
-    diff = [a - b for a, b in zip(fxp, fp_int)]
+        diff[i * p] += c
     if any(c % p for c in diff):
         raise ArithmeticError("Frobenius defect is not divisible by p")
 
-    # sum_k binom(-1/2, k) diff^k fp^(K-k), cleared of the 4^K denominator
-    fp_pows = [[1]]
-    for _ in range(K):
-        fp_pows.append(_int_mul(fp_pows[-1], fp_int))
-    G = [0] * (3 * p * K + 1)
+    # G = sum_k binom(-1/2, k) diff^k fp^(K-k), cleared of the 4^K
+    # denominator, by Horner's rule: G_k = G_(k-1)*fp + c_k*diff^k
+    G = [4**K % M]
     dk = [1]
     binom = 1
-    for k in range(K + 1):
+    for k in range(1, K + 1):
+        dk = _int_mul(dk, diff, M)
+        binom = binom * (2 * k - 1) * (2 * k) // (k * k)
         coef = binom * 4 ** (K - k) * (-1 if k % 2 else 1)
-        for i, c in enumerate(_int_mul(dk, fp_pows[K - k])):
+        G = _int_mul(G, fp_int, M)
+        for i, c in enumerate(dk):
             G[i] += coef * c
-        dk = _int_mul(dk, diff)
-        binom = binom * (2 * k + 1) * (2 * k + 2) // ((k + 1) * (k + 1))
 
-    zero = make_padic(p, 0, W)
-    fP = [make_padic(p, c, W) for c in f]
-    fprP = [make_padic(p, f[i] * i, W) for i in range(1, 4)]
-    vP = [make_padic(p, c, W)
-          for c in _bezout_unit(f, [f[i] * i for i in range(1, 4)])[1]]
-
-    den = 4**K
+    fpr = [f[i] * i for i in range(1, 4)]
+    v = [c.numerator * pow(c.denominator, -1, M) % M
+         for c in _bezout_unit(f, fpr)[1]]
+    scale = p * pow(4**K, -1, M)
     cols = []
     for i in (0, 1):
-        shift = p - 1 + p * i
-        num = [zero] * shift
-        num += [make_padic(p, Fraction(p * c, den), W) for c in G]
-        cols.append(_reduce_differential(num, m_init, fP, fprP, vP, p, W, zero))
-    for col in cols:
-        for c in col:
-            got = c.abs_precision()
-            if got is not None and got < n:
-                raise PrecisionError(
-                    "working buffer exhausted: achieved absolute precision "
-                    "%d is below the requested %d" % (got, n)
-                )
-    entries = (
-        (_cap_abs(cols[0][0], n), _cap_abs(cols[1][0], n)),
-        (_cap_abs(cols[0][1], n), _cap_abs(cols[1][1], n)),
-    )
+        num = [0] * (p - 1 + p * i) + [c * scale % M for c in G]
+        a, b, e = _reduce_differential(num, m_init, f, fpr, v, p, M)
+        if W - e < n:
+            raise PrecisionError(
+                "working buffer exhausted: achieved absolute precision "
+                "%d is below the requested %d" % (W - e, n)
+            )
+        cols.append((_entry(a, e, p, n), _entry(b, e, p, n)))
+    entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     return FrobeniusMatrix(entries=entries, curve=curve, precision=n)
 
 

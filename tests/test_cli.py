@@ -309,6 +309,37 @@ def test_malformed_mixed_files_exit_2(tmp_path):
     code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
     assert code == 2 and "error" in payload
 
+    # cells that to_json never writes: digits outside [0, p), a val that is
+    # not an int, a zero leading digit, rel_prec other than the digit count
+    for cell in (
+        {"val": 1, "digits": [0, 7], "rel_prec": 9},
+        {"val": 0, "digits": [1, 5], "rel_prec": 2},
+        {"val": 0, "digits": [-1], "rel_prec": 1},
+        {"val": "1", "digits": [1], "rel_prec": 1},
+        {"val": 1.0, "digits": [1], "rel_prec": 1},
+        {"val": True, "digits": [1], "rel_prec": 1},
+        {"val": 0, "digits": [0, 1], "rel_prec": 2},
+        {"val": 0, "digits": [1, 2], "rel_prec": 9},
+        {"val": 3, "digits": [], "rel_prec": 2},
+        {"val": 0, "digits": [1, 2], "rel_prec": 1},
+    ):
+        entries = [list(row) for row in good["entries"]]
+        entries[0][0] = cell
+        matrix_file.write_text(json.dumps(dict(good, entries=entries)))
+        v0_file.write_text(json.dumps([1]))
+        code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+        assert code == 2 and "error" in payload, cell
+        matrix_file.write_text(json.dumps(good))
+        v0_file.write_text(json.dumps([cell]))
+        code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+        assert code == 2 and "error" in payload, cell
+
+
+def test_mixed_cells_written_by_to_json_load():
+    for x in (PadicElement(5, 2, 13, 3), PadicElement(5, -1, 1, 1),
+              PadicElement(5, 4, 0, 0), PadicElement(5, None, 0, 0)):
+        assert cli._load_cell(5, x.to_json(), 8) == x
+
 
 def test_error_messages_carry_achievable_precision():
     code, payload = run_json(

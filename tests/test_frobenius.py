@@ -131,6 +131,67 @@ def test_golden_matrix_p7():
     assert d.val == 0 and d.digits() == [3, 2, 6, 6]
 
 
+# (f, p, n, ((val, digits) of a, b, c, d)) for entries ((a, b), (c, d)),
+# frozen from the PadicElement-tracked reduction on seeded cubics
+FROZEN = (
+    ((-1, 1, 7, 1), 5, 2, ((2, ()), (0, (3, 1)), (1, (3,)), (0, (1, 0)))),
+    ((-2, 8, 3, 1), 5, 3, ((1, (2, 3)), (0, (1, 0, 2)), (1, (4, 0)), (1, (3, 1)))),
+    ((-5, -7, -9, 1), 5, 4, ((1, (1, 2, 4)), (0, (4, 2, 3, 2)), (1, (4, 3, 3)), (0, (2, 4, 2, 0)))),
+    ((8, 4, -7, 1), 5, 5, ((1, (3, 0, 0, 0)), (1, (4, 1, 4, 2)), (1, (1, 4, 2, 1)), (0, (2, 1, 4, 4, 4)))),
+    ((0, 4, -8, 1), 5, 6, ((2, (1, 1, 3, 1)), (0, (4, 3, 2, 2, 2, 0)), (1, (1, 2, 3, 4, 0)), (0, (2, 0, 4, 3, 1, 3)))),
+    ((-7, -7, -3, 1), 5, 8, ((1, (2, 2, 3, 0, 2, 0, 0)), (0, (2, 0, 4, 4, 2, 4, 2, 2)), (1, (2, 0, 4, 3, 3, 4, 1)), (1, (3, 2, 1, 4, 2, 4, 4)))),
+    ((-7, 4, 9, 1), 7, 2, ((1, (1,)), (0, (2, 2)), (1, (3,)), (1, (6,)))),
+    ((8, -5, 9, 1), 7, 3, ((1, (6, 5)), (0, (1, 0, 5)), (1, (6, 5)), (1, (1, 1)))),
+    ((-6, 0, -6, 1), 7, 4, ((1, (3, 1, 6)), (0, (1, 5, 6, 3)), (1, (4, 1, 5)), (0, (4, 3, 5, 0)))),
+    ((6, 4, 9, 1), 7, 5, ((1, (2, 2, 5, 0)), (1, (1, 2, 2, 2)), (1, (5, 2, 4, 0)), (0, (4, 5, 4, 1, 6)))),
+    ((-8, -5, 6, 1), 7, 7, ((1, (6, 4, 4, 4, 2, 2)), (0, (4, 6, 3, 1, 0, 4, 5)), (1, (2, 1, 0, 6, 6, 0)), (0, (5, 0, 2, 2, 2, 4, 4)))),
+    ((4, 4, 6, 1), 7, 8, ((1, (2, 2, 0, 6, 0, 0, 0)), (0, (6, 2, 0, 0, 2, 0, 2, 3)), (1, (6, 5, 4, 6, 6, 3, 2)), (0, (1, 5, 4, 6, 0, 6, 6, 6)))),
+    ((-3, -6, -6, 1), 11, 2, ((1, (2,)), (0, (1, 9)), (2, ()), (0, (6, 9)))),
+    ((3, -7, 8, 1), 11, 3, ((1, (5, 4)), (0, (3, 10, 9)), (1, (5, 9)), (0, (1, 6, 6)))),
+    ((-2, 1, -2, 1), 11, 4, ((1, (6, 0, 5)), (0, (4, 1, 3, 7)), (1, (2, 9, 6)), (0, (7, 4, 10, 5)))),
+    ((-4, -5, -2, 1), 11, 6, ((1, (8, 0, 6, 0, 5)), (0, (8, 8, 8, 9, 7, 0)), (1, (6, 9, 5, 8, 2)), (0, (2, 3, 10, 4, 10, 5)))),
+    ((4, -8, -9, 1), 11, 8, ((1, (4, 9, 10, 8, 2, 5, 6)), (0, (9, 4, 1, 7, 6, 10, 4, 6)), (1, (4, 2, 6, 5, 0, 5, 0)), (0, (1, 7, 1, 0, 2, 8, 5, 4)))),
+    ((-3, 0, 4, 1), 13, 2, ((1, (11,)), (0, (2, 2)), (1, (2,)), (0, (4, 2)))),
+    ((4, 1, 1, 1), 13, 3, ((1, (12, 7)), (0, (5, 7, 4)), (1, (11, 11)), (0, (9, 0, 5)))),
+    ((-5, 9, -1, 1), 13, 5, ((1, (6, 9, 4, 1)), (0, (11, 5, 12, 4, 0)), (1, (2, 5, 8, 3)), (0, (6, 6, 3, 8, 11)))),
+    ((-5, -8, -3, 1), 13, 7, ((1, (12, 3, 0, 12, 0, 0)), (1, (5, 0, 5, 6, 7, 2)), (1, (12, 11, 5, 1, 9, 3)), (0, (12, 0, 9, 12, 0, 12, 12)))),
+    ((-7, 7, 3, 1), 29, 2, ((1, (11,)), (0, (12, 14)), (1, (24,)), (0, (21, 17)))),
+    ((-6, 6, -6, 1), 29, 3, ((1, (25, 23)), (0, (24, 16, 8)), (2, (22,)), (0, (7, 4, 5)))),
+    ((-6, 1, -3, 1), 29, 4, ((1, (1, 14, 25)), (0, (3, 25, 21, 23)), (1, (21, 26, 19)), (0, (6, 28, 14, 3)))),
+)
+
+
+def test_frozen_matrices():
+    for f, p, n, want in FROZEN:
+        m = kedlaya_frobenius(EllipticCurveW(f=f, p=p, n=n))
+        got = tuple((e.val, tuple(e.digits())) for row in m.entries for e in row)
+        assert got == want, (f, p, n)
+        for row in m.entries:
+            for e in row:
+                assert e.abs_precision() == n and e.rel_prec == len(e.digits())
+
+
+def test_buffer_boundary_is_the_loss_count():
+    # K = n + 3 = 7 and m_init = 5K + 2 = 37: the pole steps divide by the
+    # odd numbers 1 .. 73, which hold 8 factors of 5 (25 holds two); the
+    # final loop divides by 2j - 1 = 5 once, at j = 3
+    cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
+    odd = range(1, 74, 2)
+    loss = sum(d % 5 == 0 for d in odd) + sum(d % 25 == 0 for d in odd) + 1
+    assert loss == 9
+    default = kedlaya_frobenius(cur)
+    for b in range(loss + 4):
+        try:
+            m = kedlaya_frobenius(cur, buffer_digits=b)
+        except PrecisionError:
+            continue
+        break
+    assert b == loss
+    assert m.entries == default.entries
+    with pytest.raises(PrecisionError):
+        kedlaya_frobenius(cur, buffer_digits=b - 1)
+
+
 def test_entries_come_back_at_the_requested_precision():
     cur = EllipticCurveW(f=(2, 3, 0, 1), p=5, n=5)
     m = kedlaya_frobenius(cur)
