@@ -2,9 +2,32 @@
 
 gamma_p(x) evaluates (-1)^m * prod_{0<j<m, p not | j} j at the integer
 representative m of x modulo p^N, which by continuity is the value of the
-extended function to absolute precision N. Evaluation is a ranged product
-over a cached per-(p, N) checkpoint table, so a fresh (p, N) pair pays one
-O(p^N) scan and every later call is O(stride).
+extended function to absolute precision N.
+
+The unit product is never scanned. With m - 1 = pB + r, 0 <= r < p, the
+units below m fall into B full blocks pt + i (t < B, 0 < i < p) and a tail
+pB + 1, ..., pB + r, and (Dwork; Rodriguez-Villegas, Experimental Number
+Theory, 2007)
+
+    prod_{0<j<m, p not | j} j = (p-1)!^B * exp(L) * prod_{i=1}^{r} (pB + i),
+    L = sum_t sum_i log(1 + pt/i) = sum_{k>=1} c_k S_k(B),
+    c_k = (-1)^(k+1) p^k H_k / k,   H_k = sum_{i=1}^{p-1} i^(-k),
+
+where S_k(B) = sum_{t<B} t^k = sum_j S(k, j) j! C(B, j+1) (Stirling numbers
+of the second kind). So L = sum_j d_j C(B, j+1) with integer coefficients
+d_j mod p^W fixed per (p, N). Both truncations are proven:
+
+- exp: v(L) >= 1, so v(L^j / j!) >= j - v_p(j!); the series stops at the
+  last J with J - v_p(J!) < N. It is summed as the integer
+  sum_{j<=J} (J!/j!) L^j, which p^v_p(J!) divides exactly (every term
+  L^j / j! is p-integral), and the unit part of J! is inverted. The
+  division costs v_p(J!) digits, so L is needed mod p^W, W = N + v_p(J!).
+- log: v(c_k) >= k - v_p(k) and S_k(B) is an integer, so the sum stops at
+  the last K with K - v_p(K) < W.
+
+Cost: the per-(p, N) coefficients take O(K^2 + pK) operations mod p^W, and
+a value takes O(K + J) of them plus one modular power and at most p - 1
+tail factors; nothing depends on p^N beyond the size of its integers.
 
 Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 """
@@ -13,10 +36,9 @@ import math
 import os
 from fractions import Fraction
 
-from .padic import PadicElement, PrecisionError, make_padic
+from .padic import PadicElement, PrecisionError, _vp, make_padic
 
-_STRIDE = 4096
-_tables = {}
+_coeffs = {}
 
 _DEFAULT_CAP = 10**7
 
@@ -26,30 +48,65 @@ def _precision_cap():
     return int(cap) if cap else _DEFAULT_CAP
 
 
-def _table(p, n):
-    """Checkpoint list cp[i] = prod of p-coprime j in (0, i*stride] mod p^n."""
-    key = (p, n)
-    tab = _tables.get(key)
-    if tab is not None:
-        return tab
-    mod = p**n
-    cps = [1]
-    acc = 1
-    for start in range(1, mod + 1, _STRIDE):
-        block = range(start, min(start + _STRIDE, mod + 1))
-        acc = acc * math.prod(j for j in block if j % p) % mod
-        cps.append(acc)
-    _tables[key] = cps
-    return cps
+def _series_coeffs(p, n):
+    """Per-(p, n) constants (d, a, w, vj, unit_inv, fact) of the unit product.
+
+    L = sum_j d[j] C(B, j+1) mod p^w; a[j] = J!/j! mod p^w for j <= J;
+    J! = p^vj u with unit_inv = u^-1 mod p^n; fact = (p-1)! mod p^n.
+    """
+    co = _coeffs.get((p, n))
+    if co is not None:
+        return co
+    # last J with J - v_p(J!) < n; from j = 2n - 1 on, j - v_p(j!) >= (j+1)/2 >= n
+    big_j = vj = vf = 0
+    for j in range(1, 2 * n):
+        vf += _vp(j, p)
+        if j - vf < n:
+            big_j, vj = j, vf
+    w = n + vj
+    mod_w = p**w
+    # last K with K - v_p(K) < w; from k = 2w on, k - v_p(k) >= k/2 >= w
+    big_k = max((k for k in range(1, 2 * w) if k - _vp(k, p) < w), default=0)
+    inv = [pow(i, -1, mod_w) for i in range(1, p)]
+    inv_pow = inv
+    d = [0] * (big_k + 1)
+    stirling = [1]  # S(k, 0..k) mod p^w, from k = 0
+    for k in range(1, big_k + 1):
+        v = _vp(k, p)
+        c_k = p ** (k - v) * pow(k // p**v, -1, mod_w) * sum(inv_pow) % mod_w
+        if k % 2 == 0:
+            c_k = -c_k
+        inv_pow = [x * y % mod_w for x, y in zip(inv_pow, inv)]
+        stirling = [0] + [(j * stirling[j] + stirling[j - 1]) % mod_w for j in range(1, k)] + [1]
+        for j in range(1, k + 1):
+            d[j] += c_k * stirling[j]
+    d = [math.factorial(j) * dj % mod_w for j, dj in enumerate(d)]
+    fact_j = math.factorial(big_j)
+    a = [fact_j // math.factorial(j) % mod_w for j in range(big_j + 1)]
+    unit_inv = pow(fact_j // p**vj, -1, p**n)
+    co = (d, a, w, vj, unit_inv, math.factorial(p - 1) % p**n)
+    _coeffs[(p, n)] = co
+    return co
 
 
 def _unit_product_below(m, p, n):
-    # prod_{0 < j < m, p not dividing j} j mod p^n
-    mod = p**n
-    last = (m - 1) // _STRIDE
-    acc = _table(p, n)[last]
-    acc = acc * math.prod(j for j in range(last * _STRIDE + 1, m) if j % p) % mod
-    return acc
+    # prod_{0 < j < m, p not dividing j} j mod p^n, for 1 <= m <= p^n
+    d, a, w, vj, unit_inv, fact = _series_coeffs(p, n)
+    mod, mod_w = p**n, p**w
+    b, r = divmod(m - 1, p)
+    log_sum, binom = 0, b
+    for j in range(1, len(d)):
+        binom = binom * (b - j) // (j + 1)
+        if not binom:
+            break
+        log_sum += d[j] * binom
+    log_sum %= mod_w
+    scaled_exp = 0
+    for aj in reversed(a):
+        scaled_exp = (scaled_exp * log_sum + aj) % mod_w
+    exp_l = scaled_exp // p**vj * unit_inv
+    tail = math.prod(range(m - r, m))
+    return pow(fact, b, mod) * exp_l % mod * tail % mod
 
 
 def gamma_p(x, n=None):
@@ -92,7 +149,7 @@ def gamma_p(x, n=None):
 
 def gamma_p_at(p, x, n):
     """Convenience wrapper: gamma_p of the rational x embedded in Z_p."""
-    return gamma_p(make_padic(p, Fraction(x), n) if x != 0 else make_padic(p, 0, n), n)
+    return gamma_p(make_padic(p, x, n), n)
 
 
 def _as_residual(diff):
@@ -115,18 +172,9 @@ def check_translation(x, n):
 
 
 def check_reflection(x, n):
-    """Sign s with gamma_p(x) gamma_p(1-x) = s, plus the residual valuation."""
-    gx = gamma_p(x, n)
-    gy = gamma_p(1 - x, n)
-    prod = gx * gy
-    best = None
-    for s in (1, -1):
-        r = _as_residual(prod - s)
-        if best is None or r > best[1]:
-            best = (s, r)
-    if best[1] < 1:
-        raise RuntimeError(
-            "gamma reflection product is not +-1 to any precision; "
-            "this indicates an arithmetic bug"
-        )
-    return best
+    """Sign s = (-1)^l(x) and the residual valuation of gamma_p(x) gamma_p(1-x) - s.
+
+    l(x) is the representative of x mod p in {1, ..., p}.
+    """
+    s = -1 if (x.lift() % x.p or x.p) % 2 else 1
+    return s, _as_residual(gamma_p(x, n) * gamma_p(1 - x, n) - s)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from periods import cli
+from periods import cli, gamma
 from periods.cm import (
     algebraicity_probe,
     cm_period_ramified_p3,
@@ -247,3 +247,14 @@ def test_9_precision_roundtrip_sweep():
         checks += 1
     assert checks >= 1000
     _pass("1000 precision round-trips, no digit discrepancies", started, 30)
+
+
+def test_10_gamma_cost_independent_of_p_to_the_n(monkeypatch):
+    # a scan of the units below p^N took 11-15 s on the cm case alone
+    monkeypatch.setattr(gamma, "_coeffs", {})
+    started = time.monotonic()
+    code, out = _run_cli_json(["cm", "--d", "1", "--p", "13", "--prec", "6"])
+    assert code == 0 and out["ok"], out
+    code, out = _run_cli_json(["gamma", "--p", "541", "--x", "1/3", "--prec", "2"])
+    assert code == 0 and out["ok"], out
+    _pass("cold cm at 13^6 and gamma at 541^2", started, 2)

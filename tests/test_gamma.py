@@ -8,6 +8,72 @@ from periods.gamma import check_reflection, check_translation, gamma_p, gamma_p_
 from periods.padic import PrecisionError, make_padic
 
 
+def _morita_oracle(p, n, ms):
+    """{m: (-1)^m prod_{0<j<m, p not | j} j mod p^n} by one direct product scan."""
+    mod = p**n
+    wanted = sorted(set(ms))
+    out = {}
+    acc = 1
+    j = 1
+    for m in wanted:
+        while j < m:
+            if j % p:
+                acc = acc * j % mod
+            j += 1
+        out[m] = (mod - acc) % mod if m % 2 else acc
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3), (13, 2), (101, 2)])
+def test_gamma_matches_oracle_everywhere(p, n):
+    mod = p**n
+    want = _morita_oracle(p, n, range(1, mod + 1))
+    for m in range(1, mod + 1):
+        assert gamma_p_at(p, m, n).unit == want[m], (p, n, m)
+
+
+@pytest.mark.parametrize("p,n", [(3, 10), (5, 7), (61, 3)])
+def test_gamma_matches_oracle_sampled(p, n):
+    rng = random.Random(p * 1000 + n)
+    ms = [rng.randrange(1, p**n + 1) for _ in range(500)]
+    want = _morita_oracle(p, n, ms)
+    for m in ms:
+        assert gamma_p_at(p, m, n).unit == want[m], (p, n, m)
+
+
+# m - 1 = pB + r: the kernel's full blocks B and tail r at their extremes
+@pytest.mark.parametrize(
+    "m",
+    [
+        pytest.param(lambda p, n: p**n, id="m=p^N"),
+        pytest.param(lambda p, n: 7 * p, id="p|m"),
+        pytest.param(lambda p, n: p - 1, id="m<p"),
+        pytest.param(lambda p, n: 5 * p + 1, id="r=0"),
+        pytest.param(lambda p, n: 6 * p, id="r=p-1"),
+    ],
+)
+@pytest.mark.parametrize("p,n", [(3, 6), (7, 4), (61, 3)])
+def test_gamma_kernel_edge_cases(p, n, m):
+    m = m(p, n)
+    assert gamma_p_at(p, m, n).unit == _morita_oracle(p, n, [m])[m]
+
+
+@pytest.mark.parametrize("p,n,k", [(101, 20, 2), (3, 40, 5)])
+def test_gamma_beyond_table_precision(monkeypatch, p, n, k):
+    # p^n is far past any scan; the oracle checks the value mod p^k
+    monkeypatch.setenv("PERIODS_PRECISION_CAP", str(p**n))
+    rng = random.Random(p + n)
+    args = [rng.randrange(1, p**n) for _ in range(8)] + [Fraction(1, 2), Fraction(-5, 4), p**n]
+    for a in args:
+        x = make_padic(p, a, n)
+        assert check_translation(x, n) >= n, a
+        assert check_reflection(x, n)[1] >= n, a
+        low = gamma_p_at(p, a, k)
+        assert gamma_p(x, n).unit % p**k == low.unit, a
+        m = make_padic(p, a, k).lift() % p**k or p**k
+        assert low.unit == _morita_oracle(p, k, [m])[m], a
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_gamma_at_one_is_minus_one(p):
     g = gamma_p_at(p, 1, 5)
@@ -98,6 +164,22 @@ def test_reflection_random_sweep(p):
         x = make_padic(p, rng.randrange(0, p**n), n)
         s, r = check_reflection(x, n)
         assert r >= n, (p, x)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_reflection_sign_is_fixed(p):
+    # gamma_p(x) gamma_p(1-x) = (-1)^l(x), l(x) in {1, ..., p} congruent to x
+    rng = random.Random(p * 2003)
+    n = 4
+    signs = set()
+    for _ in range(60):
+        q = Fraction(rng.randrange(-p**3, p**3), rng.choice([d for d in range(1, 40) if d % p]))
+        x = make_padic(p, q, n)
+        ell = x.lift() % p or p
+        s, r = check_reflection(x, n)
+        assert s == (-1) ** ell and r >= n, (p, q)
+        signs.add(s)
+    assert signs == {1, -1}
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
