@@ -25,9 +25,18 @@ d_j mod p^W fixed per (p, N). Both truncations are proven:
 - log: v(c_k) >= k - v_p(k) and S_k(B) is an integer, so the sum stops at
   the last K with K - v_p(K) < W.
 
-Cost: the per-(p, N) coefficients take O(K^2 + pK) operations mod p^W, and
-a value takes O(K + J) of them plus one modular power and at most p - 1
-tail factors; nothing depends on p^N beyond the size of its integers.
+The tail T_r(B) = prod_{i=1}^{r} (pB + i) is an integer polynomial in B
+whose B^k coefficient is divisible by p^k, so modulo p^N it agrees with a
+polynomial of degree < N and T_r(B) = sum_{j<N} e_j C(B, j), where e_j are
+the forward differences of T_r at B = 0, ..., N-1. These are cached at every
+r divisible by _TAIL_STEP; a value then multiplies out fewer than
+_TAIL_STEP factors past its checkpoint, reducing mod p^N as it goes.
+(p-1)! mod p^N is T_{p-1}(0).
+
+Cost: the per-(p, N) constants take O(K^2 + pK) operations mod p^W for the
+series and N passes over the p - 1 residues for the tail checkpoints; a
+value takes O(K + J + N) operations, one modular power and fewer than
+_TAIL_STEP tail factors. Nothing iterates over p^N.
 
 Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 """
@@ -40,6 +49,9 @@ from .padic import PadicElement, PrecisionError, _vp, make_padic
 
 _coeffs = {}
 
+_TAIL_STEP = 1024
+_CHUNK = 64
+
 _DEFAULT_CAP = 10**7
 
 
@@ -48,11 +60,61 @@ def _precision_cap():
     return int(cap) if cap else _DEFAULT_CAP
 
 
+def _range_prod(lo, hi, mod):
+    # prod(range(lo, hi)) mod `mod`, reduced every _CHUNK factors
+    acc = 1
+    for a in range(lo, hi, _CHUNK):
+        acc = acc * math.prod(range(a, min(a + _CHUNK, hi))) % mod
+    return acc
+
+
+def _newton_eval(e, b):
+    # sum_j e[j] C(b, j) for an integer b >= 0
+    val, binom = e[0], 1
+    for j in range(1, len(e)):
+        binom = binom * (b - j + 1) // j
+        if not binom:
+            break
+        val += e[j] * binom
+    return val
+
+
+def _tail_checkpoints(p, n):
+    """rows[c] = Newton coefficients in B of prod_{i<=c*_TAIL_STEP} (pB + i) mod p^n."""
+    mod = p**n
+    last = (p - 1) // _TAIL_STEP
+    cols = []
+    for b in range(n):
+        acc, col = 1, [1]
+        for c in range(last):
+            lo = p * b + c * _TAIL_STEP + 1
+            acc = acc * _range_prod(lo, lo + _TAIL_STEP, mod) % mod
+            col.append(acc)
+        cols.append(col)
+    rows = []
+    for c in range(last + 1):
+        e = [col[c] for col in cols]
+        for j in range(1, n):
+            for b in range(n - 1, j - 1, -1):
+                e[b] = (e[b] - e[b - 1]) % mod
+        rows.append(e)
+    return rows
+
+
+def _tail(b, r, p, n, rows):
+    # prod_{i=1}^{r} (pb + i) mod p^n, for 0 <= r < p
+    mod = p**n
+    c = r // _TAIL_STEP
+    lo = p * b + c * _TAIL_STEP + 1
+    return _newton_eval(rows[c], b) * _range_prod(lo, p * b + r + 1, mod) % mod
+
+
 def _series_coeffs(p, n):
-    """Per-(p, n) constants (d, a, w, vj, unit_inv, fact) of the unit product.
+    """Per-(p, n) constants (d, a, w, vj, unit_inv, fact, rows) of the unit product.
 
     L = sum_j d[j] C(B, j+1) mod p^w; a[j] = J!/j! mod p^w for j <= J;
-    J! = p^vj u with unit_inv = u^-1 mod p^n; fact = (p-1)! mod p^n.
+    J! = p^vj u with unit_inv = u^-1 mod p^n; fact = (p-1)! mod p^n;
+    rows are the tail checkpoints.
     """
     co = _coeffs.get((p, n))
     if co is not None:
@@ -67,7 +129,7 @@ def _series_coeffs(p, n):
     mod_w = p**w
     # last K with K - v_p(K) < w; from k = 2w on, k - v_p(k) >= k/2 >= w
     big_k = max((k for k in range(1, 2 * w) if k - _vp(k, p) < w), default=0)
-    inv = [pow(i, -1, mod_w) for i in range(1, p)]
+    inv = [pow(i, -1, mod_w) for i in range(1, p)] if big_k else []
     inv_pow = inv
     d = [0] * (big_k + 1)
     stirling = [1]  # S(k, 0..k) mod p^w, from k = 0
@@ -84,29 +146,23 @@ def _series_coeffs(p, n):
     fact_j = math.factorial(big_j)
     a = [fact_j // math.factorial(j) % mod_w for j in range(big_j + 1)]
     unit_inv = pow(fact_j // p**vj, -1, p**n)
-    co = (d, a, w, vj, unit_inv, math.factorial(p - 1) % p**n)
+    rows = _tail_checkpoints(p, n)
+    co = (d, a, w, vj, unit_inv, _tail(0, p - 1, p, n, rows), rows)
     _coeffs[(p, n)] = co
     return co
 
 
 def _unit_product_below(m, p, n):
     # prod_{0 < j < m, p not dividing j} j mod p^n, for 1 <= m <= p^n
-    d, a, w, vj, unit_inv, fact = _series_coeffs(p, n)
+    d, a, w, vj, unit_inv, fact, rows = _series_coeffs(p, n)
     mod, mod_w = p**n, p**w
     b, r = divmod(m - 1, p)
-    log_sum, binom = 0, b
-    for j in range(1, len(d)):
-        binom = binom * (b - j) // (j + 1)
-        if not binom:
-            break
-        log_sum += d[j] * binom
-    log_sum %= mod_w
+    log_sum = _newton_eval([0, 0] + d[1:], b) % mod_w
     scaled_exp = 0
     for aj in reversed(a):
         scaled_exp = (scaled_exp * log_sum + aj) % mod_w
     exp_l = scaled_exp // p**vj * unit_inv
-    tail = math.prod(range(m - r, m))
-    return pow(fact, b, mod) * exp_l % mod * tail % mod
+    return pow(fact, b, mod) * exp_l % mod * _tail(b, r, p, n, rows) % mod
 
 
 def gamma_p(x, n=None):
@@ -176,5 +232,6 @@ def check_reflection(x, n):
 
     l(x) is the representative of x mod p in {1, ..., p}.
     """
+    prod = gamma_p(x, n) * gamma_p(1 - x, n)
     s = -1 if (x.lift() % x.p or x.p) % 2 else 1
-    return s, _as_residual(gamma_p(x, n) * gamma_p(1 - x, n) - s)
+    return s, _as_residual(prod - s)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from periods import gamma
 from periods.gamma import check_reflection, check_translation, gamma_p, gamma_p_at
 from periods.padic import PrecisionError, make_padic
 
@@ -46,16 +47,29 @@ def test_gamma_matches_oracle_sampled(p, n):
     "m",
     [
         pytest.param(lambda p, n: p**n, id="m=p^N"),
-        pytest.param(lambda p, n: 7 * p, id="p|m"),
+        pytest.param(lambda p, n: 6 * p, id="p|m,r=p-1"),
         pytest.param(lambda p, n: p - 1, id="m<p"),
         pytest.param(lambda p, n: 5 * p + 1, id="r=0"),
-        pytest.param(lambda p, n: 6 * p, id="r=p-1"),
+        pytest.param(lambda p, n: p + 2, id="B=1"),
     ],
 )
 @pytest.mark.parametrize("p,n", [(3, 6), (7, 4), (61, 3)])
 def test_gamma_kernel_edge_cases(p, n, m):
     m = m(p, n)
     assert gamma_p_at(p, m, n).unit == _morita_oracle(p, n, [m])[m]
+
+
+@pytest.mark.parametrize("p,n", [(4099, 1), (3137, 2)])
+def test_gamma_tail_checkpoints(p, n):
+    # p > _TAIL_STEP: the tail starts at a cached checkpoint; r on either side of each
+    step = gamma._TAIL_STEP
+    rs = sorted({c * step + e for c in range(1, (p - 1) // step + 1) for e in (-1, 0, 1)} | {p - 1})
+    ms = [b * p + r + 1 for b in range(3 if n > 1 else 1) for r in rs]
+    rng = random.Random(p)
+    ms += [rng.randrange(1, min(p**n, 40 * p) + 1) for _ in range(200)]
+    want = _morita_oracle(p, n, ms)
+    for m in ms:
+        assert gamma_p_at(p, m, n).unit == want[m], (p, n, m)
 
 
 @pytest.mark.parametrize("p,n,k", [(101, 20, 2), (3, 40, 5)])
