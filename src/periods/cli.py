@@ -9,6 +9,7 @@ arguments, unreadable input files, unattainable precision).
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -609,7 +610,9 @@ def _render_text(payload, out):
 # argument parsing
 
 
+@functools.cache
 def _parser():
+    # built on the first main call, then reused: parse_args keeps no state
     parser = argparse.ArgumentParser(
         prog="periods",
         description="exact p-adic periods: special values, Frobenius matrices, dimension bounds",
@@ -693,8 +696,30 @@ def _config_from_args(args):
     )
 
 
+# options whose value may be a negative rational such as -5/4
+_FRACTION_OPTIONS = ("--x", "--a", "--lambda0", "--at")
+
+
+def _join_negative_values(argv):
+    """Rewrite `--x -5/4` as `--x=-5/4`.
+
+    argparse reads a separate token that starts with "-" and is not a plain
+    negative number as an option, so `--x -5/4` would lack its value.  No
+    option of this parser starts with "-" and a digit, so joining cannot
+    capture one.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _FRACTION_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_negative_values(argv))
     config = _config_from_args(args)
     code, payload = execute(config)
     if config.json_mode:

@@ -6,17 +6,21 @@ valuation of a nonzero element is min_i ((p-1) v_p(c_i) + i); the exponents in
 different slots never collide mod p-1, which makes that formula exact whenever
 the minimizing coefficient is exactly known.
 
-Conventions fixed here once and asserted by a self test:
+zeta_p is Dwork's splitting function exp(pi(t - t^p)) at t = 1, summed on
+plain ints up to a proven cutoff: no Newton iteration and no padding.
+
+Conventions fixed here once and pinned by tests:
   * zeta_p = 1 + pi + O(pi^2)  (pairs the root of unity with the uniformizer)
   * gauss_sum(p, a) = sum_x omega(x)^(-a) zeta^x, valuation a, and
-    gauss_sum(p, a) = -pi^a gamma_p(a / (p-1)) to working precision.
+    gauss_sum(p, a) = -pi^a gamma_p(a / (p-1)) to working precision
+    (Gross-Koblitz with this sign; nothing probes it at runtime).
 """
 
 import math
 from fractions import Fraction
 
 from .gamma import gamma_p
-from .padic import PadicElement, make_padic, teichmuller
+from .padic import PadicElement, _capped, _vp, make_padic, teichmuller
 
 
 class EisensteinElement:
@@ -152,40 +156,11 @@ class EisensteinElement:
         cs = self.coeffs
         return EisensteinElement(self.p, (cs[-1] * (-self.p),) + cs[:-1])
 
-    def div_pi(self):
-        cs = self.coeffs
-        return EisensteinElement(self.p, cs[1:] + (cs[0] / (-self.p),))
-
     def conjugate(self):
         """The automorphism pi -> -pi (sends zeta_p to its inverse)."""
         return EisensteinElement(
             self.p, tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
         )
-
-    def unit_inverse(self, iterations=None):
-        """Inverse of a pi-adic unit (v_pi = 0) by Newton doubling."""
-        c0 = self.coeffs[0]
-        if c0.min_valuation() != 0:
-            raise ZeroDivisionError("inverse requires a pi-adic unit")
-        prec = self.pi_precision() or (self.p - 1) * c0.rel_prec
-        if iterations is None:
-            iterations = max(3, math.ceil(math.log2(max(prec, 2))) + 2)
-        x = EisensteinElement.from_scalar(self.p, 1 / c0)
-        one = _scalar_like(self, 1)
-        for _ in range(iterations):
-            x = x + x * (one - self * x)
-        return x
-
-    def divide(self, other):
-        """self / other for other with exactly-known pi valuation."""
-        v = other.pi_valuation()
-        if v is None:
-            raise ZeroDivisionError("division by exact zero")
-        num, den = self, other
-        for _ in range(v):
-            num = num.div_pi()
-            den = den.div_pi()
-        return num * den.unit_inverse()
 
     def __str__(self):
         return " + ".join(
@@ -210,73 +185,44 @@ def residual_pi_valuation(a, b):
     return (a - b).pi_valuation()
 
 
-def _cyclotomic_value_and_slope(z):
-    # Phi_p(z) = 1 + z + ... + z^(p-1) and its derivative, by Horner
-    p = z.p
-    one = _scalar_like(z, 1)
-    val = one
-    for _ in range(p - 1):
-        val = val * z + 1
-    slope = _scalar_like(z, p - 1)
-    for k in range(p - 2, 0, -1):
-        slope = slope * z + k
-    return val, slope
-
-
-def _cap_abs_coeff(c, n_abs):
-    # truncate the claim on one coefficient to absolute precision n_abs
-    if c.val is None or c.val >= n_abs:
-        return PadicElement(c.p, n_abs, 0, 0)
-    if c.rel_prec == 0:
-        return c if c.val >= n_abs else PadicElement(c.p, min(c.val, n_abs), 0, 0)
-    if c.val + c.rel_prec > n_abs:
-        return c.with_rel_prec(n_abs - c.val)
-    return c
-
-
-def _cap_pi_precision(z, m):
-    """Truncate claimed precision to pi^m.
-
-    Newton iterates carry tracked arithmetic precision far beyond their
-    distance to the actual root; whatever the tracking says, only the
-    digits below the convergence bound are digits of zeta.
-    """
-    p = z.p
-    capped = []
-    for i, c in enumerate(z.coeffs):
-        n_abs = -((i - m) // (p - 1))
-        capped.append(_cap_abs_coeff(c, n_abs))
-    return EisensteinElement(p, tuple(capped))
-
-
 def zeta_p(p, m):
     """The p-th root of unity with zeta = 1 + pi + O(pi^2), mod pi^m.
 
-    The Newton error is v(Phi(z)) - v(Phi'(zeta)) with v(Phi'(zeta)) =
-    p - 2, so convergence runs until the residual clears m + (p - 2) and
-    the result's claimed precision is capped at pi^m; the cap is what
-    keeps later zero tests from reporting unconverged iterate digits as
-    reliable.
+    zeta = theta(1) for Dwork's splitting function theta(t) =
+    exp(pi(t - t^p)) = sum_n lambda_n t^n, with lambda_n = sum over
+    i + pj = n of (-1)^j pi^(i+j) / (i! j!).  Dwork's bound
+    ord_p lambda_n >= n(p-1)/p^2 puts every n >= ceil(m p^2 / (p-1)^2)
+    at pi-valuation >= m, so the sum stops there with no padding.  With
+    i + j = q(p-1) + s a term is (-1)^j (-p)^q / (i! j!) in slot s, a
+    p-adic integer since v_p(i! j!) <= (i+j)/(p-1); each slot is summed
+    on ints mod p^W, W = ceil(m/(p-1)), and slot s is returned at
+    absolute precision ceil((m-s)/(p-1)), the digits that fix zeta mod
+    pi^m.
     """
     if p == 2 or p < 2:
         raise ValueError("odd p required")
     if m < 2:
         raise ValueError("pi-precision must be >= 2")
-    need = m + max(p - 2, 2)
-    # Newton on Phi_p loses about p-2 pi-digits per division; pad generously
-    steps = math.ceil(math.log2(need)) + 3
-    work = need + 2 + (p - 2) * steps
-    rel = work // (p - 1) + 2
-    z = EisensteinElement.from_scalar(p, 1, rel) + EisensteinElement.pi(p, rel)
-    for _ in range(steps + 8):
-        value, slope = _cyclotomic_value_and_slope(z)
-        v = value.pi_valuation()
-        if v is not None and v >= need:
-            return _cap_pi_precision(z, m)
-        z = z - value.divide(slope)
-    raise ArithmeticError(
-        "zeta_p failed to converge at p=%d, m=%d (residual %s)"
-        % (p, m, value.pi_valuation())
+    d = p - 1
+    top = -(-m * p * p // (d * d))
+    width = -(-m // d)
+    mod = p**width
+    # v_p(k!) and the inverse of its unit part mod p^W, for k < top
+    vals, invs = [0], [1]
+    for k in range(1, top):
+        v = _vp(k, p)
+        vals.append(vals[-1] + v)
+        invs.append(invs[-1] * pow(k // p**v, -1, mod) % mod)
+    slots = [0] * d
+    for j in range((top - 1) // p + 1):
+        for i in range(top - p * j):
+            q, s = divmod(i + j, d)
+            e = q - vals[i] - vals[j]
+            if e < width:
+                term = p**e * invs[i] * invs[j]
+                slots[s] += -term if (q + j) % 2 else term
+    return EisensteinElement(
+        p, tuple(_capped(p, x % mod, -((s - m) // d)) for s, x in enumerate(slots))
     )
 
 
@@ -317,35 +263,6 @@ def gauss_sum_conjugate(p, a, m):
     return acc
 
 
-_gk_sign = {}
-
-
-def _validated_gk_sign(p):
-    """The s with v_pi(g_a + s pi^a gamma) large, fixed once per process.
-
-    Documented convention is s = +1 (g_a = -pi^a gamma). Validated at
-    (p=5, a=1); any other outcome than the documented sign working is
-    either recorded (flip) or a hard failure (neither sign).
-    """
-    if 5 in _gk_sign:
-        return _gk_sign[5]
-    probe_m = 8
-    g = gauss_sum(5, 1, probe_m)
-    cand = _gk_candidate(5, 1, probe_m)
-    res_plus = (g + cand).pi_valuation()
-    res_minus = (g - cand).pi_valuation()
-    if res_plus is None or res_plus >= probe_m:
-        _gk_sign[5] = 1
-    elif res_minus is None or res_minus >= probe_m:
-        _gk_sign[5] = -1
-    else:
-        raise RuntimeError(
-            "Gauss sum convention check failed at (p=5, a=1): "
-            "residuals %s / %s" % (res_plus, res_minus)
-        )
-    return _gk_sign[5]
-
-
 def _gk_candidate(p, a, m):
     # pi^a * gamma_p(a / (p-1)) at matching precision
     rel = m // (p - 1) + 2
@@ -356,35 +273,14 @@ def _gk_candidate(p, a, m):
     return out
 
 
-def _residual_is_sharp(diff, v):
-    """Whether some coefficient with a known nonzero digit achieves v."""
-    for i, c in enumerate(diff.coeffs):
-        if c.is_exact_zero() or c.rel_prec == 0:
-            continue
-        if (diff.p - 1) * c.val + i == v:
-            return True
-    return False
-
-
 def gross_koblitz_residual(p, a, m):
     """v_pi lower bound of g_a + pi^a gamma_p(a/(p-1)), expected >= m.
 
-    The Newton padding inside zeta_p quantizes the observable precision,
-    so a difference that is zero to working precision but short of m is
-    recomputed deeper.  A return below m therefore pins an actual nonzero
-    digit rather than an out-of-budget zero.
+    The sign is the fixed convention g_a = -pi^a gamma_p(a/(p-1)), pinned
+    by a test rather than probed at runtime.  math.inf means the
+    difference is exactly zero.
     """
-    sign = _validated_gk_sign(p)
-    work = m
-    v = None
-    for _ in range(4):
-        g = gauss_sum(p, a, work)
-        cand = _gk_candidate(p, a, work + 2)
-        diff = g + cand if sign == 1 else g - cand
-        v = diff.pi_valuation()
-        if v is None:
-            return math.inf
-        if v >= m or _residual_is_sharp(diff, v):
-            return v
-        work += 2 * (p - 1)
-    return v
+    g = gauss_sum(p, a, m)
+    v = (g + _gk_candidate(p, a, m + 2)).pi_valuation()
+    return math.inf if v is None else v
+

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, kronecker
-from .padic import PadicElement, PrecisionError, _vp
+from .padic import PrecisionError, _capped, _vp
 
 
 # -- integer polynomials mod M, coefficients low to high ---------------------
@@ -242,15 +242,6 @@ def _reduce_differential(A, m_init, f, fpr, v, p, M):
     return A[0] % M, A[1] % M, e
 
 
-def _entry(a, e, p, n):
-    """a / p^e, known to absolute precision at least n, capped at n."""
-    val = _vp(a, p) - e if a else n
-    if val >= n:
-        return PadicElement(p, n, 0, 0)
-    rel = n - val
-    return PadicElement(p, val, a // p ** (val + e) % p**rel, rel)
-
-
 def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
     """Frobenius matrix on {dx/y, x dx/y} to the curve's precision.
 
@@ -309,7 +300,7 @@ def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
                 "working buffer exhausted: achieved absolute precision "
                 "%d is below the requested %d" % (W - e, n)
             )
-        cols.append((_entry(a, e, p, n), _entry(b, e, p, n)))
+        cols.append((_capped(p, a, n, e), _capped(p, b, n, e)))
     entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     return FrobeniusMatrix(entries=entries, curve=curve, precision=n)
 

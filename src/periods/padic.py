@@ -34,6 +34,15 @@ def _vp(n, p):
     return v
 
 
+def _capped(p, a, n, e=0):
+    """The int a over p^e, known to absolute precision at least n, capped at n."""
+    val = _vp(a, p) - e if a else n
+    if val >= n:
+        return PadicElement(p, n, 0, 0)
+    rel = n - val
+    return PadicElement(p, val, a // p ** (val + e) % p**rel, rel)
+
+
 class PadicElement:
     __slots__ = ("p", "val", "unit", "rel_prec")
 

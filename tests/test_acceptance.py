@@ -258,3 +258,12 @@ def test_10_gamma_cost_independent_of_p_to_the_n(monkeypatch):
     code, out = _run_cli_json(["gamma", "--p", "541", "--x", "1/3", "--prec", "2"])
     assert code == 0 and out["ok"], out
     _pass("cold cm at 13^6 and gamma at 541^2", started, 2)
+
+
+def test_11_gk_cost_without_newton(monkeypatch):
+    # Newton on Phi_p took about 2 s of this request
+    monkeypatch.setattr(gamma, "_coeffs", {})
+    started = time.monotonic()
+    code, out = _run_cli_json(["gk", "--p", "31", "--a", "3", "--prec", "12"])
+    assert code == 0 and out["ok"], out
+    _pass("cold gk at p = 31", started, 1)

@@ -7,6 +7,9 @@ alone.  Every JSON payload is validated against schema/output.json.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -361,3 +364,41 @@ def test_unknown_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bound", "--case", "no-such-case"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--p", "5", "--x=-5/4", "--prec", "3"],
+        ["kummer", "--a=-3/2", "--p", "5", "--prec", "4"],
+        ["hyper", "--p", "7", "--lambda0=-1/2", "--e", "3", "--order", "12",
+         "--prec", "8", "--at=-15/2"],
+    ],
+)
+def test_negative_rationals_as_separate_tokens(argv):
+    spaced = [part for token in argv for part in token.split("=")]
+    code, out = run_cli(argv + ["--json"])
+    assert code == 0
+    assert run_cli(spaced + ["--json"]) == (code, out)
+
+
+def test_bare_dash_value_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gamma", "--p", "5", "--x", "-", "--prec", "3"])
+    assert exc.value.code == 2
+
+
+def test_parser_reused_after_an_error():
+    argv = ["gamma", "--p", "7", "--x", "2/5", "--prec", "8", "--json"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gamma", "--p", "7", "--x", "2/5"])
+    assert exc.value.code == 2
+    assert cli._parser() is cli._parser()
+    code, out = run_cli(argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "periods.cli"] + argv,
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from periods.cyclotomic import (
     residual_pi_valuation,
     zeta_p,
 )
-from periods.padic import make_padic, teichmuller
+from periods.gamma import gamma_p
+from periods.padic import _vp, make_padic, teichmuller
 
 
 def test_defining_relation():
@@ -112,6 +114,74 @@ def test_zeta_normalization():
 def test_zeta_rejects_even_prime():
     with pytest.raises(ValueError):
         zeta_p(2, 8)
+
+
+# sha256 (first 16 hex digits) of every slot's (val, unit, rel_prec) of
+# zeta_p(p, m) for m = 2..40, frozen from the Newton iteration on Phi_p that
+# the splitting-function sum replaced
+ZETA_DIGESTS = {
+    3: "953eec122db90d29",
+    5: "2ede54556da9a1f5",
+    7: "ce8b7317f4cc129a",
+    11: "091e1c405f1c8c52",
+    13: "1dc1adb9e5165150",
+    17: "f72e9eccacc1ff04",
+    19: "79e7363e7880e4be",
+    23: "fee4a6f976916d28",
+    29: "c2dce4329d402505",
+    31: "64ed675c8a10d3ba",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ZETA_DIGESTS))
+def test_zeta_frozen_table(p):
+    h = hashlib.sha256()
+    for m in range(2, 41):
+        for c in zeta_p(p, m).coeffs:
+            h.update(("%s,%d,%d;" % (c.val, c.unit, c.rel_prec)).encode())
+    assert h.hexdigest()[:16] == ZETA_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_dwork_bound_exact(p):
+    # lambda_n = sum_{i+pj=n} (-1)^j pi^(i+j) / (i! j!) in Q[pi]/(pi^(p-1)+p),
+    # one Fraction per slot; ord_p lambda_n >= n(p-1)/p^2 is the cutoff zeta_p uses
+    d = p - 1
+    for n in range(90):
+        slots = [Fraction(0)] * d
+        for j in range(n // p + 1):
+            i = n - p * j
+            q, s = divmod(i + j, d)
+            slots[s] += Fraction((-1) ** j * (-p) ** q, math.factorial(i) * math.factorial(j))
+        ord_pi = min(
+            d * (_vp(c.numerator, p) - _vp(c.denominator, p)) + s
+            for s, c in enumerate(slots)
+            if c
+        )
+        assert ord_pi * p * p >= n * d * d, (p, n, ord_pi)
+
+
+def _pi_power_gamma(p, a, m):
+    rel = m // (p - 1) + 2
+    gamma = gamma_p(make_padic(p, Fraction(a, p - 1), rel), rel)
+    return EisensteinElement.from_scalar(p, gamma) * EisensteinElement.pi(p, rel) ** a
+
+
+@pytest.mark.parametrize(
+    "p, a, m", [(5, 1, 8)] + [(7, a, 12) for a in range(1, 6)]
+)
+def test_gross_koblitz_sign_is_fixed(p, a, m):
+    # g_a = -pi^a gamma_p(a/(p-1)): the sum reaches m, the difference is 2 g_a,
+    # whose valuation a is carried by a digit that is known to be nonzero
+    g = gauss_sum(p, a, m)
+    cand = _pi_power_gamma(p, a, m + 2)
+    plus = (g + cand).pi_valuation()
+    assert plus is None or plus >= m
+    minus = g - cand
+    assert minus.pi_valuation() == a < m
+    assert any(
+        c.rel_prec > 0 and (p - 1) * c.val + i == a for i, c in enumerate(minus.coeffs)
+    )
 
 
 @pytest.mark.parametrize("p", [5, 7])
