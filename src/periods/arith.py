@@ -3,6 +3,7 @@
 Everything here is exact: Python ints and fractions.Fraction only.
 """
 
+import math
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -95,14 +96,9 @@ def rational_reconstruct(x, m, height):
     num, den = r1, t1
     if den < 0:
         num, den = -num, -den
-    if _gcd(num, den) != 1:
+    if math.gcd(num, den) != 1:
         return None
     if (num - den * x) % m != 0:
         return None
     return Fraction(num, den)
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

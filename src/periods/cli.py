@@ -15,7 +15,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
@@ -60,28 +59,6 @@ BOUND_CASES = {
 PROBE_MAX_POWER = 8
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation depends on.
-
-    JSON output is a pure function of this record, which is what makes
-    byte-identical reruns checkable.
-    """
-
-    subcommand: str
-    prime: object
-    precision: object
-    json_mode: bool
-    seed: int
-    matrix_path: object
-    v0_path: object
-    options: tuple
-
-
-def _opt(config, name):
-    return dict(config.options)[name]
-
-
 def _fraction(text):
     try:
         return Fraction(text)
@@ -120,8 +97,8 @@ def _group_json(g):
     return {"kind": g.kind, "rank": g.rank}
 
 
-def _cmd_bound(config):
-    case = _opt(config, "case")
+def _cmd_bound(args):
+    case = args.case
     label, g, h = BOUND_CASES[case]
     return {
         "case": case,
@@ -132,11 +109,11 @@ def _cmd_bound(config):
     }, True
 
 
-def _cmd_gamma(config):
-    p, n = config.prime, config.precision
+def _cmd_gamma(args):
+    p, n = args.p, args.prec
     _require_odd_prime(p)
     _require_precision(n)
-    x = _opt(config, "x")
+    x = args.x
     value = gamma_p_at(p, x, n)
     return {
         "p": p,
@@ -146,11 +123,11 @@ def _cmd_gamma(config):
     }, True
 
 
-def _cmd_gk(config):
-    p, m = config.prime, config.precision
+def _cmd_gk(args):
+    p, m = args.p, args.prec
     _require_odd_prime(p)
     _require_precision(m)
-    a = _opt(config, "a")
+    a = args.a
     if not 1 <= a <= p - 2:
         raise ValueError("a must lie in [1, p-2], got %d" % a)
     res = gross_koblitz_residual(p, a, m)
@@ -164,13 +141,11 @@ def _cmd_gk(config):
     }, ok
 
 
-def _cmd_cm(config):
-    p, n = config.prime, config.precision
+def _cmd_cm(args):
+    p, n = args.p, args.prec
     _require_odd_prime(p)
     _require_precision(n)
-    d = _opt(config, "d")
-    n0 = _opt(config, "ramified_n")
-    height = _opt(config, "probe")
+    d, n0, height = args.d, args.ramified_n, args.probe
     if n0 is not None:
         if p != 3:
             raise ValueError("the ramified construction is implemented for p = 3")
@@ -203,9 +178,9 @@ def _cmd_cm(config):
     return result, True
 
 
-def _cmd_kummer(config):
-    p, n = config.prime, config.precision
-    a = _opt(config, "a")
+def _cmd_kummer(args):
+    p, n = args.p, args.prec
+    a = args.a
     data = KummerData(a, p, n)
     matrix = frobenius_matrix_kummer(data)
     vec = period_vector_kummer(data)
@@ -256,10 +231,10 @@ def _load_cell(p, cell, n):
     raise ValueError("cannot interpret %r as a matrix entry" % (cell,))
 
 
-def _cmd_mixed(config):
-    with open(config.matrix_path) as fh:
+def _cmd_mixed(args):
+    with open(args.matrix) as fh:
         mdoc = json.load(fh)
-    with open(config.v0_path) as fh:
+    with open(args.v0) as fh:
         vdoc = json.load(fh)
     if not isinstance(mdoc, dict):
         raise ValueError("matrix file must hold a JSON object")
@@ -295,14 +270,11 @@ def _cmd_mixed(config):
     }, True
 
 
-def _cmd_hyper(config):
-    p, n = config.prime, config.precision
+def _cmd_hyper(args):
+    p, n = args.p, args.prec
     _require_odd_prime(p)
     _require_precision(n)
-    lam0 = _opt(config, "lambda0")
-    e = _opt(config, "e")
-    order = _opt(config, "order")
-    at = _opt(config, "at")
+    lam0, e, order, at = args.lambda0, args.e, args.order, args.at
     sol = solve_katz_ode(make_padic(p, lam0, n), e, order, n)
     # min_precision 1 = the matrix must carry at least one certified digit;
     # a shortfall raises with the achievable precision in the message
@@ -349,11 +321,11 @@ def _parse_cubic(text):
     return tuple(coeffs)
 
 
-def _cmd_frob(config):
-    p, n = config.prime, config.precision
+def _cmd_frob(args):
+    p, n = args.p, args.prec
     _require_precision(n)
-    f = _parse_cubic(_opt(config, "f"))
-    deep = _opt(config, "selftest")
+    f = _parse_cubic(args.f)
+    deep = args.selftest
     curve = EllipticCurveW(f, p, n)
     matrix = frobenius_selftest(curve) if deep else kedlaya_frobenius(curve)
     a_p = count_points(f, p)
@@ -372,9 +344,9 @@ def _cmd_frob(config):
     }, cert.ok
 
 
-def _cmd_closure(config):
-    r = _opt(config, "r")
-    cap = _opt(config, "cap")
+def _cmd_closure(args):
+    r = args.r
+    cap = args.cap
     report = coeff_subalgebra_closure(RepDesc("pgl2", r), cap)
     return {
         "r": r,
@@ -486,10 +458,10 @@ def _check_closure():
     }
 
 
-def _cmd_selftest(config):
-    n = config.precision if config.precision is not None else 10
+def _cmd_selftest(args):
+    n = args.prec
     _require_precision(n)
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     checks = [
         _check_bounds(),
         _check_gross_koblitz(n),
@@ -502,32 +474,22 @@ def _cmd_selftest(config):
     passed = sum(1 for row in checks if row["ok"])
     return {
         "precision": n,
-        "seed": config.seed,
+        "seed": args.seed,
         "checks": checks,
         "passed": passed,
         "total": len(checks),
     }, passed == len(checks)
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "gamma": _cmd_gamma,
-    "gk": _cmd_gk,
-    "cm": _cmd_cm,
-    "kummer": _cmd_kummer,
-    "mixed": _cmd_mixed,
-    "hyper": _cmd_hyper,
-    "frob": _cmd_frob,
-    "closure": _cmd_closure,
-    "selftest": _cmd_selftest,
-}
+def execute(args):
+    """Run one parsed subcommand; returns (exit code, envelope dict).
 
-
-def execute(config):
-    """Run one subcommand; returns (exit code, envelope dict)."""
-    envelope = {"schema_version": SCHEMA_VERSION, "command": config.subcommand}
+    JSON output is a pure function of the parsed arguments, which is what
+    makes byte-identical reruns checkable.
+    """
+    envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
-        result, ok = _HANDLERS[config.subcommand](config)
+        result, ok = args.handler(args)
     except (ValueError, PrecisionError, OSError) as e:
         envelope["ok"] = False
         envelope["error"] = str(e)
@@ -619,42 +581,43 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
         return sp
 
-    sp = add("bound", "transcendence-degree bound for a named case")
+    sp = add("bound", _cmd_bound, "transcendence-degree bound for a named case")
     sp.add_argument("--case", required=True, choices=sorted(BOUND_CASES))
 
-    sp = add("gamma", "Morita gamma value at a rational argument")
+    sp = add("gamma", _cmd_gamma, "Morita gamma value at a rational argument")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--x", type=_fraction, required=True, metavar="NUM/DEN")
     sp.add_argument("--prec", type=int, required=True)
 
-    sp = add("gk", "Gauss sum against the gamma product, residual valuation")
+    sp = add("gk", _cmd_gk, "Gauss sum against the gamma product, residual valuation")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True, help="target pi-adic valuation")
 
-    sp = add("cm", "gamma-product period of an imaginary quadratic field")
+    sp = add("cm", _cmd_cm, "gamma-product period of an imaginary quadratic field")
     sp.add_argument("--d", type=int, help="the field is Q(sqrt(-d))")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
     sp.add_argument("--ramified-n", type=int, help="ramified p = 3 construction for sqrt(-3n)")
     sp.add_argument("--probe", type=int, metavar="HEIGHT", help="rational reconstruction probe")
 
-    sp = add("kummer", "rank-2 Frobenius and period vector of a Kummer datum")
+    sp = add("kummer", _cmd_kummer, "rank-2 Frobenius and period vector of a Kummer datum")
     sp.add_argument("--a", type=_fraction, required=True, metavar="NUM/DEN")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
 
-    sp = add("mixed", "invariant period vector of a weight-triangular matrix")
+    sp = add("mixed", _cmd_mixed, "invariant period vector of a weight-triangular matrix")
     sp.add_argument("--matrix", required=True, metavar="FILE.json")
     sp.add_argument("--v0", required=True, metavar="FILE.json")
 
-    sp = add("hyper", "hypergeometric period matrix from the local solutions")
+    sp = add("hyper", _cmd_hyper, "hypergeometric period matrix from the local solutions")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--lambda0", type=_fraction, required=True, metavar="NUM/DEN")
     sp.add_argument("--e", type=int, required=True)
@@ -662,42 +625,33 @@ def _parser():
     sp.add_argument("--prec", type=int, required=True)
     sp.add_argument("--at", type=_fraction, required=True, metavar="NUM/DEN")
 
-    sp = add("frob", "crystalline Frobenius matrix of y^2 = f(x)")
+    sp = add("frob", _cmd_frob, "crystalline Frobenius matrix of y^2 = f(x)")
     sp.add_argument("--f", required=True, metavar="CUBIC", help='monic cubic, e.g. "x^3-2*x+1"')
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
     sp.add_argument("--selftest", action="store_true", help="recompute deeper and cross-check")
 
-    sp = add("closure", "coefficient subalgebra of a symmetric power")
+    sp = add("closure", _cmd_closure, "coefficient subalgebra of a symmetric power")
     sp.add_argument("--r", type=int, required=True, help="even symmetric power")
     sp.add_argument("--cap", type=int, default=8, help="total degree cap")
 
-    sp = add("selftest", "run the whole battery of cross-checks")
+    sp = add("selftest", _cmd_selftest, "run the whole battery of cross-checks")
     sp.add_argument("--prec", type=int, default=10)
 
     return parser
 
 
-_CORE_KEYS = {"command", "json", "seed", "p", "prec", "matrix", "v0"}
-
-
-def _config_from_args(args):
-    ns = vars(args)
-    options = tuple(sorted((k, v) for k, v in ns.items() if k not in _CORE_KEYS))
-    return RunConfig(
-        subcommand=ns["command"],
-        prime=ns.get("p"),
-        precision=ns.get("prec"),
-        json_mode=bool(ns.get("json")),
-        seed=ns.get("seed", 0),
-        matrix_path=ns.get("matrix"),
-        v0_path=ns.get("v0"),
-        options=options,
+@functools.cache
+def _fraction_options():
+    """The options the parser converts with _fraction: their value may be -5/4."""
+    (commands,) = [a for a in _parser()._actions if a.dest == "command"]
+    return frozenset(
+        option
+        for sp in commands.choices.values()
+        for action in sp._actions
+        if action.type is _fraction
+        for option in action.option_strings
     )
-
-
-# options whose value may be a negative rational such as -5/4
-_FRACTION_OPTIONS = ("--x", "--a", "--lambda0", "--at")
 
 
 def _join_negative_values(argv):
@@ -710,7 +664,7 @@ def _join_negative_values(argv):
     """
     out = []
     for token in argv:
-        if out and out[-1] in _FRACTION_OPTIONS and re.match(r"-[\d.]", token):
+        if out and out[-1] in _fraction_options() and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -720,9 +674,8 @@ def _join_negative_values(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(_join_negative_values(argv))
-    config = _config_from_args(args)
-    code, payload = execute(config)
-    if config.json_mode:
+    code, payload = execute(args)
+    if args.json:
         sys.stdout.write(_canonical_json(payload))
     else:
         _render_text(payload, sys.stdout)

@@ -247,20 +247,12 @@ def gauss_sum(p, a, m):
 def gauss_sum_conjugate(p, a, m):
     """The complex-conjugate analog: character inverted and zeta inverted.
 
-    Satisfies gauss_sum * gauss_sum_conjugate = p exactly (to precision).
+    The ring map pi -> -pi sends zeta_p to its inverse, and inverting the
+    character turns omega^(-a) into omega^(-(p-1-a)), so this is the
+    conjugate of g_(p-1-a).  Satisfies gauss_sum * gauss_sum_conjugate = p
+    exactly (to precision).
     """
-    if not 1 <= a <= p - 2:
-        raise ValueError("need 1 <= a <= p-2")
-    z = zeta_p(p, m + 2)
-    rel = max(c.rel_prec for c in z.coeffs)
-    zinv = z ** (p - 1)  # z^(p-1) = z^(-1) since z^p = 1
-    acc = EisensteinElement.zero(p)
-    zx = EisensteinElement.from_scalar(p, 1, rel)
-    for x in range(1, p):
-        zx = zx * zinv
-        w = teichmuller(make_padic(p, x, rel))
-        acc = acc + zx * w**a
-    return acc
+    return gauss_sum(p, p - 1 - a, m).conjugate()
 
 
 def _gk_candidate(p, a, m):

@@ -143,13 +143,11 @@ class EllipticCurveW:
         return _discriminant(self.f)
 
 
-def count_points(f, p, method="character"):
+def count_points(f, p):
     """Trace of Frobenius a_p = p + 1 - #E(F_p) by direct enumeration.
 
-    Two independent loops are available: "character" sums the quadratic
-    character of f(x), "table" counts square roots per x from a
-    precomputed table of squares.  They must agree, and the result must
-    sit inside the Weil bound; both are hard postconditions.
+    Sums the quadratic character of f(x) over F_p; the result must sit
+    inside the Weil bound, a hard postcondition.
     """
     f = tuple(int(c) for c in f)
     if len(f) != 4 or f[3] != 1:
@@ -159,17 +157,8 @@ def count_points(f, p, method="character"):
     if _discriminant(f) % p == 0:
         raise ValueError("bad reduction: the discriminant vanishes mod p")
     c0, c1, c2 = f[0], f[1], f[2]
-    values = [(x * x * x + c2 * x * x + c1 * x + c0) % p for x in range(p)]
-    if method == "character":
-        a_p = -sum(kronecker(v, p) for v in values)
-    elif method == "table":
-        roots = [0] * p
-        for y in range(p):
-            roots[y * y % p] += 1
-        affine = sum(roots[v] for v in values)
-        a_p = p - affine
-    else:
-        raise ValueError("method must be 'character' or 'table'")
+    a_p = -sum(kronecker((x * x * x + c2 * x * x + c1 * x + c0) % p, p)
+               for x in range(p))
     if a_p * a_p > 4 * p:
         raise ArithmeticError("point count violates the Weil bound")
     return a_p
@@ -193,11 +182,11 @@ class FrobeniusMatrix:
         return a * d - b * c
 
 
-def _default_buffer(p, m_init):
-    # the loss counter reaches the sum of v_p(2m-1) over the pole steps
-    # plus one for the degree-reduction division by p; this leaves three
-    # more digits of slack
-    return 4 + sum(_vp(2 * m - 1, p) for m in range(2, m_init + 1))
+def _loss_count(p, m_init):
+    # the digits the reduction of the second column loses: v_p(2m-1) for
+    # each pole order m <= m_init, and one for its degree-reduction step
+    # at 2j - 1 = p (the first column stops below that degree)
+    return 1 + sum(_vp(2 * m - 1, p) for m in range(2, m_init + 1))
 
 
 def _reduce_differential(A, m_init, f, fpr, v, p, M):
@@ -242,26 +231,22 @@ def _reduce_differential(A, m_init, f, fpr, v, p, M):
     return A[0] % M, A[1] % M, e
 
 
-def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
+def kedlaya_frobenius(curve):
     """Frobenius matrix on {dx/y, x dx/y} to the curve's precision.
 
-    series_terms is the binomial truncation order K; the dropped tail
-    carries valuation at least K+1 before reduction losses, so the
-    default K = n + 3 leaves margin.  The reduction works on ints mod
-    p^W, W = n + buffer_digits, and counts the digits e lost to the
-    divisions by 2m - 1 and 2j - 1; the result holds to absolute
-    precision W - e, and PrecisionError is raised when that is below n.
-    The default buffer covers the exact worst case.  Entries come back
-    capped at absolute precision n.
+    The binomial series for 1/sigma(y) is cut at K = n + 3 terms; the
+    dropped tail carries valuation at least K + 1 before reduction
+    losses.  The reduction works on ints mod p^W and counts the digits e
+    lost to the divisions by 2m - 1 and 2j - 1, so the result holds to
+    absolute precision W - e.  W is n plus that count, which is known
+    before the reduction starts (_loss_count); PrecisionError is raised
+    if W - e still falls below n.  Entries come back capped at absolute
+    precision n.
     """
     p, n = curve.p, curve.n
-    K = series_terms if series_terms is not None else n + 3
-    if K < n:
-        raise ValueError("series truncation is below the target precision")
+    K = n + 3
     m_init = p * K + (p - 1) // 2
-    if buffer_digits is None:
-        buffer_digits = _default_buffer(p, m_init)
-    W = n + buffer_digits
+    W = n + _loss_count(p, m_init)
     M = p**W
 
     f = list(curve.f)
@@ -306,19 +291,15 @@ def kedlaya_frobenius(curve, series_terms=None, buffer_digits=None):
 
 
 def frobenius_selftest(curve):
-    """Recompute with a longer series and twice the buffer; digits must hold.
+    """Recompute three digits deeper; the requested digits must hold.
 
     Also gates the result against the point-counting oracle.  Raises
-    PrecisionError if either probe disagrees, which is the signal that
-    the empirical truncation defaults are inadequate for this input.
+    PrecisionError if either probe disagrees, an opt-in cross-check of
+    the series cut and of the loss count.
     """
     p, n = curve.p, curve.n
-    K = n + 3
-    b = _default_buffer(p, p * K + (p - 1) // 2)
-    base = kedlaya_frobenius(curve, series_terms=K, buffer_digits=b)
-    K2 = K + 3
-    b2 = max(2 * b, _default_buffer(p, p * K2 + (p - 1) // 2))
-    deep = kedlaya_frobenius(curve, series_terms=K2, buffer_digits=b2)
+    base = kedlaya_frobenius(curve)
+    deep = kedlaya_frobenius(EllipticCurveW(curve.f, p, n + 3))
     for r in (0, 1):
         for c in (0, 1):
             d = base.entries[r][c] - deep.entries[r][c]

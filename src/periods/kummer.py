@@ -150,13 +150,13 @@ def _solve_dense(matrix, rhs):
     return [rhs[i] / matrix[i][i] for i in range(n)]
 
 
-def solve_mixed_period(phi, v0, method="blocks"):
+def solve_mixed_period(phi, v0):
     """The unique phi-invariant vector whose weight-0 part is v0.
 
     Invariance means phi V = V (columns are period vectors).  The weight-0
     rows are a consistency condition on v0 and are checked, not solved; each
-    negative-weight block is solved against the already-known higher-weight
-    coordinates.
+    negative-weight block is solved, by elimination, against the
+    already-known higher-weight coordinates.
     """
     n = phi.size()
     zero_idx = [i for i in range(n) if phi.weights[i] == 0]
@@ -176,26 +176,6 @@ def solve_mixed_period(phi, v0, method="blocks"):
         acc = acc - v[i]
         if not (acc.is_exact_zero() or acc.is_zero_at_precision()):
             raise ArithmeticError("weight-0 block does not fix v0")
-
-    if method == "dense":
-        neg = [i for i in range(n) if phi.weights[i] != 0]
-        rows = [[phi.entries[i][j] for j in neg] for i in neg]
-        for k, i in enumerate(neg):
-            rows[k][k] = rows[k][k] - 1
-        rhs = []
-        for i in neg:
-            acc = None
-            for j in zero_idx:
-                term = phi.entries[i][j] * v[j]
-                acc = term if acc is None else acc + term
-            rhs.append(-acc)
-        sol = _solve_dense(rows, rhs)
-        for k, i in enumerate(neg):
-            v[i] = sol[k]
-        return v
-
-    if method != "blocks":
-        raise ValueError("unknown method %r" % (method,))
 
     for weight in sorted({w for w in phi.weights if w != 0}, reverse=True):
         block = [i for i in range(n) if phi.weights[i] == weight]

@@ -302,25 +302,17 @@ class PadicElement:
 
 
 def _embed_exact(p, x, abs_prec):
-    """Embed an exact rational at the given absolute precision."""
-    x = Fraction(x)
-    if x == 0:
-        return PadicElement(p, None, 0, 0)
+    """Embed the exact Fraction x at the given absolute precision."""
     num, den = x.numerator, x.denominator
-    v = 0
-    if num % p == 0:
-        v = _vp(num, p)
-        num //= p**v
-    if den % p == 0:
-        w = _vp(den, p)
-        den //= p**w
-        v -= w
-    rel = abs_prec - v
+    if not num:
+        return PadicElement(p, None, 0, 0)
+    up, down = _vp(num, p), _vp(den, p)
+    rel = abs_prec - up + down
     if rel < 1:
         return PadicElement(p, abs_prec, 0, 0)
     mod = p**rel
-    unit = num % mod * pow(den % mod, -1, mod) % mod
-    return PadicElement(p, v, unit, rel)
+    unit = num // p**up % mod * pow(den // p**down % mod, -1, mod) % mod
+    return PadicElement(p, up - down, unit, rel)
 
 
 def make_padic(p, x, rel_prec, integral=False):
@@ -330,21 +322,11 @@ def make_padic(p, x, rel_prec, integral=False):
     if p < 2 or not is_prime(p):
         raise ValueError("%d is not prime" % p)
     x = Fraction(x)
-    if x == 0:
-        return PadicElement(p, None, 0, 0)
     if integral and x.denominator % p == 0:
         raise ValueError("denominator divisible by %d in an integral context" % p)
-    num, den = x.numerator, x.denominator
-    v = _vp(num, p) if num % p == 0 else 0
-    if v:
-        num //= p**v
-    if den % p == 0:
-        w = _vp(den, p)
-        den //= p**w
-        v -= w
-    mod = p**rel_prec
-    unit = num % mod * pow(den % mod, -1, mod) % mod
-    return PadicElement(p, v, unit, rel_prec)
+    if not x:
+        return PadicElement(p, None, 0, 0)
+    return _embed_exact(p, x, _vp(x.numerator, p) - _vp(x.denominator, p) + rel_prec)
 
 
 def compare(a, b):

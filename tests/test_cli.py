@@ -4,6 +4,7 @@ Only the JSON mode is parsed; text mode is checked for exit status
 alone.  Every JSON payload is validated against schema/output.json.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -402,3 +403,43 @@ def test_parser_reused_after_an_error():
         capture_output=True, text=True, env=env, check=False,
     )
     assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+# sha256 of the --json stdout and the exit code for every README example,
+# plus a configuration error from each of two layers; frozen before the CLI
+# and the Kedlaya sizing were simplified, so those changes keep every byte
+GOLDEN = {
+    "bound --case noncm-ss": (0, "8dfd3c62ee8eae9b6ea2ba0ad637e725fea947f97002afffcc99764223b1b953"),
+    "gamma --p 5 --x 1/2 --prec 8": (0, "4685f41204deeb6cba5f955abb47ae187e74ca0ca0fbb941a5e3e2a81678e595"),
+    "gk --p 7 --a 2 --prec 12": (0, "5769f8596c2450527a8144b17d1251bdf2b93d4895a8842fb9bb8b6d37bf30c5"),
+    "cm --d 1 --p 13 --prec 6 --probe 40": (0, "249cfcd37d3a11f924311a51910c78ad4dd69389332d4e7bcd7f41b369ac51e5"),
+    "cm --p 3 --ramified-n 8 --prec 8 --probe 10": (0, "3697089c445441be627bb446267e4f9ed5ea09e50f09f6b1f7ee1504d122b6e0"),
+    "kummer --a 2/3 --p 5 --prec 12": (0, "5cff6f21a5dd3b162867ef95174fdda8e55dec1b45b9d0046bd120e1696176ab"),
+    "mixed --matrix phi.json --v0 v0.json": (0, "8f24629b1eca85dd8bdc1a0e3ce005a80276920691cd51710572c7278ff5fcad"),
+    "hyper --p 7 --lambda0 2 --e 3 --order 12 --prec 12 --at 9": (0, "217d8185161d8214efac8fb10ed649dc06a7d6ea94aefed96b14a387be52c1fa"),
+    "frob --f x^3+x+1 --p 5 --prec 4 --selftest": (0, "062c6c3f0f0d86bdacc5246c0c6b13f7dbcea2b97bd8363035bec5ef28180a2a"),
+    "closure --r 4 --cap 8": (0, "9f9bc965c63616c7f020cc41f5b39f964e8af12b8e5cc1645b7fef821021bb37"),
+    "selftest --prec 10 --seed 0": (0, "0083c601e960c832af21c751102f0be36673bcf1900536aa6fc0424df8151bc7"),
+    # over PERIODS_PRECISION_CAP: 101^4 > 10^7
+    "gamma --p 101 --x 1/2 --prec 4": (2, "261aa5a82c4f9414fd5c3326d1df9ce5a7598fde7c7f6bb08342e65345cb7ce0"),
+    # the discriminant of x^3 - 2x + 1 is 5
+    "frob --f x^3-2*x+1 --p 5 --prec 4": (2, "0a55db692dcfd9c278a25c123a3e077c6939db96071c5d54a5b3ccb068353a0d"),
+}
+
+# the matrix file shown in README
+README_PHI = {
+    "p": 5,
+    "precision": 8,
+    "weights": [-2, 0],
+    "entries": [["1/5", {"p": 5, "val": 0, "digits": [3, 1], "rel_prec": 2}],
+                ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_json_output(command, tmp_path):
+    (tmp_path / "phi.json").write_text(json.dumps(README_PHI))
+    (tmp_path / "v0.json").write_text(json.dumps([1]))
+    argv = [str(tmp_path / t) if t.endswith(".json") else t for t in command.split()]
+    code, out = run_cli(argv + ["--json"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
