@@ -5,7 +5,7 @@ Submodules:
     padic       tracked-precision p-adic arithmetic
     arith       primality, Kronecker symbols, rational reconstruction
     gamma       the Morita gamma function and its functional equations
-    cyclotomic  Gauss sums in Q_p(zeta_p) and the gamma-product identity
+    cyclotomic  Gross-Koblitz: Gauss sums from Dwork's coefficients against gamma_p
     cm          gamma-product periods of imaginary quadratic fields
     kummer      rank-2 Kummer periods and weight-triangular solves
     hypergeom   local solutions of the hypergeometric equation

@@ -267,3 +267,12 @@ def test_11_gk_cost_without_newton(monkeypatch):
     code, out = _run_cli_json(["gk", "--p", "31", "--a", "3", "--prec", "12"])
     assert code == 0 and out["ok"], out
     _pass("cold gk at p = 31", started, 1)
+
+
+def test_12_gk_at_large_p(monkeypatch):
+    # the direct Gauss sum in Z_p[pi] took about 5 s of this request
+    monkeypatch.setattr(gamma, "_coeffs", {})
+    started = time.monotonic()
+    code, out = _run_cli_json(["gk", "--p", "101", "--a", "5", "--prec", "8"])
+    assert code == 0 and out["ok"], out
+    _pass("cold gk at p = 101", started, 1)

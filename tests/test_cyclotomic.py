@@ -1,3 +1,11 @@
+"""Gauss sums and Gross-Koblitz, against a direct sum in the ramified ring.
+
+The oracle below is independent of `periods.cyclotomic`: it builds Z_p[pi]
+with pi^(p-1) = -p on PadicElement coefficients, takes zeta_p from Dwork's
+splitting function at t = 1, and sums g_a = sum_x omega(x)^(-a) zeta_p^x
+term by term in the ring.
+"""
+
 import hashlib
 import math
 import random
@@ -5,16 +13,175 @@ from fractions import Fraction
 
 import pytest
 
-from periods.cyclotomic import (
-    EisensteinElement,
-    gauss_sum,
-    gauss_sum_conjugate,
-    gross_koblitz_residual,
-    residual_pi_valuation,
-    zeta_p,
-)
+from periods.cyclotomic import _gauss_unit, gross_koblitz_residual
 from periods.gamma import gamma_p
-from periods.padic import _vp, make_padic, teichmuller
+from periods.padic import PadicElement, PrecisionError, _capped, _vp, make_padic, teichmuller
+
+# -- the oracle: Z_p[pi], pi^(p-1) = -p -----------------------------------------
+
+
+class EisensteinElement:
+    """c_0 + c_1 pi + ... + c_(p-2) pi^(p-2) with PadicElement coefficients.
+
+    The pi-adic valuation of a nonzero element is min_i ((p-1) v_p(c_i) + i):
+    the exponents of different slots never collide mod p-1.
+    """
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p, coeffs):
+        if len(coeffs) != p - 1:
+            raise ValueError("need exactly p-1 coefficients")
+        self.p = p
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def zero(cls, p):
+        return cls(p, (PadicElement(p, None, 0, 0),) * (p - 1))
+
+    @classmethod
+    def from_scalar(cls, p, x, rel_prec=None):
+        if not isinstance(x, PadicElement):
+            x = make_padic(p, x, rel_prec)
+        return cls(p, (x,) + cls.zero(p).coeffs[1:])
+
+    @classmethod
+    def pi(cls, p, rel_prec):
+        cs = cls.zero(p).coeffs
+        return cls(p, cs[:1] + (make_padic(p, 1, rel_prec),) + cs[2:])
+
+    def pi_precision(self):
+        """The element is known modulo pi^(this)."""
+        return min(
+            (self.p - 1) * c.abs_precision() + i
+            for i, c in enumerate(self.coeffs)
+            if not c.is_exact_zero()
+        )
+
+    def pi_valuation(self):
+        """Provable lower bound on v_pi; None for the exact zero element."""
+        vals = [
+            (self.p - 1) * c.min_valuation() + i
+            for i, c in enumerate(self.coeffs)
+            if not c.is_exact_zero()
+        ]
+        return min(vals) if vals else None
+
+    def _lift(self, other):
+        if isinstance(other, EisensteinElement):
+            return other
+        rel = max(c.rel_prec for c in self.coeffs) or 1
+        return EisensteinElement.from_scalar(self.p, other, rel)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return EisensteinElement(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return EisensteinElement(self.p, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return EisensteinElement(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other):
+        if not isinstance(other, EisensteinElement):
+            return EisensteinElement(self.p, tuple(c * other for c in self.coeffs))
+        d = self.p - 1
+        out = list(EisensteinElement.zero(self.p).coeffs)
+        for i, a in enumerate(self.coeffs):
+            if a.is_exact_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b.is_exact_zero():
+                    continue
+                k = i + j
+                term = a * b
+                if k >= d:
+                    k -= d
+                    term = term * (-self.p)
+                out[k] = out[k] + term
+        return EisensteinElement(self.p, tuple(out))
+
+    def __pow__(self, k):
+        if k < 1:
+            raise ValueError("positive exponents only")
+        result, base = None, self
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def conjugate(self):
+        """The automorphism pi -> -pi (sends zeta_p to its inverse)."""
+        return EisensteinElement(
+            self.p, tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
+        )
+
+
+def residual_pi_valuation(a, b):
+    """Lower bound on v_pi(a - b); None when the difference is exactly zero."""
+    return (a - b).pi_valuation()
+
+
+def zeta_p(p, m):
+    """The p-th root of unity with zeta = 1 + pi + O(pi^2), mod pi^m.
+
+    zeta = theta(1) = sum_n lambda_n, cut at n < ceil(m p^2 / (p-1)^2) by
+    Dwork's bound.  With i + j = q(p-1) + s a term is (-1)^j (-p)^q / (i! j!)
+    in slot s; each slot is summed on ints mod p^W, W = ceil(m/(p-1)), and
+    returned at absolute precision ceil((m-s)/(p-1)).
+    """
+    if p == 2 or p < 2:
+        raise ValueError("odd p required")
+    if m < 2:
+        raise ValueError("pi-precision must be >= 2")
+    d = p - 1
+    top = -(-m * p * p // (d * d))
+    width = -(-m // d)
+    mod = p**width
+    vals, invs = [0], [1]
+    for k in range(1, top):
+        v = _vp(k, p)
+        vals.append(vals[-1] + v)
+        invs.append(invs[-1] * pow(k // p**v, -1, mod) % mod)
+    slots = [0] * d
+    for j in range((top - 1) // p + 1):
+        for i in range(top - p * j):
+            q, s = divmod(i + j, d)
+            e = q - vals[i] - vals[j]
+            if e < width:
+                term = p**e * invs[i] * invs[j]
+                slots[s] += -term if (q + j) % 2 else term
+    return EisensteinElement(
+        p, tuple(_capped(p, x % mod, -((s - m) // d)) for s, x in enumerate(slots))
+    )
+
+
+def gauss_sum(p, a, m):
+    """g_a = sum over units x of omega(x)^(-a) zeta_p^x, to pi-precision m."""
+    if not 1 <= a <= p - 2:
+        raise ValueError("need 1 <= a <= p-2")
+    z = zeta_p(p, m + 2)
+    rel = max(c.rel_prec for c in z.coeffs)
+    acc = EisensteinElement.zero(p)
+    zx = EisensteinElement.from_scalar(p, 1, rel)
+    for x in range(1, p):
+        zx = zx * z
+        w = teichmuller(make_padic(p, x, rel))
+        acc = acc + zx * w**-a
+    return acc
+
+
+def gauss_sum_conjugate(p, a, m):
+    """Character and zeta inverted: the ring map pi -> -pi applied to g_(p-1-a)."""
+    return gauss_sum(p, p - 1 - a, m).conjugate()
+
+
+# -- the ring -------------------------------------------------------------------
 
 
 def test_defining_relation():
@@ -145,7 +312,8 @@ def test_zeta_frozen_table(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_dwork_bound_exact(p):
     # lambda_n = sum_{i+pj=n} (-1)^j pi^(i+j) / (i! j!) in Q[pi]/(pi^(p-1)+p),
-    # one Fraction per slot; ord_p lambda_n >= n(p-1)/p^2 is the cutoff zeta_p uses
+    # one Fraction per slot; ord_p lambda_n >= n(p-1)/p^2 is the cutoff that
+    # gross_koblitz_residual (through _gauss_unit) and the zeta_p oracle use
     d = p - 1
     for n in range(90):
         slots = [Fraction(0)] * d
@@ -237,19 +405,44 @@ def test_gauss_sum_two_evaluation_paths_agree():
 def test_gauss_sum_range_check():
     with pytest.raises(ValueError):
         gauss_sum(5, 4, 10)
+    for p in (9, 2, 1):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            gross_koblitz_residual(p, 1, 6)
+    for a in (0, 4):
+        with pytest.raises(ValueError, match="1 <= a <= p-2"):
+            gross_koblitz_residual(5, a, 6)
+    with pytest.raises(ValueError, match="pi-precision"):
+        gross_koblitz_residual(5, 1, -1)
 
 
-def test_gross_koblitz_p5_anchor():
-    assert gross_koblitz_residual(5, 1, 16) >= 16
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gauss_unit_matches_direct_sum(p):
+    # the direct sum is pi^a G_a: slot a carries G_a to all of its digits,
+    # every other slot is zero to pi-precision m
+    for a in range(1, p - 1):
+        for m in (6, 10, 16):
+            g = gauss_sum(p, a, m)
+            unit, k = _gauss_unit(p, a, m + 2)
+            c = g.coeffs[a]
+            assert c.abs_precision() >= k, (p, a, m)
+            assert (c.lift() - unit) % p**k == 0, (p, a, m)
+            for i, c in enumerate(g.coeffs):
+                if i != a:
+                    assert c.is_exact_zero() or (
+                        c.is_zero_at_precision() and (p - 1) * c.val + i >= m
+                    ), (p, a, m, i)
 
 
-def test_gross_koblitz_p7_sweep():
-    for a in range(1, 6):
-        assert gross_koblitz_residual(7, a, 12) >= 12
-
-
-def test_gross_koblitz_p3():
-    assert gross_koblitz_residual(3, 1, 10) >= 10
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gross_koblitz_reports_m_plus_2(p):
+    # G_a = -gamma_p(a/(p-1)) to every digit g_a mod pi^(m+2) fixes
+    for a in range(1, p - 1):
+        for m in range(24):
+            assert gross_koblitz_residual(p, a, m) == m + 2, (p, a, m)
+    if p == 3:
+        # gamma_p at 3^15 is over the default PERIODS_PRECISION_CAP
+        with pytest.raises(PrecisionError):
+            gross_koblitz_residual(3, 1, 24)
 
 
 def test_ring_axioms_randomized():
