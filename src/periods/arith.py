@@ -79,6 +79,8 @@ def rational_reconstruct(x, m, height):
     Uniqueness needs m > 2*height^2; we enforce that and raise otherwise,
     since a non-unique "reconstruction" is worse than none.
     """
+    if height < 1:
+        raise ValueError("height must be >= 1, got %d" % height)
     if m <= 2 * height * height:
         raise ValueError(
             "modulus %d too small for height %d (need m > 2*height^2)" % (m, height)

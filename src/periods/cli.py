@@ -246,6 +246,8 @@ def _cmd_mixed(args):
     if not all(isinstance(row, list) for row in mdoc["entries"]):
         raise ValueError("matrix entries must be an array of rows")
     p, n = mdoc["p"], mdoc["precision"]
+    if not (_is_int(p) and _is_int(n) and all(_is_int(w) for w in mdoc["weights"])):
+        raise ValueError("matrix p, precision and weights must be integers")
     _require_odd_prime(p)
     _require_precision(n)
     entries = tuple(

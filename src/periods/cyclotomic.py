@@ -68,9 +68,9 @@ def gross_koblitz_residual(p, a, m):
         raise ValueError("need 1 <= a <= p-2")
     if m < 0:
         raise ValueError("pi-precision must be >= 0")
-    rel = (m + 2) // (p - 1) + 2
-    gamma = gamma_p(make_padic(p, Fraction(a, p - 1), rel), rel)
     unit, k = _gauss_unit(p, a, m + 2)
+    rel = max(k, 1)
+    gamma = gamma_p(make_padic(p, Fraction(a, p - 1), rel), rel)
     diff = (unit + gamma.lift()) % p**k
     v = _vp(diff, p) if diff else k
     return min(a + (p - 1) * v, m + 2)

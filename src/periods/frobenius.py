@@ -11,12 +11,12 @@ supplies an independent value for the trace.
 The reduction runs on plain ints at the single modulus p^W.  A numerator
 is an int list A standing for A / p^e: a division by 2m - 1 = p^v * u
 multiplies by u^-1 and adds v to the loss counter e, so the result is
-known to absolute precision exactly W - e.  PadicElement appears only
+known to absolute precision exactly W - e.  The Bezout factor 1/f' mod f
+comes from Cramer's rule on the same ints.  PadicElement appears only
 when the finished entries are read off.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import is_prime, kronecker
 from .padic import PrecisionError, _capped, _vp
@@ -49,65 +49,20 @@ def _divmod_cubic(a, f, M):
     return a[3:], [c % M for c in a[:3]]
 
 
-# -- rational polynomials, for the one-off Bezout pair ---------------------
+def _bezout_factor(f, fpr, M):
+    """v with v*f' = 1 mod (f, M), deg v < 3, by Cramer's rule.
 
-def _frac_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _frac_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _frac_trim(out)
-
-
-def _frac_sub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _frac_trim(out)
-
-
-def _frac_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top] / lead
-        if c:
-            q[top - db] = c
-            for t in range(db + 1):
-                a[top - db + t] -= c * b[t]
-    return q, _frac_trim(a[:db])
-
-
-def _bezout_unit(f, g):
-    """u, v with u*f + v*g = 1, for coprime f, g with integer coefficients.
-
-    The pair with deg u < deg g and deg v < deg f is unique, and its
-    denominators divide the resultant; for a cubic of good reduction that
-    keeps every coefficient p-integral.
+    Column i of the matrix of multiplication by f' on (Z/M)[x]/(f) is
+    x^i f' mod f, and v solves that matrix times v = (1, 0, 0).  Its
+    determinant is the resultant of f and f', which is -disc(f) and so a
+    unit mod p by good reduction.
     """
-    r0 = [Fraction(c) for c in f]
-    r1 = [Fraction(c) for c in g]
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _frac_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _frac_sub(u0, _frac_mul(q, u1))
-        v0, v1 = v1, _frac_sub(v0, _frac_mul(q, v1))
-    if len(r0) != 1:
-        raise ValueError("polynomials share a factor")
-    c = r0[0]
-    return [x / c for x in u0], [x / c for x in v0]
+    cols = [_divmod_cubic([0] * i + fpr, f, M)[1] for i in range(3)]
+    top, (a, b, c), (d, e, g) = zip(*cols)
+    # the cofactors of the top row: the cross product of the other two
+    cof = [b * g - c * e, c * d - a * g, a * e - b * d]
+    inv = pow(sum(x * y for x, y in zip(top, cof)), -1, M)
+    return [x * inv % M for x in cof]
 
 
 # -- curves and the counting oracle -----------------------------------------
@@ -273,8 +228,7 @@ def kedlaya_frobenius(curve):
             G[i] += coef * c
 
     fpr = [f[i] * i for i in range(1, 4)]
-    v = [c.numerator * pow(c.denominator, -1, M) % M
-         for c in _bezout_unit(f, fpr)[1]]
+    v = _bezout_factor(f, fpr, M)
     scale = p * pow(4**K, -1, M)
     cols = []
     for i in (0, 1):

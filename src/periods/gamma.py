@@ -45,7 +45,7 @@ import math
 import os
 from fractions import Fraction
 
-from .padic import PadicElement, PrecisionError, _vp, make_padic
+from .padic import PadicElement, PrecisionError, _cutoff, _vp, _vp_factorial, make_padic
 
 _coeffs = {}
 
@@ -119,16 +119,11 @@ def _series_coeffs(p, n):
     co = _coeffs.get((p, n))
     if co is not None:
         return co
-    # last J with J - v_p(J!) < n; from j = 2n - 1 on, j - v_p(j!) >= (j+1)/2 >= n
-    big_j = vj = vf = 0
-    for j in range(1, 2 * n):
-        vf += _vp(j, p)
-        if j - vf < n:
-            big_j, vj = j, vf
+    big_j = _cutoff(n, lambda j: j - _vp_factorial(j, p))
+    vj = _vp_factorial(big_j, p)
     w = n + vj
     mod_w = p**w
-    # last K with K - v_p(K) < w; from k = 2w on, k - v_p(k) >= k/2 >= w
-    big_k = max((k for k in range(1, 2 * w) if k - _vp(k, p) < w), default=0)
+    big_k = _cutoff(w, lambda k: k - _vp(k, p))
     inv = [pow(i, -1, mod_w) for i in range(1, p)] if big_k else []
     inv_pow = inv
     d = [0] * (big_k + 1)

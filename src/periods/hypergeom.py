@@ -17,17 +17,7 @@ like a unit-coefficient one.
 
 from dataclasses import dataclass
 
-from .padic import PadicElement, PrecisionError, make_padic
-
-
-def _vp_factorial(k, p):
-    """v_p(k!) by Legendre's sum."""
-    total = 0
-    q = p
-    while q <= k:
-        total += k // q
-        q *= p
-    return total
+from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,21 @@ Addition works at the minimum absolute precision of the operands and
 detects cancellation from the digits; multiplication and division work
 at the minimum relative precision. Nothing ever reports more precision
 than those rules justify.
+
+iwasawa_log and exp_p sum their series on plain ints mod p^(n+e), where
+p^e clears the denominators of the terms kept, and keep the terms up to
+one proven cut-off (_cutoff): every term after the last one of valuation
+below n vanishes mod p^n.
 """
 
+import math
 from fractions import Fraction
 
 from .arith import is_prime
 
 
 class PrecisionError(ArithmeticError):
-    """Requested precision cannot be attained (term caps, config caps)."""
+    """Requested precision cannot be attained (a configured cap or a shortfall)."""
 
 
 def _vp(n, p):
@@ -32,6 +38,26 @@ def _vp(n, p):
         n //= p
         v += 1
     return v
+
+
+def _vp_factorial(k, p):
+    """v_p(k!) by Legendre's sum."""
+    total = 0
+    q = p
+    while q <= k:
+        total += k // q
+        q *= p
+    return total
+
+
+def _cutoff(n, val):
+    """The last k >= 1 with val(k) < n, or 0 when there is none.
+
+    val(k) is the valuation of the k-th term of a series; every val cut here
+    is at least k/2, so no k >= 2n qualifies: k*m - v_p(k) with m >= 1, and
+    k*v - v_p(k!) with v_p(k!) <= (k-1)/(p-1), v >= 1 (v >= 2 at p = 2).
+    """
+    return max((k for k in range(1, 2 * n) if val(k) < n), default=0)
 
 
 def _capped(p, a, n, e=0):
@@ -369,54 +395,38 @@ def teichmuller(x):
     return PadicElement(p, 0, y, n)
 
 
-def _log_term_cap(m, target, p):
-    # smallest n such that every dropped term t^k/k (k > n, v(t) = m) has
-    # valuation k*m - v_p(k) >= target; uses v_p(k) <= floor(log_p k)
-    n = 1
-    logp = 0
-    while True:
-        while p ** (logp + 1) <= n + 1:
-            logp += 1
-        if (n + 1) * m - logp >= target:
-            return n
-        n += 1
-        if n > 10**6:
-            raise PrecisionError("series term cap exceeded")
-
-
 def iwasawa_log(x):
     """Logarithm killing Teichmuller torsion: log(x) = log(x / omega(x)).
 
     Defined here for units; satisfies log(x*y) = log(x) + log(y) and
-    log(a) = log(a^(1-p)) / (1-p) to the reported precision.
+    log(a) = log(a^(1-p)) / (1-p) to the reported precision.  As
+    omega(x)^(p-1) = 1, it is log(1 + s) / (p-1) with s = x^(p-1) - 1.
     """
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     if not x.is_unit():
         raise ValueError("iwasawa_log implemented for units only")
-    p = x.p
-    omega = teichmuller(x)
-    t = x / omega - 1
-    if t.is_exact_zero():
-        return PadicElement(p, None, 0, 0)
-    if t.is_zero_at_precision():
-        return t
-    m = t.val
-    target = t.abs_precision() + 1
-    n_max = _log_term_cap(m, target, p)
-    # sum of (-1)^(k+1) t^k / k, Horner-free to keep precision tracking exact
-    acc = PadicElement(p, None, 0, 0)
-    power = t
-    for k in range(1, n_max + 1):
-        term = power / k
-        acc = acc + (term if k % 2 == 1 else -term)
-        if k < n_max:
-            power = power * t
-    return acc
+    p, n = x.p, x.rel_prec
+    s = pow(x.unit, p - 1, p**n) - 1
+    m = _vp(s, p) if s else n
+    last = _cutoff(n, lambda k: k * m - _vp(k, p))
+    e = max((_vp(k, p) for k in range(1, last + 1)), default=0)
+    mod = p ** (n + e)
+    s = pow(x.unit, p - 1, mod) - 1
+    acc, power = 0, 1
+    for k in range(1, last + 1):
+        power = power * s % mod
+        v = _vp(k, p)
+        term = power * p ** (e - v) * pow(k // p**v, -1, mod)
+        acc += term if k % 2 else -term
+    return _capped(p, acc * pow(p - 1, -1, mod) % mod, n, e)
 
 
 def exp_p(x):
-    """p-adic exponential, convergent for v(x) >= 1 (odd p; v >= 2 at p = 2)."""
+    """p-adic exponential, convergent for v(x) >= 1 (odd p; v >= 2 at p = 2).
+
+    Sums (K!/k!) x^k for k <= K and divides by K!, K the cut-off.
+    """
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     p = x.p
@@ -428,19 +438,13 @@ def exp_p(x):
     if x.is_zero_at_precision():
         # exp(O(p^A)) = 1 + O(p^A)
         return PadicElement(p, 0, 1, x.val)
-    v = x.val
-    target = x.abs_precision() + 1
-    # dropped term k: v(x^k / k!) = k*v - (k - s_p(k))/(p-1) >= k*v - (k-1)/(p-1),
-    # compared exactly (no floor) after clearing the p-1 denominator
-    n_max = 1
-    while ((n_max + 1) * v - target) * (p - 1) < n_max:
-        n_max += 1
-        if n_max > 10**6:
-            raise PrecisionError("series term cap exceeded")
-    one = PadicElement(p, 0, 1, x.rel_prec + v)
-    acc = one
-    term = one
-    for k in range(1, n_max + 1):
-        term = term * x / k
-        acc = acc + term
-    return acc
+    v, n, lift = x.val, x.abs_precision(), x.lift()
+    last = _cutoff(n, lambda k: k * v - _vp_factorial(k, p))
+    e = _vp_factorial(last, p)
+    mod = p ** (n + e)
+    acc, scale = 0, 1  # scale = last!/k! at step k
+    for k in range(last, -1, -1):
+        acc = (acc * lift + scale) % mod
+        scale = scale * k % mod
+    unit_inv = pow(math.factorial(last) // p**e, -1, mod)
+    return _capped(p, acc * unit_inv % mod, n, e)

@@ -276,3 +276,11 @@ def test_12_gk_at_large_p(monkeypatch):
     code, out = _run_cli_json(["gk", "--p", "101", "--a", "5", "--prec", "8"])
     assert code == 0 and out["ok"], out
     _pass("cold gk at p = 101", started, 1)
+
+
+def test_13_kummer_log_without_teichmuller():
+    # this request took 4.7 s with the tracked-term log and its Teichmuller lift
+    started = time.monotonic()
+    code, out = _run_cli_json(["kummer", "--a", "2/3", "--p", "13", "--prec", "1500"])
+    assert code == 0 and out["ok"], out
+    _pass("kummer at 13^1500", started, 2)

@@ -276,6 +276,10 @@ def test_config_errors_exit_2():
     # unreadable input file
     code, payload = run_json(["mixed", "--matrix", "/nonexistent.json", "--v0", "/nonexistent.json"])
     assert code == 2 and "error" in payload
+    # probe heights below 1: one divided by zero, the other could never hit
+    for height in ("-1", "0"):
+        code, payload = run_json(["cm", "--d", "1", "--p", "5", "--prec", "4", "--probe", height])
+        assert code == 2 and "height" in payload["error"], height
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):
@@ -312,6 +316,14 @@ def test_malformed_mixed_files_exit_2(tmp_path):
     matrix_file.write_text(json.dumps(bad))
     code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
     assert code == 2 and "error" in payload
+
+    # p, precision and weights that are not ints (bools included)
+    v0_file.write_text(json.dumps([1]))
+    for fields in ({"p": "5"}, {"precision": 8.5}, {"precision": True},
+                   {"weights": ["a"] + good["weights"][1:]}):
+        matrix_file.write_text(json.dumps(dict(good, **fields)))
+        code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+        assert code == 2 and "integers" in payload["error"], fields
 
     # cells that to_json never writes: digits outside [0, p), a val that is
     # not an int, a zero leading digit, rel_prec other than the digit count

@@ -203,6 +203,21 @@ def test_entries_come_back_at_the_requested_precision():
             assert e.abs_precision() == 5
 
 
+def test_bezout_factor_inverts_the_derivative():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 300:
+        p, w = rng.choice([5, 7, 11, 13, 29, 101]), rng.randint(1, 30)
+        f = [rng.randint(-60, 60) for _ in range(3)] + [1]
+        if frobenius._discriminant(f) % p == 0:
+            continue
+        fpr = [f[i] * i for i in range(1, 4)]
+        v = frobenius._bezout_factor(f, fpr, p**w)
+        product = frobenius._int_mul(v, fpr, p**w)
+        assert frobenius._divmod_cubic(product, f, p**w)[1] == [1, 0, 0], (f, p, w)
+        checked += 1
+
+
 def test_charpoly_integers_reconstruct():
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=8)
     m = kedlaya_frobenius(cur)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from periods.padic import (
     PadicElement,
     PrecisionError,
+    _cutoff,
+    _vp,
     compare,
     exp_p,
     iwasawa_log,
@@ -153,12 +157,12 @@ def test_log2_at_p3_matches_series_oracle():
 
 
 def test_log_splitting_identity():
-    # log(a) = log(a^(1-p)) / (1-p), both sides computed through different code
-    # paths: the left uses the Teichmuller split at a, the right the raw series
-    # on a unit congruent to 1
+    # log(a) = log(a^(1-p)) / (1-p), the two sides through different code:
+    # the left is the int kernel at a, the right the oracle's tracked series
+    # on the unit a^(1-p), which is congruent to 1
     p = 3
     lhs = iwasawa_log(make_padic(p, 2, 10))
-    rhs = iwasawa_log(make_padic(p, Fraction(1, 4), 10)) / (1 - p)
+    rhs = _oracle_log(make_padic(p, Fraction(1, 4), 10)) / (1 - p)
     r = residual_valuation(lhs, rhs)
     assert r is None or r >= 10
 
@@ -221,6 +225,125 @@ def test_log_exp_round_trip(p, k):
         return
     r = residual_valuation(iwasawa_log(exp_p(x) if x.val >= 1 else x), x)
     assert r is None or r >= x.abs_precision() - 1
+
+
+# the int kernels against the PadicElement-loop series they replaced
+
+
+def _oracle_log(x):
+    # log(x / omega(x)) with the Teichmuller lift taken, one tracked term at a
+    # time, cut where every dropped term t^k/k has valuation
+    # k*m - floor(log_p k) >= abs_precision + 1
+    p = x.p
+    t = x / teichmuller(x) - 1
+    if t.is_zero_at_precision():
+        return t
+    m, target = t.val, t.abs_precision() + 1
+    n_max, logp = 1, 0
+    while True:
+        while p ** (logp + 1) <= n_max + 1:
+            logp += 1
+        if (n_max + 1) * m - logp >= target:
+            break
+        n_max += 1
+    acc, power = PadicElement(p, None, 0, 0), t
+    for k in range(1, n_max + 1):
+        term = power / k
+        acc = acc + (term if k % 2 else -term)
+        power = power * t
+    return acc
+
+
+def _oracle_exp(x):
+    # tracked terms x^k/k!, cut where every dropped term has valuation
+    # k*v - (k-1)/(p-1) >= abs_precision + 1
+    p = x.p
+    if x.is_exact_zero():
+        return PadicElement(p, 0, 1, 8)
+    if x.is_zero_at_precision():
+        return PadicElement(p, 0, 1, x.val)
+    v, target = x.val, x.abs_precision() + 1
+    n_max = 1
+    while ((n_max + 1) * v - target) * (p - 1) < n_max:
+        n_max += 1
+    acc = term = PadicElement(p, 0, 1, x.rel_prec + v)
+    for k in range(1, n_max + 1):
+        term = term * x / k
+        acc = acc + term
+    return acc
+
+
+def _unit(rng, p, n):
+    a = rng.randrange(p**n)
+    return a - a % p + rng.randrange(1, p)
+
+
+def _log_exp_inputs(p, seed, count):
+    """count random log and exp arguments at p, after 1, a Teichmuller point and the two zeros."""
+    rng = random.Random(seed)
+    need = 2 if p == 2 else 1
+    logs = [PadicElement(p, 0, 1, 9), teichmuller(PadicElement(p, 0, p - 1, 12))]
+    exps = [PadicElement(p, None, 0, 0), PadicElement(p, 7, 0, 0)]
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        x = PadicElement(p, 0, _unit(rng, p, n), n)
+        if rng.random() < 0.2:
+            x = x.with_rel_prec(rng.randint(1, n))
+        logs.append(x)
+        r = rng.randint(1, 50)
+        exps.append(PadicElement(p, rng.randint(need, need + 5), _unit(rng, p, r), r))
+    return logs, exps
+
+
+def _digest(values):
+    text = "".join("%r %d %d\n" % (y.val, y.unit, y.rel_prec) for y in values)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# _digest of iwasawa_log and of exp_p over _log_exp_inputs(p, p, 40), frozen
+# from the PadicElement-loop series
+LOG_EXP_DIGESTS = {
+    2: ("b7d121f5370210cf", "62c00a51c5adb6ec"),
+    3: ("d6d39a6ef253f643", "f8562a1ada748732"),
+    5: ("a437a902f6cefbe1", "27accedecf6721b2"),
+    7: ("081682d597d94eb1", "6377b9197fdf3250"),
+    11: ("56a3f89d47ccc314", "7f7a2b50020fa865"),
+    13: ("80719bc943688d39", "b14c91c8b06e4af2"),
+    101: ("c2b57533a7bcecfb", "5c2cb27db52d4ba1"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(LOG_EXP_DIGESTS))
+def test_log_exp_frozen_digests(p):
+    logs, exps = _log_exp_inputs(p, p, 40)
+    assert (_digest(map(iwasawa_log, logs)), _digest(map(exp_p, exps))) == LOG_EXP_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", sorted(LOG_EXP_DIGESTS))
+def test_log_exp_equal_to_the_oracles(p):
+    logs, exps = _log_exp_inputs(p, 1000 + p, 60)
+    rng = random.Random(p)
+    logs += [teichmuller(PadicElement(p, 0, r, rng.randint(1, 40))) for r in range(1, min(p, 14))]
+    for x in logs:
+        assert iwasawa_log(x) == _oracle_log(x), x
+    for x in exps:
+        assert exp_p(x) == _oracle_exp(x), x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_cutoff_is_the_last_term_below_n(p):
+    # brute force up to 4n over the valuations the rule cuts: log terms
+    # k*m - v_p(k) (gamma's K search at m = 1) and exp terms k*v - v_p(k!)
+    # (gamma's J search at v = 1, odd p)
+    vp_fact = [0]
+    for k in range(1, 200):
+        vp_fact.append(vp_fact[-1] + _vp(k, p))
+    vals = [lambda k, m=m: k * m - _vp(k, p) for m in (1, 2, 5)]
+    vals += [lambda k, v=v: k * v - vp_fact[k] for v in ((2, 3) if p == 2 else (1, 2))]
+    for n in range(1, 50):
+        for val in vals:
+            brute = max((k for k in range(1, 4 * n + 1) if val(k) < n), default=0)
+            assert _cutoff(n, val) == brute, (n, val(1), val(2))
 
 
 # precision soundness
