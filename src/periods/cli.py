@@ -72,6 +72,7 @@ def _frac_json(x):
 
 
 def _res_json(v):
+    """A residual valuation for --json: the one place inf (exact zero) becomes null."""
     return None if v == math.inf else v
 
 
@@ -284,7 +285,8 @@ def _cmd_hyper(args):
     det = matrix.determinant()
     achieved = matrix.achieved_precision()
     rv = residual_valuation(det, make_padic(p, 1, n))
-    ok = rv is None or (achieved is not None and rv >= achieved)
+    # alpha(lam) is never exact zero, so achieved is an int
+    ok = rv >= achieved
     return {
         "p": p,
         "precision": n,
@@ -295,7 +297,7 @@ def _cmd_hyper(args):
         "matrix": _matrix_json(matrix.entries),
         "achieved_precision": achieved,
         "determinant": det.to_json(),
-        "det_residual_valuation": rv,
+        "det_residual_valuation": _res_json(rv),
     }, ok
 
 
@@ -341,8 +343,8 @@ def _cmd_frob(args):
         "trace": matrix.trace().to_json(),
         "determinant": matrix.determinant().to_json(),
         "a_p": a_p,
-        "trace_residual_valuation": cert.trace_valuation,
-        "det_residual_valuation": cert.det_valuation,
+        "trace_residual_valuation": _res_json(cert.trace_valuation),
+        "det_residual_valuation": _res_json(cert.det_valuation),
     }, cert.ok
 
 
@@ -403,7 +405,7 @@ def _check_kummer(n, rng):
         vec = period_vector_kummer(data)
         rv = residual_valuation(vec[0], iwasawa_log(make_padic(p, a, n)))
         total += 1
-        if res >= n and (rv is None or rv >= n):
+        if res >= n and rv >= n:
             hits += 1
     return {
         "name": "kummer",
@@ -587,7 +589,6 @@ def _parser():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
         return sp
 
     sp = add("bound", _cmd_bound, "transcendence-degree bound for a named case")
@@ -639,34 +640,23 @@ def _parser():
 
     sp = add("selftest", _cmd_selftest, "run the whole battery of cross-checks")
     sp.add_argument("--prec", type=int, default=10)
+    sp.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
 
     return parser
 
 
-@functools.cache
-def _fraction_options():
-    """The options the parser converts with _fraction: their value may be -5/4."""
-    (commands,) = [a for a in _parser()._actions if a.dest == "command"]
-    return frozenset(
-        option
-        for sp in commands.choices.values()
-        for action in sp._actions
-        if action.type is _fraction
-        for option in action.option_strings
-    )
-
-
 def _join_negative_values(argv):
-    """Rewrite `--x -5/4` as `--x=-5/4`.
+    """Rewrite `--x -5/4` as `--x=-5/4`, and `--lam -1/2` as `--lam=-1/2`.
 
     argparse reads a separate token that starts with "-" and is not a plain
     negative number as an option, so `--x -5/4` would lack its value.  No
-    option of this parser starts with "-" and a digit, so joining cannot
-    capture one.
+    option of this parser starts with "-" and a digit, so joining such a
+    token to the option before it cannot capture one; argparse then resolves
+    an abbreviated option name as usual.
     """
     out = []
     for token in argv:
-        if out and out[-1] in _fraction_options() and re.match(r"-[\d.]", token):
+        if out and re.fullmatch("--[^=]+", out[-1]) and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
         else:
             out.append(token)

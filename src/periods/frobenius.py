@@ -19,7 +19,7 @@ when the finished entries are read off.
 from dataclasses import dataclass
 
 from .arith import is_prime, kronecker
-from .padic import PrecisionError, _capped, _vp
+from .padic import PrecisionError, _capped, _vp, residual_valuation
 
 
 # -- integer polynomials mod M, coefficients low to high ---------------------
@@ -239,7 +239,7 @@ def kedlaya_frobenius(curve):
                 "working buffer exhausted: achieved absolute precision "
                 "%d is below the requested %d" % (W - e, n)
             )
-        cols.append((_capped(p, a, n, e), _capped(p, b, n, e)))
+        cols.append((_capped(p, a, n, p**e), _capped(p, b, n, p**e)))
     entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     return FrobeniusMatrix(entries=entries, curve=curve, precision=n)
 
@@ -256,8 +256,7 @@ def frobenius_selftest(curve):
     deep = kedlaya_frobenius(EllipticCurveW(curve.f, p, n + 3))
     for r in (0, 1):
         for c in (0, 1):
-            d = base.entries[r][c] - deep.entries[r][c]
-            if not (d.is_exact_zero() or (d.min_valuation() or 0) >= n):
+            if residual_valuation(base.entries[r][c], deep.entries[r][c]) < n:
                 raise PrecisionError(
                     "matrix digits moved under a deeper recomputation"
                 )
@@ -278,14 +277,11 @@ class CharpolyCertificate:
 
 
 def charpoly_certificate(matrix, a_p):
-    """Check trace = a_p and det = p to the matrix's precision.
-
-    A residual valuation of None means the difference cancelled exactly.
-    """
+    """Check trace = a_p and det = p to the matrix's precision."""
     n = matrix.precision
-    tv = (matrix.trace() - a_p).min_valuation()
-    dv = (matrix.determinant() - matrix.curve.p).min_valuation()
-    ok = (tv is None or tv >= n) and (dv is None or dv >= n)
+    tv = residual_valuation(matrix.trace(), a_p)
+    dv = residual_valuation(matrix.determinant(), matrix.curve.p)
+    ok = tv >= n and dv >= n
     return CharpolyCertificate(
         ok=ok, trace_valuation=tv, det_valuation=dv, precision=n
     )

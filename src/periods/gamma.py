@@ -45,7 +45,9 @@ import math
 import os
 from fractions import Fraction
 
-from .padic import PadicElement, PrecisionError, _cutoff, _vp, _vp_factorial, make_padic
+from .padic import (
+    PadicElement, PrecisionError, _cutoff, _vp, _vp_factorial, make_padic, residual_valuation,
+)
 
 _coeffs = {}
 
@@ -203,11 +205,6 @@ def gamma_p_at(p, x, n):
     return gamma_p(make_padic(p, x, n), n)
 
 
-def _as_residual(diff):
-    v = diff.min_valuation()
-    return math.inf if v is None else v
-
-
 def check_translation(x, n):
     """Residual valuation of gamma_p(x+1) - sigma(x) gamma_p(x).
 
@@ -219,7 +216,7 @@ def check_translation(x, n):
         sigma = -x
     else:
         sigma = make_padic(x.p, -1, n)
-    return _as_residual(gx1 - sigma * gx)
+    return residual_valuation(gx1, sigma * gx)
 
 
 def check_reflection(x, n):
@@ -229,4 +226,4 @@ def check_reflection(x, n):
     """
     prod = gamma_p(x, n) * gamma_p(1 - x, n)
     s = -1 if (x.lift() % x.p or x.p) % 2 else 1
-    return s, _as_residual(prod - s)
+    return s, residual_valuation(prod, s)

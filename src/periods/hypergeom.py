@@ -107,7 +107,10 @@ class FormalSeries:
 
         Requires v(lam - lam0) >= 1.  The dropped orders k > T contribute at
         valuation >= k v(t) - v_p(k!) - tail_slack, which is minimized at
-        k = T + 1 because v(t) >= 1 > 1/(p-1).
+        k = T + 1 because v(t) >= 1 > 1/(p-1).  The Horner value is capped
+        there by adding O(p^tail): addition keeps the lower absolute
+        precision, so the result is O(p^tail) when the tail reaches the
+        value's valuation, and otherwise keeps the digits below the tail.
         """
         t = lam - self.lam0
         if t.is_exact_zero():
@@ -121,16 +124,8 @@ class FormalSeries:
         kk = self.order() + 1
         tail = kk * vt - _vp_factorial(kk, self.p) - self.tail_slack
         # v_p(k!) <= (k-1)/(p-1) < k vt keeps later terms above this bound,
-        # so the whole dropped tail is O(p^tail); intersect acc with that
-        if acc.is_exact_zero():
-            return acc._zero_at(tail)
-        if acc.is_zero_at_precision():
-            return acc._zero_at(min(acc.val, tail))
-        if tail <= acc.val:
-            return acc._zero_at(tail)
-        if tail < acc.abs_precision():
-            return acc.with_rel_prec(tail - acc.val)
-        return acc
+        # so the whole dropped tail is O(p^tail); adding it caps acc there
+        return acc + PadicElement(self.p, tail, 0, 0)
 
 
 def apply_D(f):
@@ -229,10 +224,6 @@ def wronskian_defect(alpha, beta):
 @dataclass(frozen=True)
 class HypergeomPeriodMatrix:
     entries: tuple  # ((D beta, -D alpha), (-beta, alpha)) evaluated
-    lam: PadicElement
-    lam0: PadicElement
-    e: PadicElement
-    order: int
 
     def determinant(self):
         (a, b), (c, d) = self.entries
@@ -257,17 +248,10 @@ def period_matrix_hypergeom(sol, lam, min_precision=None):
     the achievable precision.
     """
     alpha, beta = sol
-    d_alpha = apply_D(alpha)
-    d_beta = apply_D(beta)
-    q0 = alpha.lam0 * (alpha.lam0 - 1)
-    e = q0 * alpha.coeffs[1]
-    entries = (
-        (d_beta.evaluate(lam), -d_alpha.evaluate(lam)),
+    matrix = HypergeomPeriodMatrix((
+        (apply_D(beta).evaluate(lam), -apply_D(alpha).evaluate(lam)),
         (-beta.evaluate(lam), alpha.evaluate(lam)),
-    )
-    matrix = HypergeomPeriodMatrix(
-        entries=entries, lam=lam, lam0=alpha.lam0, e=e, order=alpha.order()
-    )
+    ))
     if min_precision is not None:
         got = matrix.achieved_precision()
         if got is not None and got < min_precision:

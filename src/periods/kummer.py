@@ -11,12 +11,12 @@ every lower-weight block is recovered by back-substitution, using that
 (diagonal block - identity) is invertible away from weight 0.
 """
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .padic import PadicElement, iwasawa_log, make_padic
+from .padic import PadicElement, iwasawa_log, make_padic, residual_valuation
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,23 @@ class KummerData:
         if self.n < 1:
             raise ValueError("precision must be >= 1")
 
-
-def _log_twist(data):
-    """iwasawa_log(a^(1-p)), the (1,2) entry of the Frobenius matrix."""
-    shifted = make_padic(data.p, data.a ** (1 - data.p), data.n)
-    return iwasawa_log(shifted)
+    @functools.cached_property
+    def log_twist(self):
+        """L = iwasawa_log(a^(1-p)), the (1,2) entry of the Frobenius matrix, computed once."""
+        return iwasawa_log(make_padic(self.p, self.a ** (1 - self.p), self.n))
 
 
 def frobenius_matrix_kummer(data):
     one = make_padic(data.p, 1, data.n)
     zero = make_padic(data.p, 0, data.n)
     return [
-        [one, _log_twist(data)],
+        [one, data.log_twist],
         [zero, make_padic(data.p, data.p, data.n)],
     ]
 
 
 def period_vector_kummer(data):
-    ell = _log_twist(data)
-    return (ell / (1 - data.p), make_padic(data.p, 1, data.n))
+    return (data.log_twist / (1 - data.p), make_padic(data.p, 1, data.n))
 
 
 def check_frobenius_invariance(data, perturb_exponent=None):
@@ -71,14 +69,7 @@ def check_frobenius_invariance(data, perturb_exponent=None):
     f = [make_padic(data.p, 1, data.n), phi[0][1] / (1 - data.p)]
     if perturb_exponent is not None:
         f[1] = f[1] * (1 + Fraction(data.p) ** perturb_exponent)
-    residual = math.inf
-    for j in range(2):
-        entry = f[0] * phi[0][j] + f[1] * phi[1][j] - f[j]
-        v = entry.min_valuation()
-        if entry.is_exact_zero():
-            continue
-        residual = min(residual, v)
-    return residual
+    return min(residual_valuation(f[0] * phi[0][j] + f[1] * phi[1][j], f[j]) for j in range(2))
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,7 @@ def kummer_weight_matrix(data):
     coordinate first gives [[1/p, -L/p], [0, 1]] with weights (-2, 0); its
     invariant vector with weight-0 part 1 is exactly period_vector_kummer.
     """
-    ell = _log_twist(data)
+    ell = data.log_twist
     p = data.p
     one = make_padic(data.p, 1, data.n)
     zero = make_padic(data.p, 0, data.n)

@@ -60,13 +60,22 @@ def _cutoff(n, val):
     return max((k for k in range(1, 2 * n) if val(k) < n), default=0)
 
 
-def _capped(p, a, n, e=0):
-    """The int a over p^e, known to absolute precision at least n, capped at n."""
-    val = _vp(a, p) - e if a else n
+def _capped(p, num, n, den=1):
+    """num/den, known to absolute precision at least n, capped at n.
+
+    The one embedding of a rational into Q_p: make_padic, the int and
+    Fraction operands of the operators, and the int kernels (den = p^e)
+    all go through it.  num = 0, or a valuation of n or more, gives O(p^n);
+    otherwise the unit keeps the n - val digits below p^n.
+    """
+    down = _vp(den, p)
+    val = _vp(num, p) - down if num else n
     if val >= n:
         return PadicElement(p, n, 0, 0)
     rel = n - val
-    return PadicElement(p, val, a // p ** (val + e) % p**rel, rel)
+    mod = p**rel
+    unit = num // p ** (val + down) % mod * pow(den // p**down % mod, -1, mod) % mod
+    return PadicElement(p, val, unit, rel)
 
 
 class PadicElement:
@@ -107,9 +116,6 @@ class PadicElement:
         return self.val + self.rel_prec
 
     # -- construction helpers --------------------------------------------
-
-    def _zero_at(self, abs_prec):
-        return PadicElement(self.p, abs_prec, 0, 0)
 
     def with_rel_prec(self, n):
         """Truncate (never extend) the relative precision to n."""
@@ -158,10 +164,12 @@ class PadicElement:
             self._check_same_prime(other)
             return other
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return PadicElement(self.p, None, 0, 0)
             ap = self.abs_precision()
             if ap is None:
                 ap = self.rel_prec + 8
-            return _embed_exact(self.p, Fraction(other), ap + 2)
+            return _capped(self.p, other.numerator, ap + 2, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
@@ -327,20 +335,6 @@ class PadicElement:
         }
 
 
-def _embed_exact(p, x, abs_prec):
-    """Embed the exact Fraction x at the given absolute precision."""
-    num, den = x.numerator, x.denominator
-    if not num:
-        return PadicElement(p, None, 0, 0)
-    up, down = _vp(num, p), _vp(den, p)
-    rel = abs_prec - up + down
-    if rel < 1:
-        return PadicElement(p, abs_prec, 0, 0)
-    mod = p**rel
-    unit = num // p**up % mod * pow(den // p**down % mod, -1, mod) % mod
-    return PadicElement(p, up - down, unit, rel)
-
-
 def make_padic(p, x, rel_prec, integral=False):
     """Canonical image of the rational x in Q_p to relative precision rel_prec."""
     if rel_prec < 1:
@@ -352,7 +346,8 @@ def make_padic(p, x, rel_prec, integral=False):
         raise ValueError("denominator divisible by %d in an integral context" % p)
     if not x:
         return PadicElement(p, None, 0, 0)
-    return _embed_exact(p, x, _vp(x.numerator, p) - _vp(x.denominator, p) + rel_prec)
+    num, den = x.numerator, x.denominator
+    return _capped(p, num, _vp(num, p) - _vp(den, p) + rel_prec, den)
 
 
 def compare(a, b):
@@ -371,8 +366,13 @@ def compare(a, b):
 
 
 def residual_valuation(a, b):
-    """Lower bound on v_p(a - b); None means the difference is exactly zero."""
-    return (a - b).min_valuation()
+    """Lower bound on v_p(a - b): an int, or math.inf when a - b is exactly zero.
+
+    Every certificate reads its residual here, so a caller compares with
+    ">= n" and nothing else; cli._res_json writes the inf as JSON null.
+    """
+    v = (a - b).min_valuation()
+    return math.inf if v is None else v
 
 
 def teichmuller(x):
@@ -419,7 +419,7 @@ def iwasawa_log(x):
         v = _vp(k, p)
         term = power * p ** (e - v) * pow(k // p**v, -1, mod)
         acc += term if k % 2 else -term
-    return _capped(p, acc * pow(p - 1, -1, mod) % mod, n, e)
+    return _capped(p, acc * pow(p - 1, -1, mod) % mod, n, p**e)
 
 
 def exp_p(x):
@@ -447,4 +447,4 @@ def exp_p(x):
         acc = (acc * lift + scale) % mod
         scale = scale * k % mod
     unit_inv = pow(math.factorial(last) // p**e, -1, mod)
-    return _capped(p, acc * unit_inv % mod, n, e)
+    return _capped(p, acc * unit_inv % mod, n, p**e)

@@ -130,7 +130,7 @@ def test_4_kummer_invariance_sweep():
         assert check_frobenius_invariance(data) >= n, (a, p)
         vec = period_vector_kummer(data)
         rv = residual_valuation(vec[0], iwasawa_log(make_padic(p, a, n)))
-        assert rv is None or rv >= n, (a, p, rv)
+        assert rv >= n, (a, p, rv)
         pairs += 1
     _pass("Kummer invariance + log identity on 20 pairs", started, 5)
 

@@ -4,6 +4,7 @@ Only the JSON mode is parsed; text mode is checked for exit status
 alone.  Every JSON payload is validated against schema/output.json.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,9 +19,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from periods import cli
-from periods.kummer import KummerData, kummer_weight_matrix, period_vector_kummer
-from periods.padic import PadicElement
+from periods import cli, kummer
+from periods.frobenius import EllipticCurveW, FrobeniusMatrix, charpoly_certificate
+from periods.gamma import check_reflection, check_translation
+from periods.kummer import (
+    KummerData,
+    check_frobenius_invariance,
+    kummer_weight_matrix,
+    period_vector_kummer,
+)
+from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "output.json").read_text()
@@ -374,9 +382,13 @@ def test_error_messages_carry_achievable_precision():
 
 
 def test_unknown_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["bound", "--case", "no-such-case"])
-    assert exc.value.code == 2
+    # only selftest has randomized checks, so only it takes a seed
+    for argv in (["bound", "--case", "no-such-case"],
+                 ["gamma", "--seed", "3", "--p", "5", "--x", "1/2", "--prec", "4"],
+                 ["bound", "--case", "cm-ss", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize(
@@ -386,6 +398,9 @@ def test_unknown_arguments_exit_2():
         ["kummer", "--a=-3/2", "--p", "5", "--prec", "4"],
         ["hyper", "--p", "7", "--lambda0=-1/2", "--e", "3", "--order", "12",
          "--prec", "8", "--at=-15/2"],
+        # abbreviated option names
+        ["hyper", "--p", "7", "--lam=-1/2", "--e", "3", "--ord", "12",
+         "--prec", "8", "--at=-15/2"],
     ],
 )
 def test_negative_rationals_as_separate_tokens(argv):
@@ -393,6 +408,101 @@ def test_negative_rationals_as_separate_tokens(argv):
     code, out = run_cli(argv + ["--json"])
     assert code == 0
     assert run_cli(spaced + ["--json"]) == (code, out)
+
+
+def test_one_logarithm_per_kummer_datum(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return iwasawa_log(x)
+
+    monkeypatch.setattr(kummer, "iwasawa_log", counted)
+    monkeypatch.setattr(cli, "iwasawa_log", counted)
+    code, _ = run_json(["kummer", "--a", "2/3", "--p", "13", "--prec", "40"])
+    assert code == 0 and len(calls) == 1
+    calls.clear()
+    # four data, each with its own L and one direct log(a) to compare with
+    code, _ = run_json(["selftest", "--prec", "6"])
+    assert code == 0 and len(calls) == 8
+
+
+# the residual convention: a residual is an int, or math.inf when the
+# difference is exactly zero, and --json writes that inf, and only it, as null
+
+
+def _is_residual(v):
+    return type(v) is int or v == math.inf
+
+
+def test_residuals_are_int_or_inf():
+    zero = PadicElement(7, None, 0, 0)
+    x = make_padic(7, Fraction(2, 3), 8)
+    assert residual_valuation(zero, zero) == math.inf
+    assert residual_valuation(zero, 0) == math.inf
+    assert residual_valuation(x, x) == 8
+    assert residual_valuation(x, Fraction(2, 3) + 7**3) == 3
+    for a in (2, 3, 7, Fraction(1, 4), Fraction(14, 3)):
+        y = make_padic(7, a, 6)
+        assert _is_residual(check_translation(y, 6)), a
+        assert _is_residual(check_reflection(y, 6)[1]), a
+    for a, p in ((Fraction(2, 3), 5), (Fraction(-7, 2), 3), (Fraction(5), 13)):
+        data = KummerData(a, p, 10)
+        for k in (None, 3):
+            assert _is_residual(check_frobenius_invariance(data, k)), (a, p, k)
+    curve = EllipticCurveW((1, 1, 0, 1), 5, 4)
+    cert = charpoly_certificate(cli.kedlaya_frobenius(curve), -3)
+    assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int
+    # an exactly-zero trace against a_p = 0 gives inf; det - p does not vanish
+    zero = PadicElement(5, None, 0, 0)
+    exact = FrobeniusMatrix(entries=((zero, zero), (zero, zero)), curve=curve, precision=4)
+    cert = charpoly_certificate(exact, 0)
+    assert (cert.trace_valuation, cert.det_valuation, cert.ok) == (math.inf, 1, False)
+
+
+@pytest.mark.parametrize(
+    "argv, field, source",
+    [
+        (["gk", "--p", "7", "--a", "2", "--prec", "12"],
+         "residual_pi_valuation", "gross_koblitz_residual"),
+        (["kummer", "--a", "2/3", "--p", "5", "--prec", "12"],
+         "invariance_residual_valuation", "check_frobenius_invariance"),
+        (["hyper", "--p", "7", "--lambda0", "2", "--e", "3", "--order", "12",
+          "--prec", "12", "--at", "9"],
+         "det_residual_valuation", "residual_valuation"),
+    ],
+)
+def test_json_residual_is_null_exactly_when_inf(argv, field, source, monkeypatch):
+    seen = []
+    real = getattr(cli, source)
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, source, spy)
+    _, payload = run_json(argv)
+    assert type(seen[-1]) is int and payload["result"][field] == seen[-1]
+    monkeypatch.setattr(cli, source, lambda *args: math.inf)
+    _, payload = run_json(argv)
+    assert payload["result"][field] is None
+
+
+def test_frob_json_residuals_are_null_exactly_when_inf(monkeypatch):
+    argv = ["frob", "--f", "x^3+x+1", "--p", "5", "--prec", "4"]
+    fields = ("trace_residual_valuation", "det_residual_valuation")
+    _, payload = run_json(argv)
+    assert all(type(payload["result"][f]) is int for f in fields)
+    real = cli.charpoly_certificate
+    monkeypatch.setattr(
+        cli,
+        "charpoly_certificate",
+        lambda *args: dataclasses.replace(
+            real(*args), trace_valuation=math.inf, det_valuation=math.inf
+        ),
+    )
+    _, payload = run_json(argv)
+    assert all(payload["result"][f] is None for f in fields)
 
 
 def test_bare_dash_value_exits_2():

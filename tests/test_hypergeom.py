@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from periods.hypergeom import (
     solve_second_order,
     wronskian_defect,
 )
-from periods.padic import PrecisionError, make_padic
+from periods.padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 
 def _series(p, n, coeffs, lam0=2):
@@ -189,6 +190,72 @@ def test_determinant_is_one_across_the_disc():
         det = m.determinant()
         target = m.achieved_precision()
         assert (det - 1).min_valuation() >= target
+
+
+def _random_element(rng, p):
+    """Exact zero, O(p^A), or a unit times p^v with 1 to 10 digits."""
+    kind = rng.random()
+    if kind < 0.1:
+        return PadicElement(p, None, 0, 0)
+    if kind < 0.25:
+        return PadicElement(p, rng.randint(-4, 6), 0, 0)
+    r = rng.randint(1, 10)
+    u = rng.randrange(p**r)
+    return PadicElement(p, rng.randint(-4, 6), u - u % p + rng.randrange(1, p), r)
+
+
+def _evaluation_cases(p, seed, count):
+    rng = random.Random(seed)
+    lam0 = make_padic(p, 2, 40)
+    for _ in range(count):
+        order = rng.randint(0, 5)
+        if rng.random() < 0.1:
+            coeffs = [PadicElement(p, None, 0, 0)] * (order + 1)
+        else:
+            coeffs = [_random_element(rng, p) for _ in range(order + 1)]
+        r = rng.randint(1, 12)
+        u = rng.randrange(p**r)
+        t = PadicElement(p, rng.randint(1, 4), u - u % p + rng.randrange(1, p), r)
+        yield FormalSeries(lam0, coeffs), lam0 + t
+
+
+def _ladder_branch(series, lam):
+    """Which case of the value/tail comparison evaluate meets, 0 to 4."""
+    t = lam - series.lam0
+    acc = series.coeffs[-1]
+    for c in reversed(series.coeffs[:-1]):
+        acc = acc * t + c
+    kk = series.order() + 1
+    tail = kk * t.val - _vp_factorial(kk, series.p) - series.tail_slack
+    if acc.is_exact_zero():
+        return 0
+    if acc.is_zero_at_precision():
+        return 1
+    if tail <= acc.val:
+        return 2
+    return 3 if tail < acc.abs_precision() else 4
+
+
+# sha256 prefix of (val, unit, rel_prec) of every evaluate over
+# _evaluation_cases(p, p, 300), frozen from the branch-by-branch truncation
+EVALUATE_DIGESTS = {
+    3: "2e931c8582e8d75a",
+    5: "9e8a31d85574dc70",
+    7: "47331da28187127e",
+}
+
+
+@pytest.mark.parametrize("p", sorted(EVALUATE_DIGESTS))
+def test_evaluate_frozen_digests(p):
+    # the table meets every case: the Horner value is exact zero, O(p^A), or
+    # normal with the tail at or below its valuation, inside its digits, or
+    # at or past its absolute precision
+    cases = list(_evaluation_cases(p, p, 300))
+    assert {_ladder_branch(s, lam) for s, lam in cases} == set(range(5))
+    text = "".join(
+        "%r %d %d\n" % (y.val, y.unit, y.rel_prec) for y in (s.evaluate(lam) for s, lam in cases)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == EVALUATE_DIGESTS[p]
 
 
 def test_evaluation_domain_enforced():
