@@ -281,3 +281,50 @@ def test_deeper_points_evaluate_sharper():
     near = period_matrix_hypergeom(sol, lam0 + 5).achieved_precision()
     deep = period_matrix_hypergeom(sol, lam0 + 25).achieved_precision()
     assert deep >= near
+
+
+def _derivation_cases(p, seed, count):
+    """Solution pairs; a third corrupted, a third cut to unequal orders.
+
+    The corruptions swap in an exact zero, an O(p^A) or a random element,
+    and an order-0 pair and an O(p^A) coefficient close the list.
+    """
+    rng = random.Random(seed)
+    for j in range(count):
+        n = rng.randint(4, 24)
+        lam0 = make_padic(p, rng.choice([2, p + 2, 2 - p]), n)
+        alpha, beta = solve_katz_ode(lam0, rng.randrange(p**n), rng.randint(2, 12), n)
+        a, b = list(alpha.coeffs), list(beta.coeffs)
+        if j % 3 == 1:
+            victim = rng.choice([a, b])
+            victim[rng.randrange(len(victim))] = _random_element(rng, p)
+        elif j % 3 == 2:
+            b = b[:rng.randint(1, len(b))]
+        yield FormalSeries(lam0, a), FormalSeries(lam0, b)
+    lam0 = make_padic(p, 2, 10)
+    yield FormalSeries(lam0, [make_padic(p, 3, 10)]), FormalSeries(lam0, [make_padic(p, 0, 10)])
+    yield (
+        FormalSeries(lam0, [make_padic(p, 1, 10), PadicElement(p, 3, 0, 0), make_padic(p, 4, 10)]),
+        FormalSeries(lam0, [make_padic(p, 0, 10), make_padic(p, 1, 10), PadicElement(p, -2, 0, 0)]),
+    )
+
+
+# sha256 prefix of (val, unit, rel_prec) of every apply_D coefficient and of
+# every wronskian_defect list over _derivation_cases(p, p, 50), frozen from
+# the series algebra (FormalSeries +, -, * and differentiate)
+DERIVATION_DIGESTS = {
+    3: "6b678f9b8f2d2083",
+    5: "23d5cbf100e760d4",
+    7: "24da5ab11e41fe57",
+}
+
+
+@pytest.mark.parametrize("p", sorted(DERIVATION_DIGESTS))
+def test_apply_D_and_wronskian_frozen_digests(p):
+    lines = []
+    for alpha, beta in _derivation_cases(p, p, 50):
+        for f in (alpha, beta):
+            lines += ["%r %d %d" % (c.val, c.unit, c.rel_prec) for c in apply_D(f).coeffs]
+        lines.append(repr(wronskian_defect(alpha, beta)))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DERIVATION_DIGESTS[p]
