@@ -24,20 +24,19 @@ from .gamma import gamma_p
 from .padic import PadicElement, PrecisionError, make_padic
 
 
-def _squarefree(d):
-    if d <= 0:
-        return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+def _squarefree_kernel(d):
+    """d >= 1 with every square factor divided out."""
+    q = 2
+    while q * q <= d:
+        while d % (q * q) == 0:
+            d //= q * q
+        q += 1
+    return d
 
 
 def field_discriminant(d):
     """Discriminant of Q(sqrt(-d)) for squarefree d: -d or -4d."""
-    if not _squarefree(d):
+    if d <= 0 or _squarefree_kernel(d) != d:
         raise ValueError("%d is not squarefree" % d)
     return -d if d % 4 == 3 else -4 * d
 
@@ -164,13 +163,7 @@ def cm_period_ramified_p3(n0, n):
     """
     if n0 % 3 == 0:
         raise ValueError("n must be coprime to 3")
-    d = 3 * n0
-    for q in range(2, d):
-        if q * q > d:
-            break
-        while d % (q * q) == 0:
-            d //= q
-    data = imag_quad_data(d)
+    data = imag_quad_data(_squarefree_kernel(3 * n0))
     factors = []
     for u in range(1, n0 + 1):
         if math.gcd(u, n0) != 1:

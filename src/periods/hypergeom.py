@@ -52,56 +52,6 @@ class FormalSeries:
     def order(self):
         return len(self.coeffs) - 1
 
-    def _check_compatible(self, other):
-        if self.p != other.p:
-            raise ValueError("series live over different primes")
-        gap = self.lam0 - other.lam0
-        if not (gap.is_exact_zero() or gap.is_zero_at_precision()):
-            raise ValueError("series have different base points")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        m = min(self.order(), other.order())
-        return FormalSeries(
-            self.lam0,
-            [self.coeffs[k] + other.coeffs[k] for k in range(m + 1)],
-        )
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        m = min(self.order(), other.order())
-        return FormalSeries(
-            self.lam0,
-            [self.coeffs[k] - other.coeffs[k] for k in range(m + 1)],
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, FormalSeries):
-            self._check_compatible(other)
-            m = min(self.order(), other.order())
-            out = []
-            for k in range(m + 1):
-                acc = None
-                for i in range(k + 1):
-                    term = self.coeffs[i] * other.coeffs[k - i]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
-            return FormalSeries(self.lam0, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, scalar):
-        return FormalSeries(self.lam0, [c * scalar for c in self.coeffs])
-
-    def differentiate(self):
-        if self.order() == 0:
-            return FormalSeries(self.lam0, [self.coeffs[0] - self.coeffs[0]])
-        return FormalSeries(
-            self.lam0,
-            [(k + 1) * self.coeffs[k + 1] for k in range(self.order())],
-        )
-
     def evaluate(self, lam):
         """Value at lam, with the truncation tail folded into the precision.
 
@@ -130,17 +80,18 @@ class FormalSeries:
 
 def apply_D(f):
     """q(t) f'(t) for q(t) = (t + lam0)(t + lam0 - 1), order drops by one."""
-    lam0 = f.lam0
+    lam0, c = f.lam0, f.coeffs
     q0 = lam0 * (lam0 - 1)
     q1 = 2 * lam0 - 1
-    d = f.differentiate()
+    # a constant's derivative is c0 - c0, zero at c0's own precision
+    d = [(k + 1) * c[k + 1] for k in range(len(c) - 1)] or [c[0] - c[0]]
     out = []
-    for k in range(d.order() + 1):
-        acc = q0 * d.coeffs[k]
+    for k in range(len(d)):
+        acc = q0 * d[k]
         if k >= 1:
-            acc = acc + q1 * d.coeffs[k - 1]
+            acc = acc + q1 * d[k - 1]
         if k >= 2:
-            acc = acc + d.coeffs[k - 2]
+            acc = acc + d[k - 2]
         out.append(acc)
     return FormalSeries(lam0, out)
 
@@ -212,11 +163,16 @@ def wronskian_defect(alpha, beta):
     merely zero-to-their-precision are fine (precision decays with order,
     it does not lie).
     """
-    w = alpha * apply_D(beta) - beta * apply_D(alpha)
+    a, b = alpha.coeffs, beta.coeffs
+    da, db = apply_D(alpha).coeffs, apply_D(beta).coeffs
     bad = []
-    for k, c in enumerate(w.coeffs):
-        target = c - 1 if k == 0 else c
-        if not (target.is_exact_zero() or target.is_zero_at_precision()):
+    for k in range(min(len(a), len(b), len(da), len(db))):
+        # t^k of alpha D(beta) and of beta D(alpha), each summed in order
+        left, right = a[0] * db[k], b[0] * da[k]
+        for i in range(1, k + 1):
+            left, right = left + a[i] * db[k - i], right + b[i] * da[k - i]
+        w = left - right - 1 if k == 0 else left - right
+        if not (w.is_exact_zero() or w.is_zero_at_precision()):
             bad.append(k)
     return bad
 

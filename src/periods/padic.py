@@ -378,21 +378,14 @@ def residual_valuation(a, b):
 def teichmuller(x):
     """The (p-1)-st root of unity congruent to the unit x mod p.
 
-    Frobenius iteration y <- y^p gains at least one digit per pass.
+    Each power y -> y^p gains a digit, so x^(p^(n-1)) = omega(x) mod p^n.
     """
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     if not x.is_unit():
         raise ValueError("Teichmuller lift needs a unit (valuation 0)")
     p, n = x.p, x.rel_prec
-    mod = p**n
-    y = x.unit % mod
-    for _ in range(n + 2):
-        y2 = pow(y, p, mod)
-        if y2 == y:
-            break
-        y = y2
-    return PadicElement(p, 0, y, n)
+    return PadicElement(p, 0, pow(x.unit, p ** (n - 1), p**n), n)
 
 
 def iwasawa_log(x):

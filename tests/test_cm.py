@@ -231,6 +231,19 @@ def test_ramified_field_data_uses_squarefree_kernel():
     assert exps == [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)]
 
 
+@pytest.mark.parametrize("n0, power, exps, value", [
+    # 3n = 12 = 2^2 * 3: the field is Q(sqrt(-3)), h=1, w=6
+    (4, 1, [3, 3], -1),
+    # 3n = 60 = 2^2 * 15: the field is Q(sqrt(-15)), h=2, w=2
+    (20, 2, [Fraction(-1, 2)] * 4 + [Fraction(1, 2)] * 4, 1),
+])
+def test_ramified_field_divides_out_a_square_factor(n0, power, exps, value):
+    prod = cm_period_ramified_p3(n0, 12)
+    assert prod.power == power
+    assert sorted(e for _, e in prod.factors) == exps
+    assert algebraicity_probe(prod.collapsed, 100, 4) == (1, Fraction(value))
+
+
 def test_ramified_n7_no_small_rational_power():
     # (7/3) = 1, so the value is known to be algebraic, but every power up
     # to 8 misses degree-one reconstruction; a height-1000 candidate seen at

@@ -126,12 +126,12 @@ def test_teichmuller_rejects_nonunit():
         teichmuller(make_padic(5, 10, 6))
 
 
-@given(st.sampled_from([3, 5, 7, 11]), st.integers(2, 10**6))
-def test_teichmuller_power_identity(p, a):
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(2, 10**6), st.integers(1, 40))
+def test_teichmuller_power_identity(p, a, n):
     if a % p == 0:
         a += 1
-    w = teichmuller(make_padic(p, a, 8))
-    assert pow(w.unit, p - 1, p**8) == 1
+    w = teichmuller(make_padic(p, a, n))
+    assert pow(w.unit, p - 1, p**n) == 1
     assert w.unit % p == a % p
 
 
