@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -258,3 +259,41 @@ def test_exhausted_buffer_is_loud(monkeypatch):
     monkeypatch.setattr(frobenius, "_loss_count", lambda p, m_init: 0)
     with pytest.raises(PrecisionError):
         kedlaya_frobenius(cur)
+
+
+def _kedlaya_cases(p, ns):
+    """One seeded good-reduction cubic per precision in ns."""
+    rng = random.Random(p)
+    for n in ns:
+        while True:
+            f = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9), 1)
+            if frobenius._discriminant(f) % p:
+                yield EllipticCurveW(f=f, p=p, n=n)
+                break
+
+
+# sha256 prefix of (val, unit, rel_prec) of the four entries of every matrix
+# over _kedlaya_cases(p, ns), frozen from the dense-series expansion; at
+# p = 5 and 7 the n = 3 matrix comes from frobenius_selftest
+KEDLAYA_DIGESTS = {
+    5: (range(1, 9), "5623c70d5e2421fc"),
+    7: (range(1, 9), "9a4710b5fa967d97"),
+    11: (range(1, 9), "35d74f85d6a32dc7"),
+    13: (range(1, 9), "3c31f2dbb851f9ce"),
+    17: ((1, 3, 5, 8), "3796c7e6659f215e"),
+    29: ((1, 3, 5, 8), "8b32c599ae648ea2"),
+    53: ((2,), "7995f0092b687f0b"),
+    101: ((2,), "5ccef67f1fc01a5a"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(KEDLAYA_DIGESTS))
+def test_kedlaya_frozen_digests(p):
+    ns, digest = KEDLAYA_DIGESTS[p]
+    lines = []
+    for cur in _kedlaya_cases(p, ns):
+        deep = p in (5, 7) and cur.n == 3
+        m = (frobenius_selftest if deep else kedlaya_frobenius)(cur)
+        lines += ["%r %d %d" % (e.val, e.unit, e.rel_prec) for row in m.entries for e in row]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
