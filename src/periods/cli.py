@@ -307,7 +307,8 @@ def _parse_cubic(text):
     if not s:
         raise ValueError("empty polynomial")
     coeffs = [0, 0, 0, 0]
-    for term in re.findall(r"[+-]?[^+-]+", s):
+    # split before every sign but a leading one, so a stray sign is a term
+    for term in re.split(r"(?<=.)(?=[+-])", s):
         m = re.match(r"^([+-]?)(\d+)?(?:\*?x(?:\^(\d+))?)?$", term)
         if not m or (m.group(2) is None and "x" not in term):
             raise ValueError("cannot parse the term %r" % term)

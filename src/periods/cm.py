@@ -161,6 +161,8 @@ def cm_period_ramified_p3(n0, n):
     The class data (h, w) comes from the field, so 3*n0 is reduced to its
     squarefree kernel first; the Gamma arguments u/n0 keep n0 as given.
     """
+    if n0 < 1:
+        raise ValueError("n must be at least 1")
     if n0 % 3 == 0:
         raise ValueError("n must be coprime to 3")
     data = imag_quad_data(_squarefree_kernel(3 * n0))

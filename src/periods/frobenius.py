@@ -2,11 +2,12 @@
 
 The curve is y^2 = f(x) for a monic integer cubic f with good reduction
 at an odd prime p >= 5.  Lifting Frobenius by x -> x^p and expanding
-1/sigma(y) as a binomial series in (f(x^p) - f(x)^p)/f(x)^p gives a
-differential with high-order poles along y = 0; pushing the pole order
-back down with exact forms expresses the image of each basis element in
-the basis {dx/y, x dx/y} again.  Counting points over F_p directly
-supplies an independent value for the trace.
+1/sigma(y) as a binomial series in (f(x^p) - f(x)^p)/f(x)^p, regrouped by
+powers of f(x^p), gives terms f(x^p)^j / y^(p(2j+1)) dx with poles along
+y = 0; pushing the pole order down with exact forms, each term joining at
+its own order, expresses the image of each basis element in the basis
+{dx/y, x dx/y} again.  Counting points over F_p directly supplies an
+independent value for the trace.
 
 The reduction runs on plain ints at the single modulus p^W.  A numerator
 is an int list A standing for A / p^e: a division by 2m - 1 = p^v * u
@@ -17,6 +18,7 @@ when the finished entries are read off.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 from .arith import is_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, residual_valuation
@@ -127,7 +129,6 @@ class FrobeniusMatrix:
 
     entries: tuple
     curve: EllipticCurveW
-    precision: int
 
     def trace(self):
         return self.entries[0][0] + self.entries[1][1]
@@ -144,14 +145,19 @@ def _loss_count(p, m_init):
     return 1 + sum(_vp(2 * m - 1, p) for m in range(2, m_init + 1))
 
 
-def _reduce_differential(A, m_init, f, fpr, v, p, M):
-    """Rewrite A(x)/y^(2*m_init+1) dx as (a*dx/y + b*x dx/y) / p^e mod exact forms.
+def _reduce_differential(terms, f, fpr, v, p, M):
+    """Rewrite the sum of terms[m](x)/y^(2m+1) dx as (a*dx/y + b*x dx/y) / p^e.
 
-    A, f, f' = fpr and the Bezout factor v (v*f' = 1 mod f) are int lists
-    mod M = p^W; returns a, b mod M and the loss counter e.
+    The equality holds mod exact forms.  Each numerator, f, f' = fpr and
+    the Bezout factor v (v*f' = 1 mod f) are int lists mod M = p^W;
+    returns a, b mod M and the loss counter e.
     """
-    e = 0
-    for m in range(m_init, 0, -1):
+    A, e = [0] * len(terms[max(terms)]), 0
+    for m in range(max(terms), 0, -1):
+        if m in terms:
+            # A stands for A / p^e and is as long as the term: add term * p^e
+            pe = p**e
+            A = [a + c * pe for a, c in zip(A, terms[m], strict=True)]
         # split A = R*f + S*f'; then S f'/y^(2m+1) dx is exact up to
         # (2/(2m-1)) S'/y^(2m-1) dx, and R f/y^(2m+1) loses a pole order.
         # With A = Q*f + r: S = r*v mod f and R = Q + (r - S*f')/f.
@@ -191,49 +197,42 @@ def kedlaya_frobenius(curve):
 
     The binomial series for 1/sigma(y) is cut at K = n + 3 terms; the
     dropped tail carries valuation at least K + 1 before reduction
-    losses.  The reduction works on ints mod p^W and counts the digits e
-    lost to the divisions by 2m - 1 and 2j - 1, so the result holds to
-    absolute precision W - e.  W is n plus that count, which is known
-    before the reduction starts (_loss_count); PrecisionError is raised
-    if W - e still falls below n.  Entries come back capped at absolute
-    precision n.
+    losses.  Regrouped by powers of f(x^p), the cut series is a sum of
+    K + 1 terms b_j f(x^p)^j / y^(p(2j+1)), and each term joins the pole
+    reduction at its own pole order.  The reduction works on ints mod p^W
+    and counts the digits e lost to the divisions by 2m - 1 and 2j - 1,
+    so the result holds to absolute precision W - e.  W is n plus that
+    count, which is known before the reduction starts (_loss_count);
+    PrecisionError is raised if W - e still falls below n.  Entries come
+    back capped at absolute precision n.
     """
     p, n = curve.p, curve.n
     K = n + 3
-    m_init = p * K + (p - 1) // 2
-    W = n + _loss_count(p, m_init)
+    W = n + _loss_count(p, p * K + (p - 1) // 2)
     M = p**W
 
     f = list(curve.f)
-    fp_int = [1]
-    for _ in range(p):
-        fp_int = _int_mul(fp_int, f, M)
-    diff = [-c for c in fp_int]
-    for i, c in enumerate(f):
-        diff[i * p] += c
-    if any(c % p for c in diff):
-        raise ArithmeticError("Frobenius defect is not divisible by p")
-
-    # G = sum_k binom(-1/2, k) diff^k fp^(K-k), cleared of the 4^K
-    # denominator, by Horner's rule: G_k = G_(k-1)*fp + c_k*diff^k
-    G = [4**K % M]
-    dk = [1]
-    binom = 1
-    for k in range(1, K + 1):
-        dk = _int_mul(dk, diff, M)
-        binom = binom * (2 * k - 1) * (2 * k) // (k * k)
-        coef = binom * 4 ** (K - k) * (-1 if k % 2 else 1)
-        G = _int_mul(G, fp_int, M)
-        for i, c in enumerate(dk):
-            G[i] += coef * c
-
     fpr = [f[i] * i for i in range(1, 4)]
     v = _bezout_factor(f, fpr, M)
+    # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
+    # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
+    # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
+    # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer
     scale = p * pow(4**K, -1, M)
+    terms, fj = ({}, {}), [1]
+    for j in range(K + 1):
+        if j:
+            fj = _int_mul(fj, f, M)
+        bj = sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k) for k in range(j, K + 1))
+        c = [(-1) ** j * bj * scale * a % M for a in fj]
+        for i in (0, 1):
+            # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
+            num = [0] * (p * (i + 1) + 3 * p * j)
+            num[p * (i + 1) - 1::p] = c
+            terms[i][p * j + (p - 1) // 2] = num
     cols = []
     for i in (0, 1):
-        num = [0] * (p - 1 + p * i) + [c * scale % M for c in G]
-        a, b, e = _reduce_differential(num, m_init, f, fpr, v, p, M)
+        a, b, e = _reduce_differential(terms[i], f, fpr, v, p, M)
         if W - e < n:
             raise PrecisionError(
                 "working buffer exhausted: achieved absolute precision "
@@ -241,7 +240,7 @@ def kedlaya_frobenius(curve):
             )
         cols.append((_capped(p, a, n, p**e), _capped(p, b, n, p**e)))
     entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    return FrobeniusMatrix(entries=entries, curve=curve, precision=n)
+    return FrobeniusMatrix(entries=entries, curve=curve)
 
 
 def frobenius_selftest(curve):
@@ -273,15 +272,11 @@ class CharpolyCertificate:
     ok: bool
     trace_valuation: object
     det_valuation: object
-    precision: int
 
 
 def charpoly_certificate(matrix, a_p):
     """Check trace = a_p and det = p to the matrix's precision."""
-    n = matrix.precision
+    n = matrix.curve.n
     tv = residual_valuation(matrix.trace(), a_p)
     dv = residual_valuation(matrix.determinant(), matrix.curve.p)
-    ok = tv >= n and dv >= n
-    return CharpolyCertificate(
-        ok=ok, trace_valuation=tv, det_valuation=dv, precision=n
-    )
+    return CharpolyCertificate(ok=tv >= n and dv >= n, trace_valuation=tv, det_valuation=dv)

@@ -62,7 +62,8 @@ def test_parse_cubic():
     assert cli._parse_cubic("x^3 + x^2 + 1") == (1, 0, 1, 1)
     assert cli._parse_cubic("x**3 - 2*x + 1") == (1, -2, 0, 1)
     assert cli._parse_cubic("x^3+0*x") == (0, 0, 0, 1)
-    for bad in ("x^2+1", "x^3+y", "2*x^3", "x^4+x^3", ""):
+    for bad in ("x^2+1", "x^3+y", "2*x^3", "x^4+x^3", "",
+                "x^3--x+1", "x^3+x+1-", "x^3++x+1", "++x^3+1", "x^3+-x+1"):
         with pytest.raises(ValueError):
             cli._parse_cubic(bad)
 
@@ -288,6 +289,10 @@ def test_config_errors_exit_2():
     for height in ("-1", "0"):
         code, payload = run_json(["cm", "--d", "1", "--p", "5", "--prec", "4", "--probe", height])
         assert code == 2 and "height" in payload["error"], height
+    # ramified n below 1: the field sqrt(-3n) is not imaginary quadratic
+    for n0 in ("-4", "-1", "0"):
+        code, payload = run_json(["cm", "--p", "3", "--ramified-n", n0, "--prec", "8"])
+        assert code == 2 and "at least 1" in payload["error"], n0
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):
@@ -455,7 +460,7 @@ def test_residuals_are_int_or_inf():
     assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int
     # an exactly-zero trace against a_p = 0 gives inf; det - p does not vanish
     zero = PadicElement(5, None, 0, 0)
-    exact = FrobeniusMatrix(entries=((zero, zero), (zero, zero)), curve=curve, precision=4)
+    exact = FrobeniusMatrix(entries=((zero, zero), (zero, zero)), curve=curve)
     cert = charpoly_certificate(exact, 0)
     assert (cert.trace_valuation, cert.det_valuation, cert.ok) == (math.inf, 1, False)
 

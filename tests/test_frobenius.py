@@ -230,7 +230,7 @@ def test_perturbed_matrix_fails_the_certificate():
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
     m = kedlaya_frobenius(cur)
     (a, b), (c, d) = m.entries
-    bad = type(m)(entries=((a + 125, b), (c, d)), curve=cur, precision=4)
+    bad = type(m)(entries=((a + 125, b), (c, d)), curve=cur)
     cert = charpoly_certificate(bad, -3)
     assert not cert.ok
     assert cert.trace_valuation == 3
@@ -240,7 +240,7 @@ def test_transposed_matrix_passes_the_certificate():
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
     m = kedlaya_frobenius(cur)
     (a, b), (c, d) = m.entries
-    swapped = type(m)(entries=((a, c), (b, d)), curve=cur, precision=4)
+    swapped = type(m)(entries=((a, c), (b, d)), curve=cur)
     assert charpoly_certificate(swapped, -3).ok
 
 
@@ -297,3 +297,18 @@ def test_kedlaya_frozen_digests(p):
         lines += ["%r %d %d" % (e.val, e.unit, e.rel_prec) for row in m.entries for e in row]
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_no_dense_product(monkeypatch):
+    # K = n + 3 = 7: the powers f^j, j <= K, have at most 3K + 1 = 22
+    # coefficients, and no product in the expansion or the reduction is larger
+    sizes = []
+
+    def counted(a, b, M):
+        sizes.extend((len(a), len(b)))
+        return real(a, b, M)
+
+    real = frobenius._int_mul
+    monkeypatch.setattr(frobenius, "_int_mul", counted)
+    kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=29, n=4))
+    assert sizes and max(sizes) <= 22
