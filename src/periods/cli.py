@@ -148,6 +148,8 @@ def _cmd_cm(args):
     _require_precision(n)
     d, n0, height = args.d, args.ramified_n, args.probe
     if n0 is not None:
+        if d is not None:
+            raise ValueError("--d and --ramified-n each select the field; give one")
         if p != 3:
             raise ValueError("the ramified construction is implemented for p = 3")
         prod = cm_period_ramified_p3(n0, n)
@@ -367,32 +369,29 @@ def _cmd_closure(args):
 # selftest: a fixed battery over every component, seeded where randomized
 
 
-def _check_bounds():
-    expected = {"cm-ss": 1, "noncm-ss": 3, "noncm-ord": 2, "legendre": 3}
-    hits = sum(
-        1
-        for case, want in expected.items()
-        if homog_dim(BOUND_CASES[case][1], BOUND_CASES[case][2]) == want
-    )
-    return {"name": "bounds", "ok": hits == 4, "detail": "%d/4 cases" % hits}
-
-
-def _check_gross_koblitz(n):
-    total = hits = 0
-    for p in (3, 5, 7):
-        for a in range(1, p - 1):
-            total += 1
-            if gross_koblitz_residual(p, a, n) >= n:
-                hits += 1
+def _row(name, results, detail):
+    """A selftest row that passes when every result does; detail follows hits/total."""
+    hits = sum(results)
     return {
-        "name": "gross-koblitz",
-        "ok": hits == total,
-        "detail": "%d/%d residuals at pi-valuation >= %d" % (hits, total, n),
+        "name": name,
+        "ok": hits == len(results),
+        "detail": "%d/%d %s" % (hits, len(results), detail),
     }
 
 
+def _check_bounds():
+    expected = {"cm-ss": 1, "noncm-ss": 3, "noncm-ord": 2, "legendre": 3}
+    results = [homog_dim(*BOUND_CASES[case][1:]) == want for case, want in expected.items()]
+    return _row("bounds", results, "cases")
+
+
+def _check_gross_koblitz(n):
+    results = [gross_koblitz_residual(p, a, n) >= n for p in (3, 5, 7) for a in range(1, p - 1)]
+    return _row("gross-koblitz", results, "residuals at pi-valuation >= %d" % n)
+
+
 def _check_kummer(n, rng):
-    total = hits = 0
+    results = []
     for _ in range(4):
         p = rng.choice((3, 5, 7, 11))
         while True:
@@ -405,19 +404,13 @@ def _check_kummer(n, rng):
         res = check_frobenius_invariance(data)
         vec = period_vector_kummer(data)
         rv = residual_valuation(vec[0], iwasawa_log(make_padic(p, a, n)))
-        total += 1
-        if res >= n and rv >= n:
-            hits += 1
-    return {
-        "name": "kummer",
-        "ok": hits == total,
-        "detail": "%d/%d pairs at precision %d" % (hits, total, n),
-    }
+        results.append(res >= n and rv >= n)
+    return _row("kummer", results, "pairs at precision %d" % n)
 
 
 def _check_wronskian(n, rng):
     order = max(6, n)
-    total = hits = 0
+    results = []
     for _ in range(2):
         p = rng.choice((5, 7, 11, 13))
         lam0 = rng.randrange(2, p)
@@ -425,30 +418,17 @@ def _check_wronskian(n, rng):
         alpha, beta = solve_katz_ode(
             make_padic(p, lam0, 2 * order), e, order, 2 * order
         )
-        total += 1
-        if not wronskian_defect(alpha, beta):
-            hits += 1
-    return {
-        "name": "wronskian",
-        "ok": hits == total,
-        "detail": "%d/%d sample points at order %d" % (hits, total, order),
-    }
+        results.append(not wronskian_defect(alpha, beta))
+    return _row("wronskian", results, "sample points at order %d" % order)
 
 
 def _check_charpoly():
     cases = (((1, 1, 0, 1), 5), ((0, -1, 0, 1), 7))
-    total = hits = 0
-    for f, p in cases:
-        curve = EllipticCurveW(f, p, 4)
-        cert = charpoly_certificate(kedlaya_frobenius(curve), count_points(f, p))
-        total += 1
-        if cert.ok:
-            hits += 1
-    return {
-        "name": "charpoly",
-        "ok": hits == total,
-        "detail": "%d/%d curves at precision 4" % (hits, total),
-    }
+    results = [
+        charpoly_certificate(kedlaya_frobenius(EllipticCurveW(f, p, 4)), count_points(f, p)).ok
+        for f, p in cases
+    ]
+    return _row("charpoly", results, "curves at precision 4")
 
 
 def _check_closure():

@@ -141,8 +141,6 @@ def cm_period_unramified(d, p, n):
     if is_ramified(p, d):
         raise ValueError("p = %d ramifies in Q(sqrt(-%d))" % (p, d))
     cond = data.conductor
-    if cond % p == 0:
-        raise ValueError("p divides the conductor")
     factors = []
     for u in range(1, cond + 1):
         if math.gcd(u, cond) != 1:

@@ -178,23 +178,22 @@ def invariant_dim(v, h):
 
 def _reduce_terms(pairs):
     out = {}
-    stack = [(tuple(key), Fraction(coeff)) for key, coeff in pairs]
-    while stack:
-        key, coeff = stack.pop()
+    for key, coeff in pairs:
+        key, coeff = tuple(key), Fraction(coeff)
         if not coeff:
             continue
-        i, j, k, l = key
-        if min(key) < 0 or len(key) != 4:
+        if len(key) != 4 or min(key) < 0:
             raise ValueError("bad monomial %r" % (key,))
-        if i > 0 and l > 0:
-            stack.append(((i - 1, j, k, l - 1), coeff))
-            stack.append(((i - 1, j + 1, k + 1, l - 1), coeff))
-        else:
-            c = out.get(key, 0) + coeff
+        i, j, k, l = key
+        # a^i d^l = a^(i-m) (1 + bc)^m d^(l-m), expanded binomially
+        m = min(i, l)
+        for t in range(m + 1):
+            nk = (i - m, j + t, k + t, l - m)
+            c = out.get(nk, 0) + comb(m, t) * coeff
             if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+                out[nk] = c
+            else:
+                del out[nk]
     return out
 
 
@@ -323,23 +322,6 @@ def span_rank(elements):
     return count
 
 
-def _independent_subset(elements):
-    pivots = {}
-    kept = []
-    for e in elements:
-        if _echelon_insert(pivots, dict(e.terms)):
-            kept.append(e)
-    return kept
-
-
-def _weight_ranks(elements):
-    tables = {}
-    for e in elements:
-        for w, part in e.left_weight_split().items():
-            _echelon_insert(tables.setdefault(w, {}), dict(part.terms))
-    return {w: len(t) for w, t in tables.items()}
-
-
 def _target_multiplicities(cap):
     """Irreducible content of the weight-0 ring through each even degree.
 
@@ -392,20 +374,26 @@ def coeff_subalgebra_closure(v, cap=8):
         raise ValueError("degree cap %d exceeds the configured maximum %d"
                          % (cap, MAX_CLOSURE_CAP))
     r = v.r
+    # every product of coefficients has a single left weight, so the span
+    # splits into one pivot table per weight; a product already in the span
+    # generates nothing new, so only the new ones are multiplied further
     one = CoeffRingElement.one()
-    elems = [one]
-    if r > 0:
-        gens = _independent_subset(matrix_coefficients(r))
-        level = [one]
+    tables = {0: {}}
+    _echelon_insert(tables[0], dict(one.terms))
+    if 0 < r <= cap:
+        gens = matrix_coefficients(r)
+        level = [(0, one)]
         for _ in range(cap // r):
-            level = _independent_subset(
-                [x * g for x in level for g in gens]
-            )
-            elems.extend(level)
-    ranks = _weight_ranks(elems)
+            new = []
+            for w, x in level:
+                for m, g in enumerate(gens):
+                    y, wy = x * g, w + r - 2 * m
+                    if _echelon_insert(tables.setdefault(wy, {}), dict(y.terms)):
+                        new.append((wy, y))
+            level = new
     reached = {}
     for m in range(0, cap + 1, 2):
-        reached[m] = ranks.get(m, 0) - ranks.get(m + 2, 0)
+        reached[m] = len(tables.get(m, ())) - len(tables.get(m + 2, ()))
     target = _target_multiplicities(cap)
     for m, mult in target.items():
         if mult != 1:

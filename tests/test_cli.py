@@ -293,6 +293,9 @@ def test_config_errors_exit_2():
     for n0 in ("-4", "-1", "0"):
         code, payload = run_json(["cm", "--p", "3", "--ramified-n", n0, "--prec", "8"])
         assert code == 2 and "at least 1" in payload["error"], n0
+    # --d plays no part in the ramified construction
+    code, payload = run_json(["cm", "--p", "3", "--ramified-n", "8", "--d", "5", "--prec", "4"])
+    assert code == 2 and "--ramified-n" in payload["error"]
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):

@@ -1,7 +1,9 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 
@@ -160,6 +162,8 @@ def test_normal_form_rewrites_ad():
     assert _mono(1, 0, 0, 1) == CoeffRingElement.one() + _mono(0, 1, 1, 0)
     det = _mono(1, 0, 0, 1) - _mono(0, 1, 1, 0)
     assert det == CoeffRingElement.one()
+    assert _mono(12, 0, 0, 12) == CoeffRingElement(
+        terms=tuple(((0, t, t, 0), comb(12, t)) for t in range(13)))
 
 
 def test_normal_form_is_confluent_on_squares():
@@ -256,6 +260,17 @@ def test_closure_monotone_in_the_cap():
             for m, mult in seen.items():
                 assert got[m] >= mult
             seen = got
+
+
+def test_closure_past_the_cap_is_constants_and_fast():
+    # no product of degree-r coefficients fits under the cap, so nothing
+    # beyond the constants is formed, however large r is
+    for r in (40, 60, 10**6):
+        started = time.monotonic()
+        report = coeff_subalgebra_closure(RepDesc("pgl2", r), 12)
+        assert time.monotonic() - started < 1, r
+        assert dict(report.reached) == {0: 1, 2: 0, 4: 0, 6: 0, 8: 0, 10: 0, 12: 0}
+        assert report.missing == (2, 4, 6, 8, 10, 12)
 
 
 def test_closure_input_checks():
