@@ -6,11 +6,18 @@ Everything here is exact: Python ints and fractions.Fraction only.
 import math
 from fractions import Fraction
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the bases above are a proven witness set for every n below it
+_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < psi_13 = 3317044064679887385961981.
+
+    Raises ValueError at and above psi_13, where no answer is proven.
+    """
+    if n >= _PROVEN_BELOW:
+        raise ValueError("primality of %d is not proven (limit %d)" % (n, _PROVEN_BELOW))
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -21,7 +28,6 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    # these bases are a proven witness set for n < 3_317_044_064_679_887_385_961_981
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -213,10 +213,12 @@ def _load_cell(p, cell, n):
         if cell.get("p", p) != p:
             raise ValueError("entry prime %r differs from the matrix prime %d" % (cell.get("p"), p))
         val = cell.get("val")
-        if val is None:
-            return PadicElement(p, None, 0, 0)
         digits = cell.get("digits", [])
         rel_prec = cell.get("rel_prec", len(digits))
+        if val is None:
+            if digits != [] or not (_is_int(rel_prec) and rel_prec == 0):
+                raise ValueError("entry %r: an exact zero (null val) has no digits" % (cell,))
+            return PadicElement(p, None, 0, 0)
         if not _is_int(val) or not isinstance(digits, list):
             raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
         if not all(_is_int(d) and 0 <= d < p for d in digits):

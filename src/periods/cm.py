@@ -184,11 +184,11 @@ def rational_reconstruct(x, height):
     """
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
-    a = x.abs_precision()
-    if a is None:
-        return Fraction(0)
-    if x.min_valuation() is not None and x.min_valuation() < 0:
+    if x.min_valuation() < 0:
         raise ValueError("reconstruction implemented for p-adic integers")
+    a = x.abs_precision()
+    if a == math.inf:
+        return Fraction(0)
     modulus = x.p**a
     if modulus <= 2 * height * height:
         raise PrecisionError(

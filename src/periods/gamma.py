@@ -174,15 +174,13 @@ def gamma_p(x, n=None):
     p = x.p
     if p == 2:
         raise ValueError("p = 2 is out of scope for this Gamma implementation")
-    if x.min_valuation() is not None and x.min_valuation() < 0:
+    if x.min_valuation() < 0:
         raise ValueError("gamma_p needs an integral argument")
     if n is None:
         n = x.abs_precision()
-        if n is None:
-            raise ValueError("precision required for exact zero arguments")
-    ap = x.abs_precision()
-    if ap is not None and ap < n:
-        n = ap
+    if n == math.inf:
+        raise ValueError("precision required for exact zero arguments")
+    n = min(n, x.abs_precision())
     if n < 1:
         raise ValueError("precision must be >= 1")
     mod = p**n

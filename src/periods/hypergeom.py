@@ -39,10 +39,7 @@ class FormalSeries:
         p = self.lam0.p
         slack = 0
         for k, c in enumerate(self.coeffs):
-            v = c.min_valuation()
-            if v is None:
-                continue
-            slack = max(slack, -v - _vp_factorial(k, p))
+            slack = max(slack, -c.min_valuation() - _vp_factorial(k, p))
         object.__setattr__(self, "tail_slack", slack)
 
     @property
@@ -146,7 +143,7 @@ def solve_katz_ode(lam0, e, order, n):
     """
     p = lam0.p if isinstance(lam0, PadicElement) else None
     if isinstance(e, PadicElement):
-        if not (e.is_exact_zero() or e.min_valuation() >= 0):
+        if e.min_valuation() < 0:
             raise ValueError("e must be integral")
     elif p is not None:
         e = make_padic(p, e, n, integral=True)
@@ -172,7 +169,7 @@ def wronskian_defect(alpha, beta):
         for i in range(1, k + 1):
             left, right = left + a[i] * db[k - i], right + b[i] * da[k - i]
         w = left - right - 1 if k == 0 else left - right
-        if not (w.is_exact_zero() or w.is_zero_at_precision()):
+        if w.rel_prec > 0:
             bad.append(k)
     return bad
 
@@ -186,14 +183,8 @@ class HypergeomPeriodMatrix:
         return a * d - b * c
 
     def achieved_precision(self):
-        worst = None
-        for row in self.entries:
-            for x in row:
-                a = x.abs_precision()
-                if a is None:
-                    continue
-                worst = a if worst is None else min(worst, a)
-        return worst
+        """The lowest absolute precision of an entry, math.inf when all are exact zeros."""
+        return min(x.abs_precision() for row in self.entries for x in row)
 
 
 def period_matrix_hypergeom(sol, lam, min_precision=None):
@@ -210,7 +201,7 @@ def period_matrix_hypergeom(sol, lam, min_precision=None):
     ))
     if min_precision is not None:
         got = matrix.achieved_precision()
-        if got is not None and got < min_precision:
+        if got < min_precision:
             raise PrecisionError(
                 "achievable absolute precision %d is below the requested %d"
                 % (got, min_precision)

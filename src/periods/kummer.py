@@ -40,7 +40,7 @@ class KummerData:
     @functools.cached_property
     def log_twist(self):
         """L = iwasawa_log(a^(1-p)), the (1,2) entry of the Frobenius matrix, computed once."""
-        return iwasawa_log(make_padic(self.p, self.a ** (1 - self.p), self.n))
+        return iwasawa_log(make_padic(self.p, self.a, self.n) ** (1 - self.p))
 
 
 def frobenius_matrix_kummer(data):
@@ -97,9 +97,7 @@ class WeightBlockMatrix:
         for i in range(n):
             for j in range(n):
                 e = rows[i][j]
-                if self.weights[i] > self.weights[j] and not (
-                    e.is_exact_zero() or e.is_zero_at_precision()
-                ):
+                if self.weights[i] > self.weights[j] and e.rel_prec > 0:
                     raise ValueError(
                         "entry (%d, %d) violates weight triangularity" % (i, j)
                     )
@@ -120,7 +118,7 @@ def _solve_dense(matrix, rhs):
         pivot, best = None, None
         for r in range(col, n):
             e = matrix[r][col]
-            if e.is_exact_zero() or e.is_zero_at_precision():
+            if e.rel_prec == 0:
                 continue
             if best is None or e.val < best:
                 pivot, best = r, e.val
@@ -132,7 +130,7 @@ def _solve_dense(matrix, rhs):
             if r == col:
                 continue
             e = matrix[r][col]
-            if e.is_exact_zero() or e.is_zero_at_precision():
+            if e.rel_prec == 0:
                 continue
             factor = e / matrix[col][col]
             for c in range(col, n):
@@ -165,7 +163,7 @@ def solve_mixed_period(phi, v0):
             term = phi.entries[i][j] * v[j]
             acc = term if acc is None else acc + term
         acc = acc - v[i]
-        if not (acc.is_exact_zero() or acc.is_zero_at_precision()):
+        if acc.rel_prec > 0:
             raise ArithmeticError("weight-0 block does not fix v0")
 
     for weight in sorted({w for w in phi.weights if w != 0}, reverse=True):

@@ -103,25 +103,19 @@ class PadicElement:
         """Provable lower bound on the valuation.
 
         Exact for normal elements; the O() bound for cancelled results;
-        None stands for +infinity (exact zero).
+        math.inf for an exact zero.
         """
-        return self.val
+        return math.inf if self.val is None else self.val
 
     def abs_precision(self):
-        # None means infinite (exact zero)
-        if self.val is None:
-            return None
-        if self.rel_prec == 0:
-            return self.val
-        return self.val + self.rel_prec
+        """val + rel_prec: the O() exponent, math.inf for an exact zero."""
+        return self.min_valuation() + self.rel_prec
 
     # -- construction helpers --------------------------------------------
 
     def with_rel_prec(self, n):
         """Truncate (never extend) the relative precision to n."""
-        if self.val is None or self.rel_prec == 0:
-            return self
-        if n >= self.rel_prec:
+        if self.rel_prec == 0 or n >= self.rel_prec:
             return self
         if n < 1:
             raise ValueError("relative precision must stay >= 1")
@@ -134,8 +128,6 @@ class PadicElement:
 
         Only defined for val >= 0 (p-adic integers) and for the zero states.
         """
-        if self.val is None:
-            return 0
         if self.rel_prec == 0:
             return 0
         if self.val < 0:
@@ -144,8 +136,6 @@ class PadicElement:
 
     def digits(self):
         """Base-p digits of the unit part, least significant first."""
-        if self.val is None or self.rel_prec == 0:
-            return []
         out = []
         u = self.unit
         for _ in range(self.rel_prec):
@@ -166,9 +156,7 @@ class PadicElement:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return PadicElement(self.p, None, 0, 0)
-            ap = self.abs_precision()
-            if ap is None:
-                ap = self.rel_prec + 8
+            ap = 8 if self.val is None else self.abs_precision()
             return _capped(self.p, other.numerator, ap + 2, other.denominator)
         return NotImplemented
 
@@ -188,12 +176,7 @@ class PadicElement:
         if window <= 0:
             return PadicElement(self.p, target, 0, 0)
         mod = self.p**window
-        total = 0
-        if a.rel_prec > 0:
-            total += a.unit * self.p ** (a.val - v0)
-        if b.rel_prec > 0:
-            total += b.unit * self.p ** (b.val - v0)
-        total %= mod
+        total = (a.unit * self.p ** (a.val - v0) + b.unit * self.p ** (b.val - v0)) % mod
         if total == 0:
             return PadicElement(self.p, target, 0, 0)
         k = _vp(total, self.p)
@@ -204,8 +187,6 @@ class PadicElement:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.val is None or self.rel_prec == 0:
-            return self
         mod = self.p**self.rel_prec
         return PadicElement(self.p, self.val, (-self.unit) % mod, self.rel_prec)
 
@@ -225,9 +206,7 @@ class PadicElement:
         a, b = self, other
         if a.is_exact_zero() or b.is_exact_zero():
             return PadicElement(self.p, None, 0, 0)
-        if a.rel_prec == 0 or b.rel_prec == 0:
-            # O(p^A) * (p^v u + ...) = O(p^(A+v))
-            return PadicElement(self.p, a.val + b.val, 0, 0)
+        # a zero state has unit 0 and rel 0, so this gives O(p^(val_a + val_b))
         rel = min(a.rel_prec, b.rel_prec)
         mod = self.p**rel
         return PadicElement(self.p, a.val + b.val, (a.unit * b.unit) % mod, rel)
@@ -247,8 +226,7 @@ class PadicElement:
             )
         if a.is_exact_zero():
             return a
-        if a.rel_prec == 0:
-            return PadicElement(self.p, a.val - b.val, 0, 0)
+        # O(p^A) / b: mod is 1 and pow(0, -1, 1) == 0, so the unit stays 0
         rel = min(a.rel_prec, b.rel_prec)
         mod = self.p**rel
         inv = pow(b.unit % mod, -1, mod)
@@ -371,8 +349,7 @@ def residual_valuation(a, b):
     Every certificate reads its residual here, so a caller compares with
     ">= n" and nothing else; cli._res_json writes the inf as JSON null.
     """
-    v = (a - b).min_valuation()
-    return math.inf if v is None else v
+    return (a - b).min_valuation()
 
 
 def teichmuller(x):
@@ -428,9 +405,7 @@ def exp_p(x):
     need = 2 if p == 2 else 1
     if x.val < need:
         raise ValueError("exp_p needs valuation >= %d at p = %d" % (need, p))
-    if x.is_zero_at_precision():
-        # exp(O(p^A)) = 1 + O(p^A)
-        return PadicElement(p, 0, 1, x.val)
+    # O(p^A) lifts to 0, so the sum below is 1 + O(p^A)
     v, n, lift = x.val, x.abs_precision(), x.lift()
     last = _cutoff(n, lambda k: k * v - _vp_factorial(k, p))
     e = _vp_factorial(last, p)

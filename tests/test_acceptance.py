@@ -284,3 +284,11 @@ def test_13_kummer_log_without_teichmuller():
     code, out = _run_cli_json(["kummer", "--a", "2/3", "--p", "13", "--prec", "1500"])
     assert code == 0 and out["ok"], out
     _pass("kummer at 13^1500", started, 2)
+
+
+def test_14_kummer_at_large_p():
+    # the exact rational a^(1-p) took over 100 s at this p
+    started = time.monotonic()
+    code, out = _run_cli_json(["kummer", "--a", "2/3", "--p", "100000007", "--prec", "5"])
+    assert code == 0 and out["ok"], out
+    _pass("kummer at p = 100000007", started, 1)

@@ -296,6 +296,11 @@ def test_config_errors_exit_2():
     # --d plays no part in the ramified construction
     code, payload = run_json(["cm", "--p", "3", "--ramified-n", "8", "--d", "5", "--prec", "4"])
     assert code == 2 and "--ramified-n" in payload["error"]
+    # psi_12, a strong pseudoprime to the bases 2..37, certified digits before
+    code, payload = run_json(["hyper", "--p", "318665857834031151167461", "--lambda0", "2",
+                              "--e", "3", "--order", "4", "--prec", "2",
+                              "--at", "318665857834031151167463"])
+    assert code == 2 and "prime" in payload["error"]
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):
@@ -342,7 +347,8 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         assert code == 2 and "integers" in payload["error"], fields
 
     # cells that to_json never writes: digits outside [0, p), a val that is
-    # not an int, a zero leading digit, rel_prec other than the digit count
+    # not an int, a zero leading digit, rel_prec other than the digit count,
+    # a null (or missing) val with digits or a nonzero rel_prec
     for cell in (
         {"val": 1, "digits": [0, 7], "rel_prec": 9},
         {"val": 0, "digits": [1, 5], "rel_prec": 2},
@@ -354,6 +360,10 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         {"val": 0, "digits": [1, 2], "rel_prec": 9},
         {"val": 3, "digits": [], "rel_prec": 2},
         {"val": 0, "digits": [1, 2], "rel_prec": 1},
+        {"val": None, "digits": [3, 1], "rel_prec": 7},
+        {"val": None, "digits": [3, 1], "rel_prec": 2},
+        {"val": None, "digits": [], "rel_prec": 2},
+        {"digits": [3, 1], "rel_prec": 2},
     ):
         entries = [list(row) for row in good["entries"]]
         entries[0][0] = cell

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periods.arith import is_prime
 from periods.padic import (
     PadicElement,
     PrecisionError,
@@ -24,8 +26,29 @@ from periods.padic import (
 def test_make_zero_is_exact():
     z = make_padic(5, 0, 10)
     assert z.is_exact_zero()
-    assert z.min_valuation() is None
+    assert z.min_valuation() == math.inf
     assert str(z) == "0 (exact)"
+
+
+def test_exact_zero_abs_precision_is_inf():
+    z = make_padic(5, 0, 10)
+    assert z.abs_precision() == math.inf
+    # the stored val stays None, so the JSON form is unchanged
+    assert z.val is None and z.to_json()["val"] is None
+    assert make_padic(5, 25, 1).abs_precision() == 3
+    assert (make_padic(5, 1, 4) - 1).abs_precision() == 4
+
+
+def test_is_prime_proven_range():
+    # psi_12 = 399165290221 * 798330580441 passes the bases 2..37; 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # psi_13: no answer is proven at or above it
+    for n in (3317044064679887385961981, 10**30 + 57, 2**100):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_make_one():
