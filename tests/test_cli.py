@@ -301,6 +301,15 @@ def test_config_errors_exit_2():
                               "--e", "3", "--order", "4", "--prec", "2",
                               "--at", "318665857834031151167463"])
     assert code == 2 and "prime" in payload["error"]
+    # closure: r is checked before the cap, each with its own message
+    for r, cap, error in (
+        ("3", "8", "odd symmetric powers do not factor through PGL2"),
+        ("-2", "8", "r must be nonnegative"),
+        ("2", "7", "the degree cap must be a nonnegative even number"),
+        ("2", "14", "degree cap 14 exceeds the configured maximum 12"),
+    ):
+        code, payload = run_json(["closure", "--r", r, "--cap", cap])
+        assert (code, payload["error"]) == (2, error), (r, cap)
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):
