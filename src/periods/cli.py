@@ -44,7 +44,7 @@ from .padic import (
     make_padic,
     residual_valuation,
 )
-from .tannaka import GL2, PGL2, TRIVIAL, RepDesc, coeff_subalgebra_closure, homog_dim, torus
+from .tannaka import GL2, PGL2, TRIVIAL, coeff_subalgebra_closure, homog_dim, torus
 
 SCHEMA_VERSION = 1
 
@@ -221,6 +221,8 @@ def _load_cell(p, cell, n):
             return PadicElement(p, None, 0, 0)
         if not _is_int(val) or not isinstance(digits, list):
             raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
+        if val > n:
+            raise ValueError("entry %r: val exceeds the file's precision %d" % (cell, n))
         if not all(_is_int(d) and 0 <= d < p for d in digits):
             raise ValueError("entry %r has a digit outside [0, %d)" % (cell, p))
         if not _is_int(rel_prec) or rel_prec != len(digits):
@@ -356,7 +358,7 @@ def _cmd_frob(args):
 def _cmd_closure(args):
     r = args.r
     cap = args.cap
-    report = coeff_subalgebra_closure(RepDesc("pgl2", r), cap)
+    report = coeff_subalgebra_closure(r, cap)
     return {
         "r": r,
         "cap": report.cap,
@@ -434,8 +436,8 @@ def _check_charpoly():
 
 
 def _check_closure():
-    adjoint = coeff_subalgebra_closure(RepDesc("pgl2", 2), 8)
-    sym4 = coeff_subalgebra_closure(RepDesc("pgl2", 4), 8)
+    adjoint = coeff_subalgebra_closure(2, 8)
+    sym4 = coeff_subalgebra_closure(4, 8)
     ok = adjoint.generated and len(sym4.missing) > 0
     return {
         "name": "closure",

@@ -162,12 +162,11 @@ def _unit_product_below(m, p, n):
     return pow(fact, b, mod) * exp_l % mod * _tail(b, r, p, n, rows) % mod
 
 
-def gamma_p(x, n=None):
+def gamma_p(x, n):
     """Morita Gamma at the p-adic integer x, to absolute precision n.
 
-    Accepts a PadicElement with v(x) >= 0, or an int/Fraction together with
-    an explicit precision. Never reports more precision than the argument
-    carries.
+    Accepts a PadicElement with v(x) >= 0. Never reports more precision
+    than the argument carries.
     """
     if isinstance(x, (int, Fraction)):
         raise TypeError("pass a PadicElement, or use gamma_p_at(p, x, n)")
@@ -176,10 +175,6 @@ def gamma_p(x, n=None):
         raise ValueError("p = 2 is out of scope for this Gamma implementation")
     if x.min_valuation() < 0:
         raise ValueError("gamma_p needs an integral argument")
-    if n is None:
-        n = x.abs_precision()
-    if n == math.inf:
-        raise ValueError("precision required for exact zero arguments")
     n = min(n, x.abs_precision())
     if n < 1:
         raise ValueError("precision must be >= 1")

@@ -56,19 +56,14 @@ def period_vector_kummer(data):
     return (data.log_twist / (1 - data.p), make_padic(data.p, 1, data.n))
 
 
-def check_frobenius_invariance(data, perturb_exponent=None):
+def check_frobenius_invariance(data):
     """Residual valuation of f*phi - f for the row vector f = (1, L/(1-p)).
 
     The identity is exact algebra (L + p L/(1-p) = L/(1-p)), so the residual
-    valuation must reach the working absolute precision.  With
-    perturb_exponent = k the second entry is scaled by (1 + p^k), which
-    breaks the identity by exactly -L p^k and drags the residual down to
-    v(L) + k; callers use that as a sensitivity control.
+    valuation must reach the working absolute precision.
     """
     phi = frobenius_matrix_kummer(data)
     f = [make_padic(data.p, 1, data.n), phi[0][1] / (1 - data.p)]
-    if perturb_exponent is not None:
-        f[1] = f[1] * (1 + Fraction(data.p) ** perturb_exponent)
     return min(residual_valuation(f[0] * phi[0][j] + f[1] * phi[1][j], f[j]) for j in range(2))
 
 
@@ -184,20 +179,3 @@ def solve_mixed_period(phi, v0):
             v[i] = sol[k]
     return v
 
-
-def kummer_weight_matrix(data):
-    """The weight-ordered companion of the Kummer Frobenius.
-
-    Dualizing [[1, L], [0, p]] (inverse transpose) and listing the mixed
-    coordinate first gives [[1/p, -L/p], [0, 1]] with weights (-2, 0); its
-    invariant vector with weight-0 part 1 is exactly period_vector_kummer.
-    """
-    ell = data.log_twist
-    p = data.p
-    one = make_padic(data.p, 1, data.n)
-    zero = make_padic(data.p, 0, data.n)
-    entries = (
-        (one / p, -(ell / p)),
-        (zero, one),
-    )
-    return WeightBlockMatrix(entries=entries, weights=(-2, 0))

@@ -111,16 +111,6 @@ class PadicElement:
         """val + rel_prec: the O() exponent, math.inf for an exact zero."""
         return self.min_valuation() + self.rel_prec
 
-    # -- construction helpers --------------------------------------------
-
-    def with_rel_prec(self, n):
-        """Truncate (never extend) the relative precision to n."""
-        if self.rel_prec == 0 or n >= self.rel_prec:
-            return self
-        if n < 1:
-            raise ValueError("relative precision must stay >= 1")
-        return PadicElement(self.p, self.val, self.unit % self.p**n, n)
-
     # -- integer views ----------------------------------------------------
 
     def lift(self):
@@ -175,8 +165,12 @@ class PadicElement:
         window = target - v0
         if window <= 0:
             return PadicElement(self.p, target, 0, 0)
+        # one gap is 0; a term whose gap reaches the window is 0 mod p^window,
+        # so it is skipped rather than scaled by a p^gap of any size
         mod = self.p**window
-        total = (a.unit * self.p ** (a.val - v0) + b.unit * self.p ** (b.val - v0)) % mod
+        ga, gb = a.val - v0, b.val - v0
+        total = ((a.unit * self.p**ga if ga < window else 0)
+                 + (b.unit * self.p**gb if gb < window else 0)) % mod
         if total == 0:
             return PadicElement(self.p, target, 0, 0)
         k = _vp(total, self.p)
@@ -328,21 +322,6 @@ def make_padic(p, x, rel_prec, integral=False):
     return _capped(p, num, _vp(num, p) - _vp(den, p) + rel_prec, den)
 
 
-def compare(a, b):
-    """Three-valued comparison: 'equal', 'distinct', or 'indistinguishable'.
-
-    'equal' only for an exactly-zero difference; a difference that merely
-    vanishes to the joint precision is 'indistinguishable', since more digits
-    could still separate the values.
-    """
-    d = a - b
-    if d.is_exact_zero():
-        return "equal"
-    if d.rel_prec > 0:
-        return "distinct"
-    return "indistinguishable"
-
-
 def residual_valuation(a, b):
     """Lower bound on v_p(a - b): an int, or math.inf when a - b is exactly zero.
 
@@ -350,19 +329,6 @@ def residual_valuation(a, b):
     ">= n" and nothing else; cli._res_json writes the inf as JSON null.
     """
     return (a - b).min_valuation()
-
-
-def teichmuller(x):
-    """The (p-1)-st root of unity congruent to the unit x mod p.
-
-    Each power y -> y^p gains a digit, so x^(p^(n-1)) = omega(x) mod p^n.
-    """
-    if not isinstance(x, PadicElement):
-        raise TypeError("expected a PadicElement")
-    if not x.is_unit():
-        raise ValueError("Teichmuller lift needs a unit (valuation 0)")
-    p, n = x.p, x.rel_prec
-    return PadicElement(p, 0, pow(x.unit, p ** (n - 1), p**n), n)
 
 
 def iwasawa_log(x):

@@ -1,10 +1,10 @@
 """Symbolic bookkeeping for groups, representations, and matrix coefficients.
 
 Dimension arithmetic for the handful of algebraic groups the period
-bounds need, Clebsch-Gordan decomposition for SL2, and an exact
-computation inside O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per
-degree, which irreducible blocks of the torus-invariant coordinate ring
-the matrix coefficients of a given representation actually generate.
+bounds need, and an exact computation inside
+O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per degree, which
+irreducible blocks of the torus-invariant coordinate ring the matrix
+coefficients of a given representation actually generate.
 All linear algebra is over exact rationals; nothing is rounded.
 """
 
@@ -107,66 +107,6 @@ def trdeg_bound_chain(g_dr_m, g_crys_m, g_dr_mm, g_crys_mm):
                       strict=(tight < mid, mid < loose))
 
 
-def clebsch_gordan(r1, r2):
-    """Sym^r1 x Sym^r2 = sum of Sym^(r1+r2-2i), highest first."""
-    if r1 < 0 or r2 < 0:
-        raise ValueError("symmetric powers need nonnegative exponents")
-    return tuple(r1 + r2 - 2 * i for i in range(min(r1, r2) + 1))
-
-
-@dataclass(frozen=True)
-class RepDesc:
-    """Sym^r(std) twisted by det^s; s is forced where the group forces it."""
-
-    group: str
-    r: int
-    s: int = None
-
-    def __post_init__(self):
-        if self.group not in ("sl2", "pgl2", "gl2"):
-            raise ValueError("unknown group %r" % (self.group,))
-        if self.r < 0:
-            raise ValueError("r must be nonnegative")
-        if self.group == "sl2":
-            if self.s not in (None, 0):
-                raise ValueError("SL2 has no determinant twist")
-            object.__setattr__(self, "s", 0)
-        elif self.group == "pgl2":
-            if self.r % 2:
-                raise ValueError("odd symmetric powers do not factor "
-                                 "through PGL2")
-            balanced = -(self.r // 2)
-            if self.s not in (None, balanced):
-                raise ValueError("the central twist is forced to %d"
-                                 % balanced)
-            object.__setattr__(self, "s", balanced)
-        elif self.s is None:
-            object.__setattr__(self, "s", 0)
-
-    def dimension(self):
-        return self.r + 1
-
-
-def invariant_dim(v, h):
-    """Dimension of the subspace fixed by the tagged subgroup.
-
-    Tags: "trivial", "maximal-torus", and for GL2 also "diagonal"
-    (scalars) and "second-diagonal" (t fixed to diag(1, t)).
-    """
-    r, s = v.r, v.s
-    if h == "trivial":
-        return r + 1
-    if h == "maximal-torus":
-        if v.group in ("sl2", "pgl2"):
-            return 1 if r % 2 == 0 else 0
-        return 1 if (r + 2 * s == 0 and 0 <= -s <= r) else 0
-    if h == "diagonal" and v.group == "gl2":
-        return r + 1 if r + 2 * s == 0 else 0
-    if h == "second-diagonal" and v.group == "gl2":
-        return 1 if 0 <= -s <= r else 0
-    raise ValueError("unsupported subgroup tag %r for %r" % (h, v.group))
-
-
 # -- the coordinate ring of SL2 ---------------------------------------------
 #
 # Monomials are exponent tuples (i, j, k, l) for a^i b^j c^k d^l.  The
@@ -215,49 +155,7 @@ class CoeffRingElement:
     def one(cls):
         return cls.monomial(0, 0, 0, 0)
 
-    @classmethod
-    def zero(cls):
-        return cls(terms=())
-
-    def is_zero(self):
-        return not self.terms
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(key) for key, _ in self.terms)
-
-    def right_weights(self):
-        return {key[0] - key[1] + key[2] - key[3] for key, _ in self.terms}
-
-    def left_weight_split(self):
-        buckets = {}
-        for key, coeff in self.terms:
-            w = key[0] + key[1] - key[2] - key[3]
-            buckets.setdefault(w, []).append((key, coeff))
-        return {w: CoeffRingElement(terms=tuple(p))
-                for w, p in buckets.items()}
-
-    def __add__(self, other):
-        if not isinstance(other, CoeffRingElement):
-            return NotImplemented
-        return CoeffRingElement(terms=self.terms + other.terms)
-
-    def __neg__(self):
-        return CoeffRingElement(
-            terms=tuple((k, -c) for k, c in self.terms)
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, CoeffRingElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CoeffRingElement(
-                terms=tuple((k, c * other) for k, c in self.terms)
-            )
         if not isinstance(other, CoeffRingElement):
             return NotImplemented
         prod = []
@@ -265,8 +163,6 @@ class CoeffRingElement:
             for k2, c2 in other.terms:
                 prod.append((tuple(x + y for x, y in zip(k1, k2)), c1 * c2))
         return CoeffRingElement(terms=tuple(prod))
-
-    __rmul__ = __mul__
 
 
 def matrix_coefficients(r):
@@ -312,16 +208,6 @@ def _echelon_insert(pivots, vec):
     return False
 
 
-def span_rank(elements):
-    """Rank of a family of CoeffRingElements, by exact elimination."""
-    pivots = {}
-    count = 0
-    for e in elements:
-        if _echelon_insert(pivots, dict(e.terms)):
-            count += 1
-    return count
-
-
 def _target_multiplicities(cap):
     """Irreducible content of the weight-0 ring through each even degree.
 
@@ -358,22 +244,24 @@ class ClosureReport:
     generated: bool
 
 
-def coeff_subalgebra_closure(v, cap=8):
+def coeff_subalgebra_closure(r, cap=8):
     """Which blocks of the weight-0 ring do products of coefficients hit.
 
-    Multiplies the matrix coefficients of v out to total degree cap,
-    splits the product span by left weight, and differences the ranks to
-    read off which Sym^m blocks (m even, at most cap) are present.  The
-    target side comes from the monomial count, not from the products.
+    Multiplies the matrix coefficients of the PGL2 representation Sym^r
+    out to total degree cap, splits the product span by left weight, and
+    differences the ranks to read off which Sym^m blocks (m even, at most
+    cap) are present.  The target side comes from the monomial count, not
+    from the products.
     """
-    if not isinstance(v, RepDesc) or v.group != "pgl2":
-        raise ValueError("the closure is computed for PGL2 representations")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r % 2:
+        raise ValueError("odd symmetric powers do not factor through PGL2")
     if cap < 0 or cap % 2:
         raise ValueError("the degree cap must be a nonnegative even number")
     if cap > MAX_CLOSURE_CAP:
         raise ValueError("degree cap %d exceeds the configured maximum %d"
                          % (cap, MAX_CLOSURE_CAP))
-    r = v.r
     # every product of coefficients has a single left weight, so the span
     # splits into one pivot table per weight; a product already in the span
     # generates nothing new, so only the new ones are multiplied further

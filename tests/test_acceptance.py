@@ -33,7 +33,7 @@ from periods.gamma import check_reflection, check_translation, gamma_p_at
 from periods.hypergeom import period_matrix_hypergeom, solve_katz_ode, wronskian_defect
 from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
 from periods.padic import exp_p, iwasawa_log, make_padic, residual_valuation
-from periods.tannaka import RepDesc, coeff_subalgebra_closure
+from periods.tannaka import coeff_subalgebra_closure
 
 # a_p values frozen from the double-loop point-count oracle
 AP_TABLE = {
@@ -176,10 +176,10 @@ def test_6_frobenius_vs_point_counts():
 
 def test_7_closure_generation():
     started = time.monotonic()
-    adjoint = coeff_subalgebra_closure(RepDesc("pgl2", 2), 8)
+    adjoint = coeff_subalgebra_closure(2, 8)
     assert adjoint.generated
     assert adjoint.missing == ()
-    sym4 = coeff_subalgebra_closure(RepDesc("pgl2", 4), 8)
+    sym4 = coeff_subalgebra_closure(4, 8)
     assert not sym4.generated
     assert len(sym4.missing) >= 1
     assert sym4.missing == (2, 6)
@@ -217,8 +217,7 @@ def test_9_precision_roundtrip_sweep():
         d = u - v
         if d.is_exact_zero():
             return True
-        caps = [x.abs_precision() for x in (u, v) if x.abs_precision() is not None]
-        return not caps or d.min_valuation() >= min(caps)
+        return d.min_valuation() >= min(u.abs_precision(), v.abs_precision())
 
     rng = random.Random(900)
     checks = 0

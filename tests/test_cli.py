@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -25,10 +26,12 @@ from periods.gamma import check_reflection, check_translation
 from periods.kummer import (
     KummerData,
     check_frobenius_invariance,
-    kummer_weight_matrix,
+    frobenius_matrix_kummer,
     period_vector_kummer,
 )
 from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
+
+from oracles import kummer_weight_matrix, perturbed_invariance
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "output.json").read_text()
@@ -357,7 +360,8 @@ def test_malformed_mixed_files_exit_2(tmp_path):
 
     # cells that to_json never writes: digits outside [0, p), a val that is
     # not an int, a zero leading digit, rel_prec other than the digit count,
-    # a null (or missing) val with digits or a nonzero rel_prec
+    # a null (or missing) val with digits or a nonzero rel_prec, a val past
+    # the file's precision (at 10^9, x - 1 carried 10^9 digits and hung)
     for cell in (
         {"val": 1, "digits": [0, 7], "rel_prec": 9},
         {"val": 0, "digits": [1, 5], "rel_prec": 2},
@@ -373,6 +377,8 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         {"val": None, "digits": [3, 1], "rel_prec": 2},
         {"val": None, "digits": [], "rel_prec": 2},
         {"digits": [3, 1], "rel_prec": 2},
+        {"val": 9, "digits": [1], "rel_prec": 1},
+        {"val": 10**9, "digits": [1], "rel_prec": 1},
     ):
         entries = [list(row) for row in good["entries"]]
         entries[0][0] = cell
@@ -386,9 +392,31 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         assert code == 2 and "error" in payload, cell
 
 
+def test_mixed_far_apart_valuations_finish(tmp_path):
+    # one entry at 5^(-10^9): every sum against it must skip the p^gap term
+    far = {"val": -10**9, "digits": [1], "rel_prec": 1}
+    doc = {"p": 5, "precision": 8, "weights": [-2, -1, 0],
+           "entries": [["1/25", far, 1], [0, "1/5", 1], [0, 0, 1]]}
+    matrix_file = tmp_path / "matrix.json"
+    v0_file = tmp_path / "v0.json"
+    matrix_file.write_text(json.dumps(doc))
+    v0_file.write_text(json.dumps([1]))
+    started = time.monotonic()
+    code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+    assert time.monotonic() - started < 2
+    assert code == 0
+    # v_1 = 5/4; v_0 = -(5^(-10^9) u * 5/4 + 1) / (1/25 - 1) with u = 1 + O(5)
+    assert payload["result"]["solution"] == [
+        {"p": 5, "val": -10**9 + 3, "digits": [1], "rel_prec": 1},
+        make_padic(5, Fraction(5, 4), 8).to_json(),
+        make_padic(5, 1, 8).to_json(),
+    ]
+
+
 def test_mixed_cells_written_by_to_json_load():
     for x in (PadicElement(5, 2, 13, 3), PadicElement(5, -1, 1, 1),
-              PadicElement(5, 4, 0, 0), PadicElement(5, None, 0, 0)):
+              PadicElement(5, 4, 0, 0), PadicElement(5, None, 0, 0),
+              PadicElement(5, 8, 1, 1)):
         assert cli._load_cell(5, x.to_json(), 8) == x
 
 
@@ -475,8 +503,10 @@ def test_residuals_are_int_or_inf():
         assert _is_residual(check_reflection(y, 6)[1]), a
     for a, p in ((Fraction(2, 3), 5), (Fraction(-7, 2), 3), (Fraction(5), 13)):
         data = KummerData(a, p, 10)
-        for k in (None, 3):
-            assert _is_residual(check_frobenius_invariance(data, k)), (a, p, k)
+        assert _is_residual(check_frobenius_invariance(data)), (a, p)
+        perturbed = perturbed_invariance(data, 3)
+        assert _is_residual(perturbed), (a, p)
+        assert perturbed == frobenius_matrix_kummer(data)[0][1].val + 3, (a, p)
     curve = EllipticCurveW((1, 1, 0, 1), 5, 4)
     cert = charpoly_certificate(cli.kedlaya_frobenius(curve), -3)
     assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int

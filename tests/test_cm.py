@@ -19,7 +19,9 @@ from periods.cm import (
     rational_reconstruct,
 )
 from periods.gamma import gamma_p
-from periods.padic import PrecisionError, make_padic, teichmuller
+from periods.padic import PrecisionError, make_padic
+
+from oracles import teichmuller, with_rel_prec
 
 
 def test_field_discriminant_normalization():
@@ -282,7 +284,7 @@ def test_reconstruct_random_digits_miss():
 
 
 def test_reconstruct_precision_guard():
-    x = make_padic(5, Fraction(1, 3), 12).with_rel_prec(2)
+    x = with_rel_prec(make_padic(5, Fraction(1, 3), 12), 2)
     with pytest.raises(PrecisionError):
         rational_reconstruct(x, 10**6)
 

@@ -15,7 +15,9 @@ import pytest
 
 from periods.cyclotomic import _gauss_unit, gross_koblitz_residual
 from periods.gamma import gamma_p
-from periods.padic import PadicElement, PrecisionError, _capped, _vp, make_padic, teichmuller
+from periods.padic import PadicElement, PrecisionError, _capped, _vp, make_padic
+
+from oracles import teichmuller
 
 # -- the oracle: Z_p[pi], pi^(p-1) = -p -----------------------------------------
 

@@ -14,13 +14,13 @@ from periods.padic import (
     _capped,
     _cutoff,
     _vp,
-    compare,
     exp_p,
     iwasawa_log,
     make_padic,
     residual_valuation,
-    teichmuller,
 )
+
+from oracles import teichmuller, with_rel_prec
 
 
 def test_make_zero_is_exact():
@@ -112,18 +112,22 @@ def test_prime_mismatch_rejected():
         make_padic(5, 1, 4) + make_padic(7, 1, 4)
 
 
+def test_add_far_apart_valuations():
+    # a term whose valuation gap reaches the window is 0 mod p^window: the
+    # sum skips it instead of building p^(10^9)
+    far = PadicElement(5, -10**9, 1, 1)
+    for other in (make_padic(5, 1, 8), -make_padic(5, 1, 8), PadicElement(5, 10**9, 3, 2)):
+        for s in (far + other, other + far):
+            assert (s.val, s.unit, s.rel_prec) == (-10**9, 1, 1), other
+    # a gap inside the window still counts
+    s = PadicElement(5, 0, 1, 3) + PadicElement(5, 2, 1, 5)
+    assert (s.val, s.unit, s.rel_prec) == (0, 26, 3)
+
+
 def test_string_format():
     x = make_padic(5, 50, 3)
     assert str(x) == "5^2 * (2 + 0*5 + 0*5^2) + O(5^5)"
     assert x.to_json() == {"p": 5, "val": 2, "digits": [2, 0, 0], "rel_prec": 3}
-
-
-def test_compare_three_values():
-    a = make_padic(5, 2, 8)
-    assert compare(a, make_padic(5, 2, 8)) == "indistinguishable"
-    assert compare(a, make_padic(5, 3, 8)) == "distinct"
-    # provable equality needs exactness; inexact values can only agree to precision
-    assert compare(make_padic(5, 0, 8), make_padic(5, 0, 8)) == "equal"
 
 
 # Teichmuller
@@ -163,13 +167,13 @@ def test_teichmuller_power_identity(p, a, n):
 
 def test_log_one_vanishes():
     L = iwasawa_log(make_padic(3, 1, 10))
-    assert L.min_valuation() is None or L.min_valuation() >= 10
+    assert L.min_valuation() >= 10
 
 
 def test_log_kills_teichmuller():
     w = teichmuller(make_padic(7, 3, 9))
     L = iwasawa_log(w)
-    assert L.min_valuation() is None or L.min_valuation() >= 9
+    assert L.min_valuation() >= 9
 
 
 def test_log2_at_p3_matches_series_oracle():
@@ -312,7 +316,7 @@ def _log_exp_inputs(p, seed, count):
         n = rng.randint(1, 60)
         x = PadicElement(p, 0, _unit(rng, p, n), n)
         if rng.random() < 0.2:
-            x = x.with_rel_prec(rng.randint(1, n))
+            x = with_rel_prec(x, rng.randint(1, n))
         logs.append(x)
         r = rng.randint(1, 50)
         exps.append(PadicElement(p, rng.randint(need, need + 5), _unit(rng, p, r), r))
@@ -491,8 +495,7 @@ def test_precision_soundness_two_evaluation_orders(p, x, y):
         return
     rhs = make_padic(p, exact, n + 4)
     r = residual_valuation(lhs, rhs)
-    ap = lhs.abs_precision()
-    assert ap is None or r >= ap
+    assert r >= lhs.abs_precision()
 
 
 def test_pow_negative_exponent():
@@ -502,6 +505,6 @@ def test_pow_negative_exponent():
 
 def test_with_rel_prec_truncates_only():
     x = make_padic(5, 7, 8)
-    t = x.with_rel_prec(3)
+    t = with_rel_prec(x, 3)
     assert t.rel_prec == 3 and t.unit == 7 % 125
-    assert x.with_rel_prec(20).rel_prec == 8
+    assert with_rel_prec(x, 20).rel_prec == 8

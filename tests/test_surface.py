@@ -1,0 +1,74 @@
+"""The package surface: every public name in src/periods/ has a user.
+
+A public module-level name (a def, a class or an assignment not starting
+with "_") must be read somewhere in src/periods/ outside its own definition
+(a command, another function, another module) or in the benchmark under
+bench/, whose library requests name their function as a string.  A name
+that only tests read belongs in the tests, as an oracle or not at all.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# names kept without a caller in src/ or bench/, each for one reason
+ALLOWED = {
+    "trdeg_bound_chain": "the paper's transcendence-degree bound",
+    "SL2": "one of the paper's groups, measured by dim_group",
+    "FIBER_PRODUCT": "one of the paper's groups, measured by dim_group",
+    "exp_p": "the inverse of iwasawa_log; Gauss's multiplication formula will call it",
+}
+
+
+def _reads(node, strings=False):
+    """Identifiers that node reads: names, attributes, imports (and strings)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _defines(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _unused_public_names():
+    bench = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        bench |= _reads(ast.parse(path.read_text()), strings=True)
+    tops = [(path.stem, node)
+            for path in sorted((ROOT / "src" / "periods").glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+    reads = [_reads(node) for _, node in tops]
+    unused = []
+    for i, (module, node) in enumerate(tops):
+        for name in _defines(node):
+            if name.startswith("_") or name in bench:
+                continue
+            if not any(name in r for j, r in enumerate(reads) if j != i):
+                unused.append("%s.%s" % (module, name))
+    return unused
+
+
+def test_every_public_name_has_a_user():
+    unused = [n for n in _unused_public_names() if n.rpartition(".")[2] not in ALLOWED]
+    assert unused == []
+
+
+def test_the_allowlist_is_still_needed():
+    unused = {n.rpartition(".")[2] for n in _unused_public_names()}
+    assert set(ALLOWED) <= unused
