@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .padic import PadicElement, iwasawa_log, make_padic, residual_valuation
+from .padic import iwasawa_log, make_padic, residual_valuation
 
 
 @dataclass(frozen=True)
