@@ -1,13 +1,16 @@
 """Helpers that tests build inputs and oracles with; no command uses them.
 
 teichmuller and with_rel_prec work on PadicElement; kummer_weight_matrix
-and perturbed_invariance on the rank-2 Kummer system of periods.kummer.
+and perturbed_invariance on the rank-2 Kummer system of periods.kummer;
+dense_kedlaya is the Frobenius matrix by the dense pole reduction.
 """
 
 from fractions import Fraction
+from math import comb
 
+from periods.frobenius import _bezout_factor, _divmod_cubic, _int_mul
 from periods.kummer import WeightBlockMatrix, frobenius_matrix_kummer
-from periods.padic import PadicElement, make_padic, residual_valuation
+from periods.padic import PadicElement, _capped, _vp, make_padic, residual_valuation
 
 
 def teichmuller(x):
@@ -59,3 +62,81 @@ def perturbed_invariance(data, k):
     phi = frobenius_matrix_kummer(data)
     f = [make_padic(data.p, 1, data.n), phi[0][1] / (1 - data.p) * (1 + Fraction(data.p) ** k)]
     return min(residual_valuation(f[0] * phi[0][j] + f[1] * phi[1][j], f[j]) for j in range(2))
+
+
+def _dense_reduction(terms, f, fpr, v, p, M):
+    """Rewrite the sum of terms[m](x)/y^(2m+1) dx as (a*dx/y + b*x dx/y) / p^e.
+
+    One pole order at a time: the whole numerator A is split as
+    R*f + S*f' by a division by f, and a final loop kills the degrees
+    above 1 with d(x^(j-2) y).  Returns a, b mod M = p^W and e.
+    """
+    A, e = [0] * len(terms[max(terms)]), 0
+    for m in range(max(terms), 0, -1):
+        if m in terms:
+            pe = p**e
+            A = [a + c * pe for a, c in zip(A, terms[m], strict=True)]
+        # A = Q*f + r, S = r*v mod f, R = Q + (r - S*f')/f; then
+        # S f'/y^(2m+1) dx is (2/(2m-1)) S'/y^(2m-1) dx up to an exact form
+        Q, r = _divmod_cubic(A, f, M)
+        S = _divmod_cubic(_int_mul(r, v, M), f, M)[1]
+        w = [-c for c in _int_mul(S, fpr, M)]
+        for t in range(3):
+            w[t] += r[t]
+        T, rem = _divmod_cubic(w, f, M)
+        assert not any(rem)
+        k = _vp(2 * m - 1, p)
+        pk = p**k
+        s = 2 * pow((2 * m - 1) // pk, -1, M)
+        A = [c * pk for c in Q] if k else Q
+        A[0] += pk * T[0] + s * S[1]
+        A[1] += pk * T[1] + 2 * s * S[2]
+        e += k
+    for j in range(len(A) - 1, 1, -1):
+        # twice d(x^(j-2) y) is (2(j-2) x^(j-3) f + x^(j-2) f') dx/y, with
+        # leading coefficient 2j-1 at x^j
+        k = _vp(2 * j - 1, p)
+        pk = p**k
+        c = A[j] % M * pow((2 * j - 1) // pk, -1, M)
+        A = [a * pk for a in A[:j]]
+        if j >= 3:
+            for t in range(3):
+                A[j - 3 + t] -= c * 2 * (j - 2) * f[t]
+        for t in range(2):
+            A[j - 2 + t] -= c * fpr[t]
+        e += k
+    return A[0] % M, A[1] % M, e
+
+
+def dense_kedlaya(f, p, n):
+    """(val, unit, rel_prec) of the entries a, b, c, d of the Frobenius matrix.
+
+    The same cut series as periods.frobenius.kedlaya_frobenius (K = n + 3,
+    terms regrouped by powers of f(x^p)), reduced by a dense division by f
+    at every pole order.  Its own buffer: v_p(2m - 1) for each pole order
+    m <= pK + (p - 1)/2, and one digit for the degree step at 2j - 1 = p.
+    """
+    K = n + 3
+    W = n + 1 + sum(_vp(2 * m - 1, p) for m in range(2, p * K + (p - 1) // 2 + 1))
+    M = p**W
+    f = list(f)
+    fpr = [f[i] * i for i in range(1, 4)]
+    v = _bezout_factor(f, fpr, M)
+    scale = p * pow(4**K, -1, M)
+    terms, fj = ({}, {}), [1]
+    for j in range(K + 1):
+        if j:
+            fj = _int_mul(fj, f, M)
+        bj = sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k) for k in range(j, K + 1))
+        c = [(-1) ** j * bj * scale * a % M for a in fj]
+        for i in (0, 1):
+            num = [0] * (p * (i + 1) + 3 * p * j)
+            num[p * (i + 1) - 1::p] = c
+            terms[i][p * j + (p - 1) // 2] = num
+    cols = []
+    for i in (0, 1):
+        a, b, e = _dense_reduction(terms[i], f, fpr, v, p, M)
+        assert W - e >= n
+        cols.append([_capped(p, x, n, p**e) for x in (a, b)])
+    return tuple((x.val, x.unit, x.rel_prec)
+                 for x in (cols[0][0], cols[1][0], cols[0][1], cols[1][1]))

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from oracles import dense_kedlaya
 
 from periods import frobenius
 from periods.cm import rational_reconstruct
@@ -312,3 +313,39 @@ def test_no_dense_product(monkeypatch):
     monkeypatch.setattr(frobenius, "_int_mul", counted)
     kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=29, n=4))
     assert sizes and max(sizes) <= 22
+
+
+ORACLE_PRIMES = (5, 7, 11, 13, 17, 29, 53, 101)
+
+
+def _oracle_cases(p):
+    """x^3 - x, x^3 + 1 and seeded cubics at n = 1..10 (1..4 at p >= 53).
+
+    Every third seeded cubic has a coefficient that is 0 mod p, a case
+    the benchmark's curves avoid.
+    """
+    rng = random.Random(1000 + p)
+    yield EllipticCurveW(f=(0, -1, 0, 1), p=p, n=3)
+    yield EllipticCurveW(f=(1, 0, 0, 1), p=p, n=2)
+    for n in range(1, 11 if p < 53 else 5):
+        while True:
+            f = [rng.randint(-9, 9) for _ in range(3)] + [1]
+            if n % 3 == 0:
+                f[rng.randrange(3)] = p * rng.randint(-1, 1)
+            if frobenius._discriminant(f) % p:
+                yield EllipticCurveW(f=tuple(f), p=p, n=n)
+                break
+
+
+def test_oracle_cases_cover_the_grid():
+    cases = [c for p in ORACLE_PRIMES for c in _oracle_cases(p)]
+    assert len(cases) >= 80
+    assert sum(any(a % c.p == 0 for a in c.f[:3]) for c in cases) >= 20
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_entries_match_the_dense_reduction(p):
+    for cur in _oracle_cases(p):
+        m = kedlaya_frobenius(cur)
+        got = tuple((e.val, e.unit, e.rel_prec) for row in m.entries for e in row)
+        assert got == dense_kedlaya(cur.f, p, cur.n), (cur.f, p, cur.n)
