@@ -9,12 +9,12 @@ its own order, expresses the image of each basis element in the basis
 {dx/y, x dx/y} again.  Counting points over F_p directly supplies an
 independent value for the trace.
 
-The reduction runs on plain ints at the single modulus p^W.  A numerator
-is an int list A standing for A / p^e: a division by 2m - 1 = p^v * u
-multiplies by u^-1 and adds v to the loss counter e, so the result is
-known to absolute precision exactly W - e.  The Bezout factor 1/f' mod f
-comes from Cramer's rule on the same ints.  PadicElement appears only
-when the finished entries are read off.
+The reduction runs on plain ints at the single modulus p^W.  Each term
+is reduced horizontally at its pole order P to degree <= 1, dividing by
+2k - 3P + 2; two fixed 2x2 maps from the Bezout factor 1/f' mod f then
+carry it from P to P - 2, dividing by P - 2.  The p-parts of the divisors
+go to one loss counter e, so the result is known to absolute precision
+exactly W - e.  PadicElement appears only when the entries are read off.
 """
 
 from dataclasses import dataclass
@@ -138,58 +138,63 @@ class FrobeniusMatrix:
         return a * d - b * c
 
 
-def _loss_count(p, m_init):
-    # the digits the reduction of the second column loses: v_p(2m-1) for
-    # each pole order m <= m_init, and one for its degree-reduction step
-    # at 2j - 1 = p (the first column stops below that degree)
-    return 1 + sum(_vp(2 * m - 1, p) for m in range(2, m_init + 1))
+def _loss_count(p, K):
+    # the second column's counter, walked as the loop walks: row j (P = p(2j+1))
+    # divides by the odd 6 - 3P .. p, multiples p*m for odd m = -(6j+1) .. 1
+    e = 0
+    for P in range(p * (2 * K + 1), 1, -2):
+        if P % (2 * p) == p:
+            e = max(e, sum(_vp(d, p) for d in range(2 * p - 3 * P, p + 1, 2 * p)))
+        e += _vp(P - 2, p)
+    return e
 
 
-def _reduce_differential(terms, f, fpr, v, p, M):
-    """Rewrite the sum of terms[m](x)/y^(2m+1) dx as (a*dx/y + b*x dx/y) / p^e.
+def _vertical_maps(f, fpr, v, M):
+    """Images of 1 and x under T and S' as (T0, T1, S'0, S'1), ints mod M.
 
-    The equality holds mod exact forms.  Each numerator, f, f' = fpr and
-    the Bezout factor v (v*f' = 1 mod f) are int lists mod M = p^W;
-    returns a, b mod M and the loss counter e.
+    With r = R*f + S*f' (S = r*v mod f), r dx/y^P is T(r) + (2/(P-2)) S'(r)
+    over y^(P-2) up to an exact form, where T(r) = R = (r - S*f')/f.
     """
-    A, e = [0] * len(terms[max(terms)]), 0
-    for m in range(max(terms), 0, -1):
-        if m in terms:
-            # A stands for A / p^e and is as long as the term: add term * p^e
-            pe = p**e
-            A = [a + c * pe for a, c in zip(A, terms[m], strict=True)]
-        # split A = R*f + S*f'; then S f'/y^(2m+1) dx is exact up to
-        # (2/(2m-1)) S'/y^(2m-1) dx, and R f/y^(2m+1) loses a pole order.
-        # With A = Q*f + r: S = r*v mod f and R = Q + (r - S*f')/f.
-        Q, r = _divmod_cubic(A, f, M)
-        S = _divmod_cubic(_int_mul(r, v, M), f, M)[1]
+    images = []
+    for b in (0, 1):
+        S = _divmod_cubic([0] * b + v, f, M)[1]
         w = [-c for c in _int_mul(S, fpr, M)]
-        for t in range(3):
-            w[t] += r[t]
+        w[b] += 1
         T, rem = _divmod_cubic(w, f, M)
         if any(rem):
             raise ArithmeticError("pole reduction left a nonzero remainder")
-        k = _vp(2 * m - 1, p)
-        pk = p**k
-        s = 2 * pow((2 * m - 1) // pk, -1, M)
-        A = [c * pk for c in Q] if k else Q
-        A[0] += pk * T[0] + s * S[1]
-        A[1] += pk * T[1] + 2 * s * S[2]
-        e += k
-    for j in range(len(A) - 1, 1, -1):
-        # twice d(x^(j-2) y) is (2(j-2) x^(j-3) f + x^(j-2) f') dx/y, with
-        # leading coefficient 2j-1 at x^j
-        k = _vp(2 * j - 1, p)
-        pk = p**k
-        c = A[j] % M * pow((2 * j - 1) // pk, -1, M)
-        A = [a * pk for a in A[:j]]
-        if j >= 3:
-            for t in range(3):
-                A[j - 3 + t] -= c * 2 * (j - 2) * f[t]
-        for t in range(2):
-            A[j - 2 + t] -= c * fpr[t]
-        e += k
-    return A[0] % M, A[1] % M, e
+        images.append((T[0], T[1], S[1], 2 * S[2]))
+    return images
+
+
+def _horizontal(num, P, f, p, M):
+    """Reduce num(x) dx/y^P to (r0 + r1 x) dx/y^P over p^e, mod exact forms.
+
+    Twice d(x^(k-2)/y^(P-2)) is (2(k-2) x^(k-3) f - (P-2) x^(k-2) f') dx/y^P,
+    D x^k + a1 x^(k-1) + a2 x^(k-2) + a3 x^(k-3) with D = 2k - 3P + 2.  The
+    window (w0, w1, w2) holds the coefficients of x^k, x^(k-1), x^(k-2)
+    times U * p^e: a step multiplies it by D instead of dividing, the unit
+    part of D joins U and v_p(D) joins e, and U is inverted once at the end.
+    """
+    f0, f1, f2 = 2 * f[0], 2 * f[1], 2 * f[2]
+    top = len(num) - 1
+    w0, w1, w2 = num[-1], num[-2], num[-3]
+    D, a1, a2, a3 = 2 * top - 3 * P + 2, f2 * (top - P), f[1] * (2 * top - P - 2), f0 * (top - 2)
+    U, e, pe = 1, 0, 1
+    for k in range(top, 1, -1):
+        if D % p:
+            U = U * D % M
+        else:
+            v = _vp(D, p)
+            U, e = U * (D // p**v) % M, e + v
+            pe = p**e
+        c = w0
+        w0 = (D * w1 - c * a1) % M
+        w1 = (D * w2 - c * a2) % M
+        w2 = ((num[k - 3] * U * pe if k > 2 else 0) - c * a3) % M
+        D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0
+    inv = pow(U, -1, M)
+    return w1 * inv % M, w0 * inv % M, e
 
 
 def kedlaya_frobenius(curve):
@@ -198,28 +203,29 @@ def kedlaya_frobenius(curve):
     The binomial series for 1/sigma(y) is cut at K = n + 3 terms; the
     dropped tail carries valuation at least K + 1 before reduction
     losses.  Regrouped by powers of f(x^p), the cut series is a sum of
-    K + 1 terms b_j f(x^p)^j / y^(p(2j+1)), and each term joins the pole
-    reduction at its own pole order.  The reduction works on ints mod p^W
-    and counts the digits e lost to the divisions by 2m - 1 and 2j - 1,
-    so the result holds to absolute precision W - e.  W is n plus that
-    count, which is known before the reduction starts (_loss_count);
-    PrecisionError is raised if W - e still falls below n.  Entries come
-    back capped at absolute precision n.
+    K + 1 terms b_j f(x^p)^j / y^P, P = p(2j+1), each reduced horizontally
+    at its own P to join an accumulator that fixed 2x2 vertical steps carry
+    from P to P - 2: O(pK^2) steps of constant size.  Working mod p^W, the
+    loop counts the digits e lost to the divisors 2k - 3P + 2 and P - 2, so
+    the result holds to absolute precision W - e.  W is n plus that count,
+    known before the reduction starts (_loss_count); PrecisionError is
+    raised if W - e still falls below n.  Entries come back capped at n.
     """
     p, n = curve.p, curve.n
     K = n + 3
-    W = n + _loss_count(p, p * K + (p - 1) // 2)
+    W = n + _loss_count(p, K)
     M = p**W
 
     f = list(curve.f)
     fpr = [f[i] * i for i in range(1, 4)]
     v = _bezout_factor(f, fpr, M)
+    (t00, t01, s00, s01), (t10, t11, s10, s11) = _vertical_maps(f, fpr, v, M)
     # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
     # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
     # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
     # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer
     scale = p * pow(4**K, -1, M)
-    terms, fj = ({}, {}), [1]
+    rows, fj = ({}, {}), [1]
     for j in range(K + 1):
         if j:
             fj = _int_mul(fj, f, M)
@@ -229,16 +235,30 @@ def kedlaya_frobenius(curve):
             # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
             num = [0] * (p * (i + 1) + 3 * p * j)
             num[p * (i + 1) - 1::p] = c
-            terms[i][p * j + (p - 1) // 2] = num
+            rows[i][p * (2 * j + 1)] = num
     cols = []
     for i in (0, 1):
-        a, b, e = _reduce_differential(terms[i], f, fpr, v, p, M)
+        # (a0 + a1 x) dx / (p^e y^P), carried down from the top pole order
+        a0 = a1 = e = 0
+        for P in range(p * (2 * K + 1), 1, -2):
+            if P in rows[i]:
+                r0, r1, er = _horizontal(rows[i][P], P, f, p, M)
+                # join over the common power p^max(e, er)
+                if er > e:
+                    a0, a1, e = a0 * p ** (er - e), a1 * p ** (er - e), er
+                a0, a1 = a0 + r0 * p ** (e - er), a1 + r1 * p ** (e - er)
+            k = _vp(P - 2, p)
+            pk = p**k
+            s = 2 * pow((P - 2) // pk, -1, M)
+            a0, a1 = ((pk * (a0 * t00 + a1 * t10) + s * (a0 * s00 + a1 * s10)) % M,
+                      (pk * (a0 * t01 + a1 * t11) + s * (a0 * s01 + a1 * s11)) % M)
+            e += k
         if W - e < n:
             raise PrecisionError(
                 "working buffer exhausted: achieved absolute precision "
                 "%d is below the requested %d" % (W - e, n)
             )
-        cols.append((_capped(p, a, n, p**e), _capped(p, b, n, p**e)))
+        cols.append((_capped(p, a0, n, p**e), _capped(p, a1, n, p**e)))
     entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     return FrobeniusMatrix(entries=entries, curve=curve)
 

@@ -291,3 +291,14 @@ def test_14_kummer_at_large_p():
     code, out = _run_cli_json(["kummer", "--a", "2/3", "--p", "100000007", "--prec", "5"])
     assert code == 0 and out["ok"], out
     _pass("kummer at p = 100000007", started, 1)
+
+
+def test_15_kedlaya_at_large_p():
+    # a dense division by f at every pole order took 4 s at p = 199 and
+    # 59 s at p = 1009
+    for p, n, budget in ((199, 4, 1), (1009, 2, 5)):
+        started = time.monotonic()
+        curve = EllipticCurveW((1, 1, 0, 1), p, n)
+        cert = charpoly_certificate(kedlaya_frobenius(curve), count_points(curve.f, p))
+        assert cert.ok, (p, cert)
+        _pass("Kedlaya matrix of x^3+x+1 at p = %d, n = %d" % (p, n), started, budget)

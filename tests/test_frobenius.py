@@ -183,14 +183,20 @@ def test_frozen_matrices():
 
 
 def test_buffer_boundary_is_the_loss_count(monkeypatch):
-    # K = n + 3 = 7 and m_init = 5K + 2 = 37: the pole steps divide by the
-    # odd numbers 1 .. 73, which hold 8 factors of 5 (25 holds two); the
-    # final loop divides by 2j - 1 = 5 once, at j = 3
+    # K = n + 3 = 7.  The top row, at pole order P = 5 * 15 = 75, kills
+    # x^114 .. x^2 of the second column by dividing by 2k - 3P + 2: the odd
+    # numbers -219 .. 5, which hold 28 factors of 5 (-25, -75, -175 hold two
+    # and -125 three).  Every lower row joins with fewer, so the max keeps
+    # 28; the vertical steps from P = 75 down to 3 divide by P - 2, the odd
+    # numbers 1 .. 73, which hold 8 more (25 holds two)
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
-    odd = range(1, 74, 2)
-    loss = sum(d % 5 == 0 for d in odd) + sum(d % 25 == 0 for d in odd) + 1
-    assert loss == 9
-    assert frobenius._loss_count(5, 37) == loss
+
+    def factors_of_5(ds):
+        return sum(d % 5**t == 0 for d in ds for t in (1, 2, 3))
+
+    loss = factors_of_5(range(-219, 6, 2)) + factors_of_5(range(1, 74, 2))
+    assert loss == 36
+    assert frobenius._loss_count(5, 7) == loss
     kedlaya_frobenius(cur)
     monkeypatch.setattr(frobenius, "_loss_count", lambda p, m_init: loss - 1)
     with pytest.raises(PrecisionError):
@@ -313,6 +319,21 @@ def test_no_dense_product(monkeypatch):
     monkeypatch.setattr(frobenius, "_int_mul", counted)
     kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=29, n=4))
     assert sizes and max(sizes) <= 22
+
+
+def test_constant_number_of_cubic_divisions(monkeypatch):
+    # the Bezout factor and the two vertical maps divide by f; the rows and
+    # the vertical steps never do, whatever p and n
+    calls = []
+
+    def counted(a, f, M):
+        calls.append(len(a))
+        return real(a, f, M)
+
+    real = frobenius._divmod_cubic
+    monkeypatch.setattr(frobenius, "_divmod_cubic", counted)
+    kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=29, n=4))
+    assert 0 < len(calls) <= 10
 
 
 ORACLE_PRIMES = (5, 7, 11, 13, 17, 29, 53, 101)
