@@ -2,7 +2,6 @@ import hashlib
 import random
 
 import pytest
-from oracles import dense_kedlaya
 
 from periods import frobenius
 from periods.cm import rational_reconstruct
@@ -15,6 +14,8 @@ from periods.frobenius import (
     kedlaya_frobenius,
 )
 from periods.padic import PrecisionError
+
+from oracles import dense_kedlaya
 
 # a_p frozen from a standalone double-loop enumeration, checked against
 # the character sum and the table of squares below
