@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -305,3 +307,52 @@ def test_exponentiated_product_json_factors():
     (entry,) = prod.json_factors()
     assert entry["exponent"] == [-1, 1]
     assert entry["base"]["p"] == 5
+
+
+# sha256 prefix of the canonical JSON of (power, json_factors, collapsed)
+# of every product, or of the exception type and text: cm_period_unramified
+# over the first 120 squarefree d at N = 1, 2, 4, 7 for each p (2 and 9 are
+# refused), and cm_period_ramified_p3 over n in [-1, 60) for each N.  At
+# N = 1 and 2 different units share a Gamma argument mod p^N.
+CM_DIGESTS = {
+    ("unramified", 2): "c3a61449c844bb12",
+    ("unramified", 3): "c02860c4ba1e397f",
+    ("unramified", 5): "9a455996bbf59cd2",
+    ("unramified", 7): "e0872e8af692057b",
+    ("unramified", 9): "c3a61449c844bb12",
+    ("unramified", 11): "8518ef7de3221b4b",
+    ("unramified", 13): "50ca951a9b4dbaae",
+    ("ramified", 1): "4e8046deb16941d6",
+    ("ramified", 3): "2c1b560dcfe81bcd",
+    ("ramified", 8): "47afc4a9a3fc6dfe",
+    ("ramified", 12): "558db3922074c174",
+}
+
+
+def _squarefree(d):
+    try:
+        field_discriminant(d)
+    except ValueError:
+        return False
+    return True
+
+
+def _cm_record(f, *args):
+    try:
+        prod = f(*args)
+    except Exception as e:
+        return [type(e).__name__, str(e)]
+    return [prod.power, prod.json_factors(), prod.collapsed.to_json()]
+
+
+@pytest.mark.parametrize("kind, q", sorted(CM_DIGESTS))
+def test_cm_frozen_digests(kind, q):
+    if kind == "unramified":
+        ds = [d for d in range(1, 400) if _squarefree(d)][:120]
+        cases = [(cm_period_unramified, d, q, n) for d in ds for n in (1, 2, 4, 7)]
+    else:
+        cases = [(cm_period_ramified_p3, n0, q) for n0 in range(-1, 60)]
+    h = hashlib.sha256()
+    for f, *args in cases:
+        h.update(json.dumps(_cm_record(f, *args), sort_keys=True, separators=(",", ":")).encode())
+    assert h.hexdigest()[:16] == CM_DIGESTS[kind, q]
