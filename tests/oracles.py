@@ -2,13 +2,18 @@
 
 teichmuller and with_rel_prec work on PadicElement; kummer_weight_matrix
 and perturbed_invariance on the rank-2 Kummer system of periods.kummer;
-dense_kedlaya is the Frobenius matrix by the dense pole reduction.
+dense_kedlaya is the Frobenius matrix by the dense pole reduction;
+cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
+built one unit at a time, with Fraction exponents and PadicElement powers.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
+from periods.arith import is_prime, kronecker
+from periods.cm import ExponentiatedProduct, _squarefree_kernel, field_discriminant, imag_quad_data
 from periods.frobenius import _bezout_factor, _divmod_cubic, _int_mul
+from periods.gamma import gamma_p
 from periods.kummer import WeightBlockMatrix, frobenius_matrix_kummer
 from periods.padic import PadicElement, _capped, _vp, make_padic, residual_valuation
 
@@ -140,3 +145,63 @@ def dense_kedlaya(f, p, n):
         cols.append([_capped(p, x, n, p**e) for x in (a, b)])
     return tuple((x.val, x.unit, x.rel_prec)
                  for x in (cols[0][0], cols[1][0], cols[0][1], cols[1][1]))
+
+
+def bracket(u, d):
+    """The fraction r/d with r the representative of u mod d in (0, d]."""
+    if gcd(u, d) != 1:
+        raise ValueError("bracket needs gcd(u, d) = 1")
+    return Fraction(u % d or d, d)
+
+
+def eps(disc, u):
+    """Quadratic character of discriminant disc at u, reduced mod 2 (0 or 1)."""
+    k = kronecker(disc, u)
+    if k == 0:
+        raise ValueError("%d is not a unit modulo the conductor" % u)
+    return 0 if k == 1 else 1
+
+
+def is_ramified(p, d):
+    return field_discriminant(d) % p == 0
+
+
+def gamma_factors(p, n, modulus, mult, exponent):
+    """(gamma_p(<mult u / modulus>), exponent(u)) for each unit u with exponent(u) != 0."""
+    factors = []
+    for u in range(1, modulus + 1):
+        if gcd(u, modulus) == 1 and exponent(u) != 0:
+            base = gamma_p(make_padic(p, bracket(mult * u, modulus), n), n)
+            factors.append((base, exponent(u)))
+    return factors
+
+
+def collapse(p, factors, rel_prec):
+    """The product of base ^ (e * power) over factors, power the lcm of e's denominators."""
+    power = lcm(*(e.denominator for _, e in factors)) if factors else 1
+    acc = make_padic(p, 1, rel_prec)
+    for base, e in factors:
+        acc = acc * base ** int(e * power)
+    return ExponentiatedProduct(factors=tuple(factors), power=power, collapsed=acc)
+
+
+def cm_unramified_by_unit(d, p, n):
+    """periods.cm.cm_period_unramified, one unit at a time."""
+    data = imag_quad_data(d)
+    if p == 2 or not is_prime(p):
+        raise ValueError("odd prime required")
+    if is_ramified(p, d):
+        raise ValueError("p = %d ramifies in Q(sqrt(-%d))" % (p, d))
+    exponent = lambda u: Fraction(-eps(data.disc, u) * data.w, 4 * data.h)
+    return collapse(p, gamma_factors(p, n, data.conductor, p, exponent), n)
+
+
+def cm_ramified_p3_by_unit(n0, n):
+    """periods.cm.cm_period_ramified_p3, one unit at a time."""
+    if n0 < 1:
+        raise ValueError("n must be at least 1")
+    if n0 % 3 == 0:
+        raise ValueError("n must be coprime to 3")
+    data = imag_quad_data(_squarefree_kernel(3 * n0))
+    exponent = lambda u: Fraction(kronecker(n0, u) * data.w, 2 * data.h)
+    return collapse(3, gamma_factors(3, n, n0, 1, exponent), n)

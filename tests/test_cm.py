@@ -6,24 +6,28 @@ from fractions import Fraction
 
 import pytest
 
-from periods.arith import kronecker
 from periods.cm import (
-    ExponentiatedProduct,
-    _collapse,
     algebraicity_probe,
-    bracket,
     class_number,
     cm_period_ramified_p3,
     cm_period_unramified,
     field_discriminant,
     imag_quad_data,
-    is_ramified,
     rational_reconstruct,
 )
-from periods.gamma import gamma_p
 from periods.padic import PrecisionError, make_padic
 
-from oracles import teichmuller, with_rel_prec
+from oracles import (
+    bracket,
+    cm_ramified_p3_by_unit,
+    cm_unramified_by_unit,
+    collapse,
+    eps,
+    gamma_factors,
+    is_ramified,
+    teichmuller,
+    with_rel_prec,
+)
 
 
 def test_field_discriminant_normalization():
@@ -78,8 +82,8 @@ def test_eps_is_multiplicative():
         units = [u for u in range(1, cond) if math.gcd(u, cond) == 1]
         for u in units:
             for v in units:
-                lhs = data.eps(u * v % cond)
-                assert lhs == (data.eps(u) + data.eps(v)) % 2
+                lhs = eps(data.disc, u * v % cond)
+                assert lhs == (eps(data.disc, u) + eps(data.disc, v)) % 2
 
 
 def test_bracket_examples():
@@ -176,18 +180,11 @@ def test_reindexing_by_p_is_free_for_split_p():
     # so the <p u / D> and <u / D> enumerations collapse identically
     for d, p in ((1, 5), (23, 3)):
         data = imag_quad_data(d)
-        cond = data.conductor
-        shifted, plain = [], []
-        for u in range(1, cond + 1):
-            if math.gcd(u, cond) != 1:
-                continue
-            e = Fraction(-data.eps(u) * data.w, 4 * data.h)
-            if e == 0:
-                continue
-            shifted.append((gamma_p(make_padic(p, bracket(p * u, cond), 6), 6), e))
-            plain.append((gamma_p(make_padic(p, bracket(u, cond), 6), 6), e))
-        a = _collapse(p, shifted, 6).collapsed
-        b = _collapse(p, plain, 6).collapsed
+        exponent = lambda u: Fraction(-eps(data.disc, u) * data.w, 4 * data.h)
+        shifted = gamma_factors(p, 6, data.conductor, p, exponent)
+        plain = gamma_factors(p, 6, data.conductor, 1, exponent)
+        a = collapse(p, shifted, 6).collapsed
+        b = collapse(p, plain, 6).collapsed
         diff = a - b
         assert diff.is_exact_zero() or diff.min_valuation() >= 6
 
@@ -199,7 +196,7 @@ def test_collapse_is_order_free():
     for _ in range(5):
         shuffled = items[:]
         rng.shuffle(shuffled)
-        again = _collapse(3, shuffled, 8).collapsed
+        again = collapse(3, shuffled, 8).collapsed
         diff = again - prod.collapsed
         assert diff.is_exact_zero() or diff.min_valuation() >= 8
 
@@ -343,6 +340,30 @@ def _cm_record(f, *args):
     except Exception as e:
         return [type(e).__name__, str(e)]
     return [prod.power, prod.json_factors(), prod.collapsed.to_json()]
+
+
+@pytest.mark.parametrize("kind, q", sorted(CM_DIGESTS))
+def _outcome(f, *args):
+    try:
+        prod = f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return prod.power, prod.factors, prod.collapsed
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_products_match_the_unit_by_unit_oracle(p):
+    # exact equality of power, factors and collapsed, or of the error; at
+    # 11^7 and 13^7 both hit the Gamma table's precision cap
+    ds = [d for d in range(1, 201) if _squarefree(d)]
+    for n in range(1, 9):
+        for d in ds:
+            got = _outcome(cm_period_unramified, d, p, n)
+            assert got == _outcome(cm_unramified_by_unit, d, p, n), (d, n)
+        if p == 3:
+            for n0 in range(-1, 61):
+                got = _outcome(cm_period_ramified_p3, n0, n)
+                assert got == _outcome(cm_ramified_p3_by_unit, n0, n), (n0, n)
 
 
 @pytest.mark.parametrize("kind, q", sorted(CM_DIGESTS))
