@@ -1,17 +1,18 @@
 """Special-value products attached to imaginary quadratic fields.
 
 The two period products computed here live in Q_p and are built from Morita
-Gamma values at fractions with denominator the conductor:
+Gamma values at fractions with denominator a modulus M:
 
-  * unramified split/inert p:  prod over units u mod D of
-        gamma_p(<p u / D>) ^ (-eps(u) w / 4h)
-    where D = |disc|, eps is the quadratic character reduced mod 2, h the
-    class number and w the number of roots of unity;
-  * ramified p = 3, conductor 3n:  kappa = prod over units u mod n of
+  * unramified split/inert p, M = |disc|:  prod over units u mod M of
+        gamma_p(<p u / M>) ^ (-[(disc|u) = -1] w / 4h)
+    where h is the class number and w the number of roots of unity;
+  * ramified p = 3, conductor 3n, M = n:  kappa = prod over units u mod n of
         gamma_3(<u / n>) ^ ((n|u) w / 2h).
 
-Exponents are kept as exact fractions; only the lcm-cleared integer power is
-ever evaluated p-adically (no root extraction behind the caller's back).
+Both run through one loop on ints.  Every nonzero exponent is +c or -c, so
+the lcm-cleared power is c's denominator, and only that integer power is
+evaluated p-adically (no root extraction behind the caller's back).  A
+modulus M above 10^6 is refused before any work that grows with it.
 """
 
 import math
@@ -21,7 +22,9 @@ from fractions import Fraction
 from .arith import is_prime, kronecker
 from .arith import rational_reconstruct as _reconstruct_int
 from .gamma import gamma_p
-from .padic import PadicElement, PrecisionError, make_padic
+from .padic import PadicElement, PrecisionError, _capped
+
+_MAX_MODULUS = 10**6
 
 
 def _squarefree_kernel(d):
@@ -71,38 +74,11 @@ class ImagQuadData:
     h: int
     w: int
 
-    def eps(self, u):
-        """Quadratic character of the field at u, reduced mod 2 (0 or 1)."""
-        k = kronecker(self.disc, u)
-        if k == 0:
-            raise ValueError("%d is not a unit modulo the conductor" % u)
-        return 0 if k == 1 else 1
-
 
 def imag_quad_data(d):
     disc = field_discriminant(d)
-    h = class_number(disc)
-    if disc == -3:
-        w = 6
-    elif disc == -4:
-        w = 4
-    else:
-        w = 2
-    return ImagQuadData(d=d, disc=disc, conductor=-disc, h=h, w=w)
-
-
-def bracket(u, d):
-    """The fraction r/d with r the representative of u mod d in (0, d]."""
-    if math.gcd(u, d) != 1:
-        raise ValueError("bracket needs gcd(u, d) = 1")
-    r = u % d
-    if r == 0:
-        r = d
-    return Fraction(r, d)
-
-
-def is_ramified(p, d):
-    return field_discriminant(d) % p == 0
+    w = {-3: 6, -4: 4}.get(disc, 2)
+    return ImagQuadData(d=d, disc=disc, conductor=-disc, h=class_number(disc), w=w)
 
 
 @dataclass(frozen=True)
@@ -124,33 +100,46 @@ class ExponentiatedProduct:
         ]
 
 
-def _collapse(p, factors, rel_prec):
-    power = math.lcm(*(e.denominator for _, e in factors)) if factors else 1
-    acc = make_padic(p, 1, rel_prec)
-    for base, e in factors:
-        k = e * power
-        acc = acc * base ** int(k)
-    return ExponentiatedProduct(factors=tuple(factors), power=power, collapsed=acc)
+def _bounded(modulus):
+    if modulus > _MAX_MODULUS:
+        raise ValueError("Gamma-product modulus %d exceeds the configured maximum %d"
+                         % (modulus, _MAX_MODULUS))
+    return modulus
+
+
+def _gamma_product(p, n, modulus, mult, chi, c):
+    """prod over units u mod modulus of gamma_p(<mult u / modulus>) ^ (chi(u) c).
+
+    chi(u) is 0 or +-1.  The Gamma values are units at relative precision
+    n, so collapsed is pow(P+, k) pow(P-, -k) mod p^n, with k = c's
+    numerator and P+- the product of the values with each sign.
+    """
+    if n < 1:
+        raise ValueError("relative precision must be >= 1")
+    mod = p**n
+    factors, prods, signed = [], {1: 1, -1: 1}, {1: c, -1: -c}
+    for u in range(1, modulus + 1):
+        s = chi(u) if math.gcd(u, modulus) == 1 else 0
+        if s:
+            base = gamma_p(_capped(p, mult * u % modulus or modulus, n, modulus), n)
+            factors.append((base, signed[s]))
+            prods[s] = prods[s] * base.unit % mod
+    k = c.numerator
+    unit = pow(prods[1], k, mod) * pow(prods[-1], -k, mod) % mod
+    return ExponentiatedProduct(factors=tuple(factors), power=c.denominator,
+                                collapsed=PadicElement(p, 0, unit, n))
 
 
 def cm_period_unramified(d, p, n):
     """The Gamma-product period of Q(sqrt(-d)) at an unramified odd p."""
+    _bounded(d if d % 4 == 3 else 4 * d)
     data = imag_quad_data(d)
     if p == 2 or not is_prime(p):
         raise ValueError("odd prime required")
-    if is_ramified(p, d):
+    if data.disc % p == 0:
         raise ValueError("p = %d ramifies in Q(sqrt(-%d))" % (p, d))
-    cond = data.conductor
-    factors = []
-    for u in range(1, cond + 1):
-        if math.gcd(u, cond) != 1:
-            continue
-        e = Fraction(-data.eps(u) * data.w, 4 * data.h)
-        if e == 0:
-            continue
-        base = gamma_p(make_padic(p, bracket(p * u, cond), n), n)
-        factors.append((base, e))
-    return _collapse(p, factors, n)
+    return _gamma_product(p, n, data.conductor, p, lambda u: -(kronecker(data.disc, u) == -1),
+                          Fraction(data.w, 4 * data.h))
 
 
 def cm_period_ramified_p3(n0, n):
@@ -163,18 +152,8 @@ def cm_period_ramified_p3(n0, n):
         raise ValueError("n must be at least 1")
     if n0 % 3 == 0:
         raise ValueError("n must be coprime to 3")
-    data = imag_quad_data(_squarefree_kernel(3 * n0))
-    factors = []
-    for u in range(1, n0 + 1):
-        if math.gcd(u, n0) != 1:
-            continue
-        sym = kronecker(n0, u)
-        e = Fraction(sym * data.w, 2 * data.h)
-        if e == 0:
-            continue
-        base = gamma_p(make_padic(3, bracket(u, n0), n), n)
-        factors.append((base, e))
-    return _collapse(3, factors, n)
+    data = imag_quad_data(_squarefree_kernel(3 * _bounded(n0)))
+    return _gamma_product(3, n, n0, 1, lambda u: kronecker(n0, u), Fraction(data.w, 2 * data.h))
 
 
 def rational_reconstruct(x, height):

@@ -170,9 +170,9 @@ def gamma_factors(p, n, modulus, mult, exponent):
     """(gamma_p(<mult u / modulus>), exponent(u)) for each unit u with exponent(u) != 0."""
     factors = []
     for u in range(1, modulus + 1):
-        if gcd(u, modulus) == 1 and exponent(u) != 0:
-            base = gamma_p(make_padic(p, bracket(mult * u, modulus), n), n)
-            factors.append((base, exponent(u)))
+        e = exponent(u) if gcd(u, modulus) == 1 else 0
+        if e != 0:
+            factors.append((gamma_p(make_padic(p, bracket(mult * u, modulus), n), n), e))
     return factors
 
 

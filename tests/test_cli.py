@@ -296,6 +296,15 @@ def test_config_errors_exit_2():
     for n0 in ("-4", "-1", "0"):
         code, payload = run_json(["cm", "--p", "3", "--ramified-n", n0, "--prec", "8"])
         assert code == 2 and "at least 1" in payload["error"], n0
+    # a Gamma-product modulus (|disc|, or n) past 10^6 is refused before
+    # the squarefree kernel, the class number or the unit loop
+    for argv in (["--d", "1000000007", "--p", "5"],
+                 ["--d", "1000000000000000003", "--p", "5"],
+                 ["--p", "3", "--ramified-n", "10000000"]):
+        start = time.perf_counter()
+        code, payload = run_json(["cm", *argv, "--prec", "2"])
+        assert code == 2 and "exceeds the configured maximum" in payload["error"], argv
+        assert time.perf_counter() - start < 1, argv
     # --d plays no part in the ramified construction
     code, payload = run_json(["cm", "--p", "3", "--ramified-n", "8", "--d", "5", "--prec", "4"])
     assert code == 2 and "--ramified-n" in payload["error"]
