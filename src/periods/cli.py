@@ -58,6 +58,8 @@ BOUND_CASES = {
 
 PROBE_MAX_POWER = 8
 
+_MAX_MIXED_PRECISION = 10**4  # each "num/den" cell of a mixed file is embedded at its precision
+
 
 def _fraction(text):
     try:
@@ -257,6 +259,9 @@ def _cmd_mixed(args):
         raise ValueError("matrix p, precision and weights must be integers")
     _require_odd_prime(p)
     _require_precision(n)
+    if n > _MAX_MIXED_PRECISION:
+        raise ValueError("matrix precision %d exceeds the configured maximum %d"
+                         % (n, _MAX_MIXED_PRECISION))
     entries = tuple(
         tuple(_load_cell(p, cell, n) for cell in row) for row in mdoc["entries"]
     )

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .arith import is_prime, kronecker
 from .arith import rational_reconstruct as _reconstruct_int
-from .gamma import gamma_p
+from .gamma import _admit, gamma_p
 from .padic import PadicElement, PrecisionError, _capped
 
 _MAX_MODULUS = 10**6
@@ -116,6 +116,7 @@ def _gamma_product(p, n, modulus, mult, chi, c):
     """
     if n < 1:
         raise ValueError("relative precision must be >= 1")
+    _admit(p, n)
     mod = p**n
     factors, prods, signed = [], {1: 1, -1: 1}, {1: c, -1: -c}
     for u in range(1, modulus + 1):

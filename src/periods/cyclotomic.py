@@ -23,7 +23,7 @@ check takes M = m + 2 for a requested pi-precision m.
 from fractions import Fraction
 
 from .arith import is_prime
-from .gamma import gamma_p
+from .gamma import _admit, gamma_p
 from .padic import _vp, make_padic
 
 
@@ -37,6 +37,7 @@ def _gauss_unit(p, a, prec):
     d = p - 1
     top = -(-prec * p * p // (d * d))
     k = -(-(prec - a) // d)  # >= 0, as prec >= 2 and a <= p - 2
+    _admit(p, max(k, 1))  # about pk + k^2 steps here, the shape of Gamma_p's constants at N = k
     mod = p**k
     # v_p(n!) and the inverse of its unit part mod p^k, for n < top
     vals, invs = [0], [1]

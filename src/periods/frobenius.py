@@ -23,6 +23,8 @@ from math import comb
 from .arith import is_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, residual_valuation
 
+_MAX_STEPS = 5 * 10**5  # reduction steps times the 64-bit words of p^n: about a second
+
 
 # -- integer polynomials mod M, coefficients low to high ---------------------
 
@@ -210,9 +212,14 @@ def kedlaya_frobenius(curve):
     the result holds to absolute precision W - e.  W is n plus that count,
     known before the reduction starts (_loss_count); PrecisionError is
     raised if W - e still falls below n.  Entries come back capped at n.
+    Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK vertical steps, weighted
+    as _MAX_STEPS says, are counted first; more raise PrecisionError.
     """
     p, n = curve.p, curve.n
     K = n + 3
+    if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
+        raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
+                             "configured maximum %d" % (p, n, _MAX_STEPS))
     W = n + _loss_count(p, K)
     M = p**W
 

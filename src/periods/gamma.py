@@ -33,16 +33,16 @@ r divisible by _TAIL_STEP; a value then multiplies out fewer than
 _TAIL_STEP factors past its checkpoint, reducing mod p^N as it goes.
 (p-1)! mod p^N is T_{p-1}(0).
 
-Cost: the per-(p, N) constants take O(K^2 + pK) operations mod p^W for the
-series and N passes over the p - 1 residues for the tail checkpoints; a
-value takes O(K + J + N) operations, one modular power and fewer than
-_TAIL_STEP tail factors. Nothing iterates over p^N.
+Cost: the per-(p, N) constants take p - 1 inverses, K passes over p - 1
+powers and K^2 Stirling updates mod p^W, and N tail passes over p - 1
+factors; over _MAX_WORK word-operations, _admit refuses them before p^N is
+formed. A value takes O(K + J + N) operations, one modular power and fewer
+than _TAIL_STEP tail factors. Nothing iterates over p^N.
 
 Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 """
 
 import math
-import os
 from fractions import Fraction
 
 from .padic import (
@@ -54,12 +54,26 @@ _coeffs = {}
 _TAIL_STEP = 1024
 _CHUNK = 64
 
-_DEFAULT_CAP = 10**7
+_MAX_WORK = 10**7  # about a second of constants; admits every p^N <= 10^7
 
 
-def _precision_cap():
-    cap = os.environ.get("PERIODS_PRECISION_CAP")
-    return int(cap) if cap else _DEFAULT_CAP
+def _admit(p, n):
+    """(J, v_p(J!), W, K) of a cold (p, n), None when cached; PrecisionError over _MAX_WORK."""
+    def work(big_k, w):
+        # on ints of W log2(p) bits; an inverse costs about 16 products
+        words = 1 + w * p.bit_length() // 64
+        return ((p - 1) * (n + big_k + 16 * (big_k > 0)) + big_k**2) * words
+
+    if p < 3 or (p, n) in _coeffs:
+        return None
+    if work(n - 1, n) <= _MAX_WORK:  # K >= N - 1 and W >= N: a huge N stops here in O(1)
+        big_j = _cutoff(n, lambda j: j - _vp_factorial(j, p))
+        vj = _vp_factorial(big_j, p)
+        big_k = _cutoff(n + vj, lambda k: k - _vp(k, p))
+        if work(big_k, n + vj) <= _MAX_WORK:
+            return big_j, vj, n + vj, big_k
+    raise PrecisionError("work for Gamma_p at p = %d, N = %d exceeds the configured maximum "
+                         "%d word-operations" % (p, n, _MAX_WORK))
 
 
 def _range_prod(lo, hi, mod):
@@ -121,11 +135,8 @@ def _series_coeffs(p, n):
     co = _coeffs.get((p, n))
     if co is not None:
         return co
-    big_j = _cutoff(n, lambda j: j - _vp_factorial(j, p))
-    vj = _vp_factorial(big_j, p)
-    w = n + vj
+    big_j, vj, w, big_k = _admit(p, n)
     mod_w = p**w
-    big_k = _cutoff(w, lambda k: k - _vp(k, p))
     inv = [pow(i, -1, mod_w) for i in range(1, p)] if big_k else []
     inv_pow = inv
     d = [0] * (big_k + 1)
@@ -149,19 +160,6 @@ def _series_coeffs(p, n):
     return co
 
 
-def _unit_product_below(m, p, n):
-    # prod_{0 < j < m, p not dividing j} j mod p^n, for 1 <= m <= p^n
-    d, a, w, vj, unit_inv, fact, rows = _series_coeffs(p, n)
-    mod, mod_w = p**n, p**w
-    b, r = divmod(m - 1, p)
-    log_sum = _newton_eval([0, 0] + d[1:], b) % mod_w
-    scaled_exp = 0
-    for aj in reversed(a):
-        scaled_exp = (scaled_exp * log_sum + aj) % mod_w
-    exp_l = scaled_exp // p**vj * unit_inv
-    return pow(fact, b, mod) * exp_l % mod * _tail(b, r, p, n, rows) % mod
-
-
 def gamma_p(x, n):
     """Morita Gamma at the p-adic integer x, to absolute precision n.
 
@@ -178,16 +176,17 @@ def gamma_p(x, n):
     n = min(n, x.abs_precision())
     if n < 1:
         raise ValueError("precision must be >= 1")
-    mod = p**n
-    if mod > _precision_cap():
-        raise PrecisionError(
-            "p^N = %d exceeds the configured cap %d (PERIODS_PRECISION_CAP)"
-            % (mod, _precision_cap())
-        )
-    m = x.lift() % mod
-    if m == 0:
-        m = mod
-    value = _unit_product_below(m, p, n)
+    d, a, w, vj, unit_inv, fact, rows = _series_coeffs(p, n)
+    mod, mod_w = p**n, p**w
+    m = x.lift() % mod or mod
+    # prod_{0 < j < m, p not dividing j} j mod p^n
+    b, r = divmod(m - 1, p)
+    log_sum = _newton_eval([0, 0] + d[1:], b) % mod_w
+    scaled_exp = 0
+    for aj in reversed(a):
+        scaled_exp = (scaled_exp * log_sum + aj) % mod_w
+    exp_l = scaled_exp // p**vj * unit_inv
+    value = pow(fact, b, mod) * exp_l % mod * _tail(b, r, p, n, rows) % mod
     if m % 2:
         value = mod - value
     return PadicElement(p, 0, value, n)
@@ -195,6 +194,7 @@ def gamma_p(x, n):
 
 def gamma_p_at(p, x, n):
     """Convenience wrapper: gamma_p of the rational x embedded in Z_p."""
+    _admit(p, n)
     return gamma_p(make_padic(p, x, n), n)
 
 
@@ -205,10 +205,7 @@ def check_translation(x, n):
     """
     gx = gamma_p(x, n)
     gx1 = gamma_p(x + 1, n)
-    if x.is_unit():
-        sigma = -x
-    else:
-        sigma = make_padic(x.p, -1, n)
+    sigma = -x if x.is_unit() else make_padic(x.p, -1, n)
     return residual_valuation(gx1, sigma * gx)
 
 

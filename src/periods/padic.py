@@ -28,7 +28,7 @@ from .arith import is_prime
 
 
 class PrecisionError(ArithmeticError):
-    """Requested precision cannot be attained (a configured cap or a shortfall)."""
+    """Requested precision cannot be attained (over a work budget, or a shortfall)."""
 
 
 def _vp(n, p):

@@ -272,7 +272,7 @@ def test_json_byte_identical_reruns():
     assert first == second
 
 
-def test_config_errors_exit_2():
+def test_config_errors_exit_2(tmp_path):
     # composite p
     code, payload = run_json(["gamma", "--p", "6", "--x", "1/2", "--prec", "4"])
     assert code == 2 and "error" in payload
@@ -303,6 +303,20 @@ def test_config_errors_exit_2():
                  ["--p", "3", "--ramified-n", "10000000"]):
         start = time.perf_counter()
         code, payload = run_json(["cm", *argv, "--prec", "2"])
+        assert code == 2 and "exceeds the configured maximum" in payload["error"], argv
+        assert time.perf_counter() - start < 1, argv
+    # work budgets: the Gamma_p constants (for gamma, gk and cm), the Kedlaya
+    # step count and a mixed file's precision, each refused before its work
+    (tmp_path / "phi.json").write_text(json.dumps(dict(README_PHI, precision=10**9)))
+    (tmp_path / "v0.json").write_text(json.dumps([1]))
+    for argv in (["gamma", "--p", "3", "--x", "1/2", "--prec", "100000000"],
+                 ["gamma", "--p", "3", "--x", "1/2", "--prec", "1000000"],
+                 ["gk", "--p", "5", "--a", "1", "--prec", "1000000"],
+                 ["cm", "--d", "1", "--p", "5", "--prec", "100000000"],
+                 ["frob", "--f", "x^3+x+1", "--p", "100003", "--prec", "2"],
+                 ["mixed", "--matrix", str(tmp_path / "phi.json"), "--v0", str(tmp_path / "v0.json")]):
+        start = time.perf_counter()
+        code, payload = run_json(argv)
         assert code == 2 and "exceeds the configured maximum" in payload["error"], argv
         assert time.perf_counter() - start < 1, argv
     # --d plays no part in the ramified construction
@@ -608,11 +622,27 @@ GOLDEN = {
     "frob --f x^3+x+1 --p 5 --prec 4 --selftest": (0, "062c6c3f0f0d86bdacc5246c0c6b13f7dbcea2b97bd8363035bec5ef28180a2a"),
     "closure --r 4 --cap 8": (0, "9f9bc965c63616c7f020cc41f5b39f964e8af12b8e5cc1645b7fef821021bb37"),
     "selftest --prec 10 --seed 0": (0, "0083c601e960c832af21c751102f0be36673bcf1900536aa6fc0424df8151bc7"),
-    # over PERIODS_PRECISION_CAP: 101^4 > 10^7
-    "gamma --p 101 --x 1/2 --prec 4": (2, "261aa5a82c4f9414fd5c3326d1df9ce5a7598fde7c7f6bb08342e65345cb7ce0"),
+    # exit 2 until p^N was no longer capped at 10^7; checked against the
+    # product scan and by translation and reflection before it was frozen
+    "gamma --p 101 --x 1/2 --prec 4": (0, "2b4029dde023d10ccbb23dfb901acd6a634924d9ad6e99fea0d98681fc9f254b"),
+    # over the work budget of the Gamma_p constants
+    "gamma --p 3 --x 1/2 --prec 100000000": (2, "04d5c1c27946f101635ec58b4cf4e6a3a789ab63ee07a12d69ef9233a12b2449"),
     # the discriminant of x^3 - 2x + 1 is 5
     "frob --f x^3-2*x+1 --p 5 --prec 4": (2, "0a55db692dcfd9c278a25c123a3e077c6939db96071c5d54a5b3ccb068353a0d"),
 }
+
+def test_precision_cap_variable_is_ignored():
+    # PERIODS_PRECISION_CAP once capped p^N; nothing reads it now
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PERIODS_PRECISION_CAP="100",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-m", "periods.cli", "gamma", "--p", "5", "--x", "1/2", "--prec", "8", "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+    assert (out.returncode, digest) == GOLDEN["gamma --p 5 --x 1/2 --prec 8"]
+
 
 # the matrix file shown in README
 README_PHI = {

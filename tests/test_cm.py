@@ -310,15 +310,18 @@ def test_exponentiated_product_json_factors():
 # of every product, or of the exception type and text: cm_period_unramified
 # over the first 120 squarefree d at N = 1, 2, 4, 7 for each p (2 and 9 are
 # refused), and cm_period_ramified_p3 over n in [-1, 60) for each N.  At
-# N = 1 and 2 different units share a Gamma argument mod p^N.
+# N = 1 and 2 different units share a Gamma argument mod p^N.  The p = 11
+# and 13 rows were frozen again when N = 7 stopped being refused by a cap on
+# p^N; their Gamma values were checked against the product scan mod p^5 and
+# by translation and reflection at N = 7.
 CM_DIGESTS = {
     ("unramified", 2): "c3a61449c844bb12",
     ("unramified", 3): "c02860c4ba1e397f",
     ("unramified", 5): "9a455996bbf59cd2",
     ("unramified", 7): "e0872e8af692057b",
     ("unramified", 9): "c3a61449c844bb12",
-    ("unramified", 11): "8518ef7de3221b4b",
-    ("unramified", 13): "50ca951a9b4dbaae",
+    ("unramified", 11): "02c9388283d4b6f0",
+    ("unramified", 13): "a1a5be046ac9f880",
     ("ramified", 1): "4e8046deb16941d6",
     ("ramified", 3): "2c1b560dcfe81bcd",
     ("ramified", 8): "47afc4a9a3fc6dfe",
@@ -342,7 +345,6 @@ def _cm_record(f, *args):
     return [prod.power, prod.json_factors(), prod.collapsed.to_json()]
 
 
-@pytest.mark.parametrize("kind, q", sorted(CM_DIGESTS))
 def _outcome(f, *args):
     try:
         prod = f(*args)
@@ -354,8 +356,7 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_products_match_the_unit_by_unit_oracle(p):
     # exact equality of power, factors and collapsed, or of the error; at
-    # N = 0 both refuse the precision, and at 11^7 and 13^7 both hit the
-    # Gamma table's precision cap
+    # N = 0 both refuse the precision
     ds = [d for d in range(1, 201) if _squarefree(d)]
     for n in range(9):
         for d in ds:

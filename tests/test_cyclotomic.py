@@ -9,6 +9,7 @@ term by term in the ring.
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -442,10 +443,13 @@ def test_gross_koblitz_reports_m_plus_2(p):
         for m in range(28):
             assert gross_koblitz_residual(p, a, m) == m + 2, (p, a, m)
     if p == 3:
-        # m = 28 reads k = 15 digits, and 3^15 is over the default
-        # PERIODS_PRECISION_CAP
-        with pytest.raises(PrecisionError):
-            gross_koblitz_residual(3, 1, 28)
+        # m = 28 reads k = 15 digits; m = 10^6 would read 500001, and is
+        # refused before the Gauss sum is summed
+        assert gross_koblitz_residual(3, 1, 28) == 30
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match="exceeds the configured maximum"):
+            gross_koblitz_residual(3, 1, 10**6)
+        assert time.perf_counter() - start < 1
 
 
 def test_ring_axioms_randomized():

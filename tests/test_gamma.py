@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,9 +74,8 @@ def test_gamma_tail_checkpoints(p, n):
 
 
 @pytest.mark.parametrize("p,n,k", [(101, 20, 2), (3, 40, 5)])
-def test_gamma_beyond_table_precision(monkeypatch, p, n, k):
-    # p^n is far past any scan; the oracle checks the value mod p^k
-    monkeypatch.setenv("PERIODS_PRECISION_CAP", str(p**n))
+def test_gamma_beyond_table_precision(p, n, k):
+    # p^n is far past any scan, yet cheap; the oracle checks the value mod p^k
     rng = random.Random(p + n)
     args = [rng.randrange(1, p**n) for _ in range(8)] + [Fraction(1, 2), Fraction(-5, 4), p**n]
     for a in args:
@@ -127,10 +127,14 @@ def test_gamma_rejects_nonintegral():
         gamma_p(make_padic(5, Fraction(1, 5), 4), 4)
 
 
-def test_gamma_honors_precision_cap(monkeypatch):
-    monkeypatch.setenv("PERIODS_PRECISION_CAP", "100")
-    with pytest.raises(PrecisionError):
-        gamma_p_at(5, 1, 4)
+def test_gamma_honors_precision_cap():
+    # the constants at (3, 500) would take about 3 s; (3, 10^8) is refused
+    # before any 3^N is formed or the O(N) cut-offs are found
+    for n in (500, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match="exceeds the configured maximum"):
+            gamma_p_at(3, Fraction(1, 2), n)
+        assert time.perf_counter() - start < 1, n
 
 
 def test_gamma_never_reports_more_than_argument_knows():
