@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -86,6 +87,31 @@ def test_gamma_beyond_table_precision(p, n, k):
         assert gamma_p(x, n).unit % p**k == low.unit, a
         m = make_padic(p, a, k).lift() % p**k or p**k
         assert low.unit == _morita_oracle(p, k, [m])[m], a
+
+
+def _digest_values(p, n):
+    """Gamma_p at p^n, 1/2, -5/4 and a seeded int, to precision n, as a short digest."""
+    rng = random.Random(p * 1000 + n)
+    args = [p**n, Fraction(1, 2), Fraction(-5, 4), rng.randrange(1, p**n)]
+    text = "".join("%r %d %d\n" % (g.val, g.unit, g.rel_prec)
+                   for g in (gamma_p_at(p, a, n) for a in args))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# _digest_values at N past the reach of the product oracle, frozen from the
+# Horner over J!/j! that gamma.py summed itself
+GAMMA_DIGESTS = {
+    (3, 60): "2faefc5b85d3a496",
+    (3, 200): "c66c4b33c2f52286",
+    (3, 340): "ec235625d76fb9f1",
+    (13, 100): "5223cb94d237a1f3",
+    (101, 60): "944f50b6172edb2d",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(GAMMA_DIGESTS))
+def test_gamma_frozen_digests(p, n):
+    assert _digest_values(p, n) == GAMMA_DIGESTS[(p, n)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

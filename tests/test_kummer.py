@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -93,6 +94,36 @@ def test_invariance_perturbation_control():
         got = perturbed_invariance(data, k)
         assert got == v_ell + k
         assert got < 12
+
+
+def _kummer_rows(p, seed, count):
+    """(invariance residual, ok) of count seeded units a at p and precisions 1 to 60, as a digest."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        a = Fraction(rng.randint(-400, 400), rng.randint(1, 400))
+        if a in (0, 1, -1) or a.numerator % p == 0 or a.denominator % p == 0:
+            continue
+        n = rng.randint(1, 60)
+        res = check_frobenius_invariance(KummerData(a, p, n))
+        rows.append("%s %d %r %s\n" % (a, n, res, res >= n))
+    return hashlib.sha256("".join(rows).encode()).hexdigest()[:16]
+
+
+# _kummer_rows(p, p, 40), frozen from the invariance identity
+# L + pL/(1-p) = L/(1-p) that the certificate checked before exp_p
+KUMMER_DIGESTS = {
+    3: "e4b936fcf90c3ced",
+    5: "463aeec183426309",
+    7: "2ccc96f8a4c196f1",
+    13: "a7cc392587e47ff2",
+    101: "5c88bae421cb6205",
+}
+
+
+@pytest.mark.parametrize("p", sorted(KUMMER_DIGESTS))
+def test_invariance_frozen_digests(p):
+    assert _kummer_rows(p, p, 40) == KUMMER_DIGESTS[p]
 
 
 def test_solver_reproduces_kummer_vector():

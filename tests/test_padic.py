@@ -358,6 +358,35 @@ def test_log_exp_equal_to_the_oracles(p):
         assert exp_p(x) == _oracle_exp(x), x
 
 
+def _exp_inputs(p, seed, count):
+    """Exact zero, O(p^A) at the least valuation and at 5, then seeded
+    elements of every valuation from the least to 5, at absolute precision up to 60."""
+    rng = random.Random(seed)
+    need = 2 if p == 2 else 1
+    out = [PadicElement(p, None, 0, 0), PadicElement(p, need, 0, 0), PadicElement(p, 5, 0, 0)]
+    for i in range(count):
+        v = need + i % (6 - need)
+        r = rng.randint(1, 60 - v)
+        out.append(PadicElement(p, v, _unit(rng, p, r), r))
+    return out
+
+
+# _digest of exp_p over _exp_inputs(p, p, 60), frozen from the series that
+# cut at the argument's own valuation
+EXP_DIGESTS = {
+    2: "419c0aebef0e4449",
+    3: "3e174f3a47341c08",
+    5: "851beb742b1ce466",
+    13: "ae9ef10ada860372",
+    101: "7beab6c0dae77f95",
+}
+
+
+@pytest.mark.parametrize("p", sorted(EXP_DIGESTS))
+def test_exp_frozen_digests(p):
+    assert _digest(map(exp_p, _exp_inputs(p, p, 60))) == EXP_DIGESTS[p]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_cutoff_is_the_last_term_below_n(p):
     # brute force up to 4n over the valuations the rule cuts: log terms
