@@ -290,9 +290,7 @@ def _cmd_hyper(args):
     _require_precision(n)
     lam0, e, order, at = args.lambda0, args.e, args.order, args.at
     sol = solve_katz_ode(make_padic(p, lam0, n), e, order, n)
-    # min_precision 1 = the matrix must carry at least one certified digit;
-    # a shortfall raises with the achievable precision in the message
-    matrix = period_matrix_hypergeom(sol, make_padic(p, at, n), min_precision=1)
+    matrix = period_matrix_hypergeom(sol, make_padic(p, at, n))
     det = matrix.determinant()
     achieved = matrix.achieved_precision()
     rv = residual_valuation(det, make_padic(p, 1, n))

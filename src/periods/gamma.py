@@ -17,11 +17,10 @@ where S_k(B) = sum_{t<B} t^k = sum_j S(k, j) j! C(B, j+1) (Stirling numbers
 of the second kind). So L = sum_j d_j C(B, j+1) with integer coefficients
 d_j mod p^W fixed per (p, N). Both truncations are proven:
 
-- exp: v(L) >= 1, so v(L^j / j!) >= j - v_p(j!); the series stops at the
-  last J with J - v_p(J!) < N. It is summed as the integer
-  sum_{j<=J} (J!/j!) L^j, which p^v_p(J!) divides exactly (every term
-  L^j / j! is p-integral), and the unit part of J! is inverted. The
-  division costs v_p(J!) digits, so L is needed mod p^W, W = N + v_p(J!).
+- exp: v(L) >= 1, so exp(L) mod p^N is padic._exp_int(p, L, N), the
+  series kernel that exp_p runs too. It reads L mod p^N and ends at the
+  last J with J - v_p(J!) < N. The log sum is still formed mod p^W,
+  W = N + v_p(J!), the modulus _admit prices.
 - log: v(c_k) >= k - v_p(k) and S_k(B) is an integer, so the sum stops at
   the last K with K - v_p(K) < W.
 
@@ -36,8 +35,9 @@ _TAIL_STEP factors past its checkpoint, reducing mod p^N as it goes.
 Cost: the per-(p, N) constants take p - 1 inverses, K passes over p - 1
 powers and K^2 Stirling updates mod p^W, and N tail passes over p - 1
 factors; over _MAX_WORK word-operations, _admit refuses them before p^N is
-formed. A value takes O(K + J + N) operations, one modular power and fewer
-than _TAIL_STEP tail factors. Nothing iterates over p^N.
+formed. A value takes O(K + N) operations, J + 1 Horner steps on the J!/j!
+that padic._exp_int caches, one modular power and fewer than _TAIL_STEP
+tail factors. Nothing iterates over p^N.
 
 Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 """
@@ -46,7 +46,7 @@ import math
 from fractions import Fraction
 
 from .padic import (
-    PadicElement, PrecisionError, _cutoff, _vp, _vp_factorial, make_padic, residual_valuation,
+    PadicElement, PrecisionError, _cutoff, _exp_cut, _exp_int, _vp, make_padic, residual_valuation,
 )
 
 _coeffs = {}
@@ -58,7 +58,7 @@ _MAX_WORK = 10**7  # about a second of constants; admits every p^N <= 10^7
 
 
 def _admit(p, n):
-    """(J, v_p(J!), W, K) of a cold (p, n), None when cached; PrecisionError over _MAX_WORK."""
+    """(W, K) of a cold (p, n), None when cached; PrecisionError over _MAX_WORK."""
     def work(big_k, w):
         # on ints of W log2(p) bits; an inverse costs about 16 products
         words = 1 + w * p.bit_length() // 64
@@ -67,11 +67,10 @@ def _admit(p, n):
     if p < 3 or (p, n) in _coeffs:
         return None
     if work(n - 1, n) <= _MAX_WORK:  # K >= N - 1 and W >= N: a huge N stops here in O(1)
-        big_j = _cutoff(n, lambda j: j - _vp_factorial(j, p))
-        vj = _vp_factorial(big_j, p)
-        big_k = _cutoff(n + vj, lambda k: k - _vp(k, p))
-        if work(big_k, n + vj) <= _MAX_WORK:
-            return big_j, vj, n + vj, big_k
+        w = n + _exp_cut(p, n)[1]
+        big_k = _cutoff(w, lambda k: k - _vp(k, p))
+        if work(big_k, w) <= _MAX_WORK:
+            return w, big_k
     raise PrecisionError("work for Gamma_p at p = %d, N = %d exceeds the configured maximum "
                          "%d word-operations" % (p, n, _MAX_WORK))
 
@@ -126,16 +125,12 @@ def _tail(b, r, p, n, rows):
 
 
 def _series_coeffs(p, n):
-    """Per-(p, n) constants (d, a, w, vj, unit_inv, fact, rows) of the unit product.
-
-    L = sum_j d[j] C(B, j+1) mod p^w; a[j] = J!/j! mod p^w for j <= J;
-    J! = p^vj u with unit_inv = u^-1 mod p^n; fact = (p-1)! mod p^n;
-    rows are the tail checkpoints.
-    """
+    """Constants (d, fact, rows) at (p, n): L = sum_j d[j] C(B, j+1) mod p^w,
+    fact = (p-1)! mod p^n, and the tail checkpoints."""
     co = _coeffs.get((p, n))
     if co is not None:
         return co
-    big_j, vj, w, big_k = _admit(p, n)
+    w, big_k = _admit(p, n)
     mod_w = p**w
     inv = [pow(i, -1, mod_w) for i in range(1, p)] if big_k else []
     inv_pow = inv
@@ -151,11 +146,8 @@ def _series_coeffs(p, n):
         for j in range(1, k + 1):
             d[j] += c_k * stirling[j]
     d = [math.factorial(j) * dj % mod_w for j, dj in enumerate(d)]
-    fact_j = math.factorial(big_j)
-    a = [fact_j // math.factorial(j) % mod_w for j in range(big_j + 1)]
-    unit_inv = pow(fact_j // p**vj, -1, p**n)
     rows = _tail_checkpoints(p, n)
-    co = (d, a, w, vj, unit_inv, _tail(0, p - 1, p, n, rows), rows)
+    co = (d, _tail(0, p - 1, p, n, rows), rows)
     _coeffs[(p, n)] = co
     return co
 
@@ -176,16 +168,12 @@ def gamma_p(x, n):
     n = min(n, x.abs_precision())
     if n < 1:
         raise ValueError("precision must be >= 1")
-    d, a, w, vj, unit_inv, fact, rows = _series_coeffs(p, n)
-    mod, mod_w = p**n, p**w
+    d, fact, rows = _series_coeffs(p, n)
+    mod = p**n
     m = x.lift() % mod or mod
     # prod_{0 < j < m, p not dividing j} j mod p^n
     b, r = divmod(m - 1, p)
-    log_sum = _newton_eval([0, 0] + d[1:], b) % mod_w
-    scaled_exp = 0
-    for aj in reversed(a):
-        scaled_exp = (scaled_exp * log_sum + aj) % mod_w
-    exp_l = scaled_exp // p**vj * unit_inv
+    exp_l = _exp_int(p, _newton_eval([0, 0] + d[1:], b) % mod, n)
     value = pow(fact, b, mod) * exp_l % mod * _tail(b, r, p, n, rows) % mod
     if m % 2:
         value = mod - value

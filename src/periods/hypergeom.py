@@ -187,23 +187,19 @@ class HypergeomPeriodMatrix:
         return min(x.abs_precision() for row in self.entries for x in row)
 
 
-def period_matrix_hypergeom(sol, lam, min_precision=None):
+def period_matrix_hypergeom(sol, lam):
     """Evaluate [[D beta, -D alpha], [-beta, alpha]] at lam.
 
-    min_precision, when given, turns a quiet precision shortfall (from the
-    truncation tail or coefficient divisions) into a PrecisionError naming
-    the achievable precision.
+    A matrix without one certified digit (a shortfall from the truncation
+    tail or the coefficient divisions) raises PrecisionError naming the
+    achievable precision.
     """
     alpha, beta = sol
     matrix = HypergeomPeriodMatrix((
         (apply_D(beta).evaluate(lam), -apply_D(alpha).evaluate(lam)),
         (-beta.evaluate(lam), alpha.evaluate(lam)),
     ))
-    if min_precision is not None:
-        got = matrix.achieved_precision()
-        if got < min_precision:
-            raise PrecisionError(
-                "achievable absolute precision %d is below the requested %d"
-                % (got, min_precision)
-            )
+    got = matrix.achieved_precision()
+    if got < 1:
+        raise PrecisionError("achievable absolute precision %d is below the requested 1" % got)
     return matrix

@@ -3,7 +3,8 @@
 The concrete two-dimensional case pairs the unit 1 with log(a): Frobenius
 acts by [[1, L], [0, p]] where L = iwasawa_log(a^(1-p)), and the associated
 invariant vector is (L/(1-p), 1), whose first entry collapses to
-iwasawa_log(a).
+iwasawa_log(a).  The certificate checks exp_p(-L) = a^(p-1), so a wrong
+digit of L shows as a residual below the precision.
 
 The general solver works on matrices that are block upper-triangular with
 respect to a weight labelling: the weight-0 coordinates are prescribed and
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
-from .padic import iwasawa_log, make_padic, residual_valuation
+from .padic import exp_p, iwasawa_log, make_padic, residual_valuation
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,12 @@ def period_vector_kummer(data):
 
 
 def check_frobenius_invariance(data):
-    """Residual valuation of f*phi - f for the row vector f = (1, L/(1-p)).
+    """Residual valuation of exp_p(-L) - a^(p-1), L = data.log_twist = (1-p) log(a).
 
-    The identity is exact algebra (L + p L/(1-p) = L/(1-p)), so the residual
-    valuation must reach the working absolute precision.
+    exp_p's series runs against iwasawa_log's; an L wrong from p^k on leaves exactly k.
     """
-    phi = frobenius_matrix_kummer(data)
-    f = [make_padic(data.p, 1, data.n), phi[0][1] / (1 - data.p)]
-    return min(residual_valuation(f[0] * phi[0][j] + f[1] * phi[1][j], f[j]) for j in range(2))
+    a = make_padic(data.p, data.a, data.n)
+    return residual_valuation(exp_p(-data.log_twist), a ** (data.p - 1))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ detects cancellation from the digits; multiplication and division work
 at the minimum relative precision. Nothing ever reports more precision
 than those rules justify.
 
-iwasawa_log and exp_p sum their series on plain ints mod p^(n+e), where
-p^e clears the denominators of the terms kept, and keep the terms up to
-one proven cut-off (_cutoff): every term after the last one of valuation
-below n vanishes mod p^n.
+iwasawa_log and _exp_int (the exponential of exp_p and gamma_p, cached per
+(p, n)) sum their series on plain ints mod p^(n+e), where p^e clears the
+denominators of the terms kept, and keep the terms up to one proven cut-off
+(_cutoff): every term after the last one of valuation below n vanishes mod p^n.
 """
 
 import math
@@ -358,11 +358,37 @@ def iwasawa_log(x):
     return _capped(p, acc * pow(p - 1, -1, mod) % mod, n, p**e)
 
 
-def exp_p(x):
-    """p-adic exponential, convergent for v(x) >= 1 (odd p; v >= 2 at p = 2).
+def _exp_cut(p, n):
+    """(K, v_p(K!)): exp(x) mod p^n ends at x^K/K! when v(x) >= 1 (>= 2 at p = 2)."""
+    big_k = _cutoff(n, lambda k: k * (1 + (p == 2)) - _vp_factorial(k, p))
+    return big_k, _vp_factorial(big_k, p)
 
-    Sums (K!/k!) x^k for k <= K and divides by K!, K the cut-off.
+
+_exp_consts = {}
+
+
+def _exp_int(p, x, n):
+    """exp(x) mod p^n for an int x with v(x) >= 1 (>= 2 at p = 2), known mod p^n.
+
+    Sums (K!/k!) x^k mod p^(n+e) by Horner and divides by K! = p^e u; K, e,
+    the K!/k! (successive products) and u^-1 are built once per (p, n).
     """
+    consts = _exp_consts.get((p, n))
+    if consts is None:
+        big_k, e = _exp_cut(p, n)
+        mod, scale = p ** (n + e), [1]
+        for k in range(big_k, 0, -1):
+            scale.append(scale[-1] * k % mod)
+        consts = _exp_consts[p, n] = e, mod, scale, pow(scale[-1] // p**e, -1, p**n)
+    e, mod, scale, unit_inv = consts
+    acc = 0
+    for s in scale:
+        acc = (acc * x + s) % mod
+    return acc // p**e * unit_inv % p**n
+
+
+def exp_p(x):
+    """p-adic exponential, for v(x) >= 1 (>= 2 at p = 2); O(p^A) lifts to 0, giving 1 + O(p^A)."""
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     p = x.p
@@ -371,14 +397,5 @@ def exp_p(x):
     need = 2 if p == 2 else 1
     if x.val < need:
         raise ValueError("exp_p needs valuation >= %d at p = %d" % (need, p))
-    # O(p^A) lifts to 0, so the sum below is 1 + O(p^A)
-    v, n, lift = x.val, x.abs_precision(), x.lift()
-    last = _cutoff(n, lambda k: k * v - _vp_factorial(k, p))
-    e = _vp_factorial(last, p)
-    mod = p ** (n + e)
-    acc, scale = 0, 1  # scale = last!/k! at step k
-    for k in range(last, -1, -1):
-        acc = (acc * lift + scale) % mod
-        scale = scale * k % mod
-    unit_inv = pow(math.factorial(last) // p**e, -1, mod)
-    return _capped(p, acc * unit_inv % mod, n, p**e)
+    n = x.abs_precision()
+    return PadicElement(p, 0, _exp_int(p, x.lift(), n), n)

@@ -14,8 +14,8 @@ from periods.arith import is_prime, kronecker
 from periods.cm import ExponentiatedProduct, _squarefree_kernel, field_discriminant, imag_quad_data
 from periods.frobenius import _bezout_factor, _divmod_cubic, _int_mul
 from periods.gamma import gamma_p
-from periods.kummer import WeightBlockMatrix, frobenius_matrix_kummer
-from periods.padic import PadicElement, _capped, _vp, make_padic, residual_valuation
+from periods.kummer import KummerData, WeightBlockMatrix, check_frobenius_invariance
+from periods.padic import PadicElement, _capped, _vp, make_padic
 
 
 def teichmuller(x):
@@ -59,14 +59,14 @@ def kummer_weight_matrix(data):
 
 
 def perturbed_invariance(data, k):
-    """check_frobenius_invariance with f_2 scaled by (1 + p^k).
+    """check_frobenius_invariance on a copy of data whose L is scaled by (1 + p^k).
 
-    That breaks the identity by exactly -L p^k, so the residual valuation
-    drops to v(L) + k: a sensitivity control for the certificate.
+    exp_p(-L(1 + p^k)) = a^(p-1) exp_p(-L p^k), so the residual valuation
+    drops to exactly v(L) + k: a sensitivity control for the certificate.
     """
-    phi = frobenius_matrix_kummer(data)
-    f = [make_padic(data.p, 1, data.n), phi[0][1] / (1 - data.p) * (1 + Fraction(data.p) ** k)]
-    return min(residual_valuation(f[0] * phi[0][j] + f[1] * phi[1][j], f[j]) for j in range(2))
+    bad = KummerData(data.a, data.p, data.n)
+    vars(bad)["log_twist"] = data.log_twist * (1 + data.p**k)
+    return check_frobenius_invariance(bad)
 
 
 def _dense_reduction(terms, f, fpr, v, p, M):

@@ -23,12 +23,7 @@ import pytest
 from periods import cli, kummer
 from periods.frobenius import EllipticCurveW, FrobeniusMatrix, charpoly_certificate
 from periods.gamma import check_reflection, check_translation
-from periods.kummer import (
-    KummerData,
-    check_frobenius_invariance,
-    frobenius_matrix_kummer,
-    period_vector_kummer,
-)
+from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
 from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
 
 from oracles import kummer_weight_matrix, perturbed_invariance
@@ -134,6 +129,15 @@ def test_kummer_invariance():
     # the second period coordinate is exactly 1
     assert r["period_vector"][1]["val"] == 0
     assert r["period_vector"][1]["digits"][0] == 1
+
+
+def test_kummer_fails_on_a_wrong_logarithm(monkeypatch):
+    # L off by p^3 gives exp_p(-L) - a^(p-1) a valuation of 3, below --prec
+    right = kummer.KummerData.log_twist.func
+    monkeypatch.setattr(kummer.KummerData, "log_twist", property(lambda d: right(d) + d.p**3))
+    code, payload = run_json(["kummer", "--a", "2/3", "--p", "5", "--prec", "8"])
+    assert code == 1 and payload["ok"] is False
+    assert payload["result"]["invariance_residual_valuation"] == 3
 
 
 def test_mixed_solves_kummer_system(tmp_path):
@@ -529,7 +533,7 @@ def test_residuals_are_int_or_inf():
         assert _is_residual(check_frobenius_invariance(data)), (a, p)
         perturbed = perturbed_invariance(data, 3)
         assert _is_residual(perturbed), (a, p)
-        assert perturbed == frobenius_matrix_kummer(data)[0][1].val + 3, (a, p)
+        assert perturbed == data.log_twist.val + 3, (a, p)
     curve = EllipticCurveW((1, 1, 0, 1), 5, 4)
     cert = charpoly_certificate(cli.kedlaya_frobenius(curve), -3)
     assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int

@@ -292,7 +292,7 @@ def test_precision_shortfall_is_loud():
     lam0 = make_padic(5, 2, 16)
     sol = solve_katz_ode(lam0, 0, 40, 16)
     with pytest.raises(PrecisionError):
-        period_matrix_hypergeom(sol, make_padic(5, 7, 16), min_precision=10)
+        period_matrix_hypergeom(sol, make_padic(5, 7, 16))
 
 
 def test_deeper_points_evaluate_sharper():

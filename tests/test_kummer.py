@@ -86,10 +86,10 @@ def test_invariance_residual_meets_precision():
 
 
 def test_invariance_perturbation_control():
-    # scaling f_2 by (1 + p^k) leaves a residual of exactly -L p^k, so the
-    # reported valuation is v(L) + k and must sit strictly below precision
+    # scaling L by (1 + p^k) multiplies exp_p(-L) by exp_p(-L p^k), a 1-unit
+    # of valuation exactly v(L) + k, which must sit strictly below precision
     data = KummerData(Fraction(2), 3, 12)
-    v_ell = frobenius_matrix_kummer(data)[0][1].val
+    v_ell = data.log_twist.val
     for k in (2, 5, 8):
         got = perturbed_invariance(data, k)
         assert got == v_ell + k

@@ -17,7 +17,6 @@ ALLOWED = {
     "trdeg_bound_chain": "the paper's transcendence-degree bound",
     "SL2": "one of the paper's groups, measured by dim_group",
     "FIBER_PRODUCT": "one of the paper's groups, measured by dim_group",
-    "exp_p": "the inverse of iwasawa_log; Gauss's multiplication formula will call it",
 }
 
 
