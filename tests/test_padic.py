@@ -498,6 +498,52 @@ def test_capped_frozen_digests(p):
     assert _rows_digest(_capped_thunks(p, p)) == CAPPED_DIGESTS[p]
 
 
+def _ops_thunks(p, seed):
+    """Unary - and element + - * / element in both orders over every state
+    (two far-apart valuations too), then the same four with exact operands on
+    either side: 0, +-1, negative ints, p^k inside and past the window, two Fractions."""
+    rng = random.Random(seed)
+    ys = _operands(p, rng, 10)
+    xs = [0, 1, -1, -(p + 1), -7 * p, p**2, -3 * p**3, p**20, -(p**41) * 2,
+          Fraction(1, p), Fraction(-(p**3), p + 2)]
+    far = [PadicElement(p, -10**9, 1, 1), PadicElement(p, 10**9, p + 1, 2)]
+    for a in ys + far:
+        yield lambda a=a: -a
+        for b in ys + far:
+            yield lambda a=a, b=b: a + b
+            yield lambda a=a, b=b: a - b
+            yield lambda a=a, b=b: a * b
+            yield lambda a=a, b=b: a / b
+    # the far element of positive valuation stays out: ap + 2 would embed an
+    # exact unit at p^(10^9) digits
+    for a in ys + far[:1]:
+        for x in xs:
+            yield lambda a=a, x=x: a + x
+            yield lambda a=a, x=x: x + a
+            yield lambda a=a, x=x: a - x
+            yield lambda a=a, x=x: x - a
+            yield lambda a=a, x=x: a * x
+            yield lambda a=a, x=x: x * a
+            yield lambda a=a, x=x: a / x
+            yield lambda a=a, x=x: x / a
+
+
+# _rows_digest(_ops_thunks(p, p)), frozen from the operators that called
+# _coerce on every operand and read the state through the predicates
+OPS_DIGESTS = {
+    2: "d65331ebee13672b",
+    3: "574ae052df39e19f",
+    5: "f10b1008518a1e36",
+    7: "66713bb70713de9c",
+    13: "7009fbcd7525eb9a",
+}
+
+
+@pytest.mark.parametrize("p", sorted(OPS_DIGESTS))
+def test_operators_frozen_digests(p):
+    assert _rows_digest(_ops_thunks(p, p)) == OPS_DIGESTS[p]
+
+
 # precision soundness
 
 
