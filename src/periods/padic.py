@@ -15,6 +15,12 @@ detects cancellation from the digits; multiplication and division work
 at the minimum relative precision. Nothing ever reports more precision
 than those rules justify.
 
+The operators read val, unit and rel_prec from the slots. An operand that
+is not a PadicElement of the same prime goes through _coerce, except an int
+factor of *, which is embedded inline by _coerce's own rule. tests/oracles.py
+keeps the operators that sent every operand through _coerce and read the
+state through the predicates; the tests hold these operators to them.
+
 iwasawa_log and _exp_int (the exponential of exp_p and gamma_p, cached per
 (p, n)) sum their series on plain ints mod p^(n+e), where p^e clears the
 denominators of the terms kept, and keep the terms up to one proven cut-off
@@ -151,32 +157,33 @@ class PadicElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not PadicElement or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        p, va, vb = self.p, self.val, other.val
+        if va is None:
             return other
-        a, b = self, other
-        if a.is_exact_zero():
-            return b
-        if b.is_exact_zero():
-            return a
-        abs_a, abs_b = a.abs_precision(), b.abs_precision()
-        target = min(abs_a, abs_b)
-        v0 = min(a.val, b.val)
+        if vb is None:
+            return self
+        ta, tb = va + self.rel_prec, vb + other.rel_prec
+        target = ta if ta < tb else tb
+        v0 = va if va < vb else vb
         window = target - v0
         if window <= 0:
-            return PadicElement(self.p, target, 0, 0)
+            return PadicElement(p, target, 0, 0)
         # one gap is 0; a term whose gap reaches the window is 0 mod p^window,
         # so it is skipped rather than scaled by a p^gap of any size
-        mod = self.p**window
-        ga, gb = a.val - v0, b.val - v0
-        total = ((a.unit * self.p**ga if ga < window else 0)
-                 + (b.unit * self.p**gb if gb < window else 0)) % mod
+        ga, gb = va - v0, vb - v0
+        total = ((self.unit * p**ga if ga < window else 0)
+                 + (other.unit * p**gb if gb < window else 0)) % p**window
+        # total < p^window, so neither unit below needs another reduction
+        if total % p:
+            return PadicElement(p, v0, total, window)
         if total == 0:
-            return PadicElement(self.p, target, 0, 0)
-        k = _vp(total, self.p)
-        val = v0 + k
-        rel = target - val
-        return PadicElement(self.p, val, (total // self.p**k) % self.p**rel, rel)
+            return PadicElement(p, target, 0, 0)
+        k = _vp(total, p)
+        return PadicElement(p, v0 + k, total // p**k, window - k)
 
     __radd__ = __add__
 
@@ -185,46 +192,61 @@ class PadicElement:
         return PadicElement(self.p, self.val, (-self.unit) % mod, self.rel_prec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if type(other) is not PadicElement or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        a, b = self, other
-        if a.is_exact_zero() or b.is_exact_zero():
-            return PadicElement(self.p, None, 0, 0)
+        p, va, ra = self.p, self.val, self.rel_prec
+        if type(other) is not PadicElement or other.p != p:
+            if type(other) is int and other and va is not None:
+                # the int as _coerce embeds it, p^v u to absolute precision
+                # n = ap + 2 or O(p^n) when v >= n, without building it.  That
+                # cap loses digits an exact p^v has (make_padic(5, 2, 3) * 5**6
+                # is O(5^5)); it is kept because mending it moves digits `hyper`
+                # prints today, which an exact oracle has to confirm first
+                n = va + ra + 2
+                v = _vp(other, p) if other % p == 0 else 0
+                if v >= n:
+                    return PadicElement(p, va + n, 0, 0)
+                rel = ra if ra < n - v else n - v
+                return PadicElement(p, va + v, self.unit * (other // p**v) % p**rel, rel)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        vb, rb = other.val, other.rel_prec
+        if va is None or vb is None:
+            return PadicElement(p, None, 0, 0)
         # a zero state has unit 0 and rel 0, so this gives O(p^(val_a + val_b))
-        rel = min(a.rel_prec, b.rel_prec)
-        mod = self.p**rel
-        return PadicElement(self.p, a.val + b.val, (a.unit * b.unit) % mod, rel)
+        rel = ra if ra < rb else rb
+        return PadicElement(p, va + vb, self.unit * other.unit % p**rel, rel)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        a, b = self, other
-        if b.is_exact_zero():
+        if type(other) is not PadicElement or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        if other.val is None:
             raise ZeroDivisionError("division by exact zero")
-        if b.rel_prec == 0:
+        if other.rel_prec == 0:
             raise ZeroDivisionError(
-                "divisor indistinguishable from zero at O(%d^%d)" % (b.p, b.val)
+                "divisor indistinguishable from zero at O(%d^%d)" % (other.p, other.val)
             )
-        if a.is_exact_zero():
-            return a
-        # O(p^A) / b: mod is 1 and pow(0, -1, 1) == 0, so the unit stays 0
-        rel = min(a.rel_prec, b.rel_prec)
+        if self.val is None:
+            return self
+        # O(p^A) / b: mod is 1 and pow(b, -1, 1) == 0, so the unit stays 0
+        ra, rb = self.rel_prec, other.rel_prec
+        rel = ra if ra < rb else rb
         mod = self.p**rel
-        inv = pow(b.unit % mod, -1, mod)
-        return PadicElement(self.p, a.val - b.val, (a.unit * inv) % mod, rel)
+        return PadicElement(self.p, self.val - other.val,
+                            self.unit * pow(other.unit, -1, mod) % mod, rel)
 
     def __rtruediv__(self, other):
         coerced = self._coerce(other)

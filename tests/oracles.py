@@ -4,7 +4,10 @@ teichmuller and with_rel_prec work on PadicElement; kummer_weight_matrix
 and perturbed_invariance on the rank-2 Kummer system of periods.kummer;
 dense_kedlaya is the Frobenius matrix by the dense pole reduction;
 cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
-built one unit at a time, with Fraction exponents and PadicElement powers.
+built one unit at a time, with Fraction exponents and PadicElement powers;
+REFERENCE_OPS holds the PadicElement operators as they were before they
+read the slots directly: each operand went through _coerce, and every state
+through the predicates.
 """
 
 from fractions import Fraction
@@ -38,6 +41,106 @@ def with_rel_prec(x, n):
     if n < 1:
         raise ValueError("relative precision must stay >= 1")
     return PadicElement(x.p, x.val, x.unit % x.p**n, n)
+
+
+def _coerce(self, other):
+    if isinstance(other, PadicElement):
+        self._check_same_prime(other)
+        return other
+    if isinstance(other, (int, Fraction)):
+        if not other:
+            return PadicElement(self.p, None, 0, 0)
+        ap = 8 if self.val is None else self.abs_precision()
+        return _capped(self.p, other.numerator, ap + 2, other.denominator)
+    return NotImplemented
+
+
+def _add(self, other):
+    other = _coerce(self, other)
+    if other is NotImplemented:
+        return other
+    a, b = self, other
+    if a.is_exact_zero():
+        return b
+    if b.is_exact_zero():
+        return a
+    abs_a, abs_b = a.abs_precision(), b.abs_precision()
+    target = min(abs_a, abs_b)
+    v0 = min(a.val, b.val)
+    window = target - v0
+    if window <= 0:
+        return PadicElement(self.p, target, 0, 0)
+    mod = self.p**window
+    ga, gb = a.val - v0, b.val - v0
+    total = ((a.unit * self.p**ga if ga < window else 0)
+             + (b.unit * self.p**gb if gb < window else 0)) % mod
+    if total == 0:
+        return PadicElement(self.p, target, 0, 0)
+    k = _vp(total, self.p)
+    val = v0 + k
+    rel = target - val
+    return PadicElement(self.p, val, (total // self.p**k) % self.p**rel, rel)
+
+
+def _neg(self):
+    mod = self.p**self.rel_prec
+    return PadicElement(self.p, self.val, (-self.unit) % mod, self.rel_prec)
+
+
+def _sub(self, other):
+    other = _coerce(self, other)
+    if other is NotImplemented:
+        return other
+    return _add(self, _neg(other))
+
+
+def _rsub(self, other):
+    return _add(_neg(self), other)
+
+
+def _mul(self, other):
+    other = _coerce(self, other)
+    if other is NotImplemented:
+        return other
+    a, b = self, other
+    if a.is_exact_zero() or b.is_exact_zero():
+        return PadicElement(self.p, None, 0, 0)
+    rel = min(a.rel_prec, b.rel_prec)
+    mod = self.p**rel
+    return PadicElement(self.p, a.val + b.val, (a.unit * b.unit) % mod, rel)
+
+
+def _truediv(self, other):
+    other = _coerce(self, other)
+    if other is NotImplemented:
+        return other
+    a, b = self, other
+    if b.is_exact_zero():
+        raise ZeroDivisionError("division by exact zero")
+    if b.rel_prec == 0:
+        raise ZeroDivisionError(
+            "divisor indistinguishable from zero at O(%d^%d)" % (b.p, b.val)
+        )
+    if a.is_exact_zero():
+        return a
+    rel = min(a.rel_prec, b.rel_prec)
+    mod = self.p**rel
+    inv = pow(b.unit % mod, -1, mod)
+    return PadicElement(self.p, a.val - b.val, (a.unit * inv) % mod, rel)
+
+
+def _rtruediv(self, other):
+    coerced = _coerce(self, other)
+    if coerced is NotImplemented:
+        return coerced
+    return _truediv(coerced, self)
+
+
+# x.__add__(y) must equal REFERENCE_OPS["__add__"](x, y), and so on
+REFERENCE_OPS = {
+    "__add__": _add, "__radd__": _add, "__sub__": _sub, "__rsub__": _rsub,
+    "__mul__": _mul, "__rmul__": _mul, "__truediv__": _truediv, "__rtruediv__": _rtruediv,
+}
 
 
 def kummer_weight_matrix(data):

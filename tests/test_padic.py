@@ -20,7 +20,7 @@ from periods.padic import (
     residual_valuation,
 )
 
-from oracles import teichmuller, with_rel_prec
+from oracles import REFERENCE_OPS, teichmuller, with_rel_prec
 
 
 def test_make_zero_is_exact():
@@ -542,6 +542,49 @@ OPS_DIGESTS = {
 @pytest.mark.parametrize("p", sorted(OPS_DIGESTS))
 def test_operators_frozen_digests(p):
     assert _rows_digest(_ops_thunks(p, p)) == OPS_DIGESTS[p]
+
+
+@st.composite
+def _element(draw, p):
+    """An exact zero, O(p^A), or p^val * unit with p not dividing unit."""
+    kind = draw(st.sampled_from(("exact", "zero", "normal")))
+    if kind == "exact":
+        return PadicElement(p, None, 0, 0)
+    val = draw(st.integers(-6, 9))
+    if kind == "zero":
+        return PadicElement(p, val, 0, 0)
+    r = draw(st.integers(1, 24))
+    u = draw(st.integers(0, p**r - 1))
+    return PadicElement(p, val, u - u % p + draw(st.integers(1, p - 1)), r)
+
+
+@st.composite
+def _operator_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    a = draw(_element(p))
+    ints = st.builds(lambda k, e: k * p**e, st.integers(-(10**6), 10**6), st.integers(0, 40))
+    fracs = st.builds(lambda q, e: q * Fraction(p) ** e, st.fractions(max_denominator=10**4), st.integers(-6, 6))
+    other = draw(st.one_of(ints, fracs, _element(p), _element(draw(st.sampled_from([3, 11])))))
+    return a, draw(st.sampled_from(sorted(REFERENCE_OPS))), other
+
+
+def _outcome(op, a, other):
+    try:
+        y = op(a, other)
+    except (ZeroDivisionError, ValueError) as err:
+        return type(err)
+    return y if y is NotImplemented else (y.val, y.unit, y.rel_prec)
+
+
+# each operator gives the reference's (val, unit, rel_prec), or raises the same
+# ZeroDivisionError or ValueError, on int, Fraction and element operands (some
+# of another prime); derandomize draws the same 600 examples on every run
+@given(_operator_case())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_operators_equal_the_reference_operators(case):
+    a, name, other = case
+    got = _outcome(lambda x, y: getattr(x, name)(y), a, other)
+    assert got == _outcome(REFERENCE_OPS[name], a, other), case
 
 
 # precision soundness
