@@ -216,13 +216,13 @@ def _load_cell(p, cell, n):
             raise ValueError("entry prime %r differs from the matrix prime %d" % (cell.get("p"), p))
         val = cell.get("val")
         digits = cell.get("digits", [])
+        if not (val is None or _is_int(val)) or not isinstance(digits, list):
+            raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
         rel_prec = cell.get("rel_prec", len(digits))
         if val is None:
             if digits != [] or not (_is_int(rel_prec) and rel_prec == 0):
                 raise ValueError("entry %r: an exact zero (null val) has no digits" % (cell,))
             return PadicElement(p, None, 0, 0)
-        if not _is_int(val) or not isinstance(digits, list):
-            raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
         if val > n:
             raise ValueError("entry %r: val exceeds the file's precision %d" % (cell, n))
         if not all(_is_int(d) and 0 <= d < p for d in digits):

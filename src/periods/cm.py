@@ -16,7 +16,7 @@ modulus M above 10^6 is refused before any work that grows with it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import is_prime, kronecker
@@ -66,13 +66,7 @@ def class_number(disc):
     return h
 
 
-@dataclass(frozen=True)
-class ImagQuadData:
-    d: int
-    disc: int
-    conductor: int
-    h: int
-    w: int
+ImagQuadData = namedtuple("ImagQuadData", "d disc conductor h w")
 
 
 def imag_quad_data(d):
@@ -81,17 +75,15 @@ def imag_quad_data(d):
     return ImagQuadData(d=d, disc=disc, conductor=-disc, h=class_number(disc), w=w)
 
 
-@dataclass(frozen=True)
-class ExponentiatedProduct:
+class ExponentiatedProduct(namedtuple("ExponentiatedProduct", "factors power collapsed")):
     """A product of p-adic units with exact rational exponents.
 
-    collapsed = prod(base ^ (exp * power)) where power is the lcm of the
-    exponent denominators, so collapsed is an honest integer-power value.
+    factors holds (PadicElement, Fraction) pairs, and collapsed =
+    prod(base ^ (exp * power)) where power is the lcm of the exponent
+    denominators, so collapsed is an honest integer-power value.
     """
 
-    factors: tuple  # of (PadicElement, Fraction) pairs
-    power: int
-    collapsed: PadicElement
+    __slots__ = ()
 
     def json_factors(self):
         return [

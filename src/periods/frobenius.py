@@ -17,7 +17,7 @@ go to one loss counter e, so the result is known to absolute precision
 exactly W - e.  PadicElement appears only when the entries are read off.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .arith import is_prime, kronecker
@@ -78,25 +78,20 @@ def _discriminant(f):
             - 4 * c1**3 - 27 * c0**2)
 
 
-@dataclass(frozen=True)
 class EllipticCurveW:
     """y^2 = f(x), f a monic integer cubic, p >= 5 of good reduction."""
 
-    f: tuple
-    p: int
-    n: int
-
-    def __post_init__(self):
-        f = tuple(int(c) for c in self.f)
-        object.__setattr__(self, "f", f)
+    def __init__(self, f, p, n):
+        self.f = f = tuple(int(c) for c in f)
         if len(f) != 4 or f[3] != 1:
             raise ValueError("f must be a monic cubic, coefficients low to high")
-        if self.p < 5 or not is_prime(self.p):
+        if p < 5 or not is_prime(p):
             raise ValueError("p must be a prime >= 5")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("precision must be at least 1")
-        if self.discriminant() % self.p == 0:
+        if _discriminant(f) % p == 0:
             raise ValueError("bad reduction: the discriminant vanishes mod p")
+        self.p, self.n = p, n
 
     def discriminant(self):
         return _discriminant(self.f)
@@ -125,12 +120,10 @@ def count_points(f, p):
 
 # -- the Frobenius matrix ----------------------------------------------------
 
-@dataclass(frozen=True)
-class FrobeniusMatrix:
+class FrobeniusMatrix(namedtuple("FrobeniusMatrix", "entries curve")):
     """Action on the basis {dx/y, x dx/y}; column i is the image of basis i."""
 
-    entries: tuple
-    curve: EllipticCurveW
+    __slots__ = ()
 
     def trace(self):
         return self.entries[0][0] + self.entries[1][1]
@@ -292,13 +285,8 @@ def frobenius_selftest(curve):
     return base
 
 
-@dataclass(frozen=True)
-class CharpolyCertificate:
-    """Residual valuations of trace - a_p and det - p against a target."""
-
-    ok: bool
-    trace_valuation: object
-    det_valuation: object
+# residual valuations of trace - a_p and det - p against a target
+CharpolyCertificate = namedtuple("CharpolyCertificate", "ok trace_valuation det_valuation")
 
 
 def charpoly_certificate(matrix, a_p):

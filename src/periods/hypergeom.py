@@ -15,12 +15,11 @@ through an explicit tail bound instead of pretending the series converges
 like a unit-coefficient one.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 
-@dataclass(frozen=True)
 class FormalSeries:
     """Truncated power series in t = lam - lam0 with p-adic coefficients.
 
@@ -29,18 +28,14 @@ class FormalSeries:
     it), and feeds the evaluation tail bound.
     """
 
-    lam0: PadicElement
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, lam0, coeffs):
+        self.lam0, self.coeffs = lam0, tuple(coeffs)
         if not self.coeffs:
             raise ValueError("series needs at least the constant term")
-        p = self.lam0.p
         slack = 0
         for k, c in enumerate(self.coeffs):
-            slack = max(slack, -c.min_valuation() - _vp_factorial(k, p))
-        object.__setattr__(self, "tail_slack", slack)
+            slack = max(slack, -c.min_valuation() - _vp_factorial(k, lam0.p))
+        self.tail_slack = slack
 
     @property
     def p(self):
@@ -174,9 +169,9 @@ def wronskian_defect(alpha, beta):
     return bad
 
 
-@dataclass(frozen=True)
-class HypergeomPeriodMatrix:
-    entries: tuple  # ((D beta, -D alpha), (-beta, alpha)) evaluated
+class HypergeomPeriodMatrix(namedtuple("HypergeomPeriodMatrix", "entries")):
+    # entries: ((D beta, -D alpha), (-beta, alpha)) evaluated
+    __slots__ = ()
 
     def determinant(self):
         (a, b), (c, d) = self.entries

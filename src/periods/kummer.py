@@ -13,30 +13,24 @@ every lower-weight block is recovered by back-substitution, using that
 """
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime
 from .padic import exp_p, iwasawa_log, make_padic, residual_valuation
 
 
-@dataclass(frozen=True)
 class KummerData:
-    a: Fraction
-    p: int
-    n: int
-
-    def __post_init__(self):
-        a = Fraction(self.a)
-        object.__setattr__(self, "a", a)
+    def __init__(self, a, p, n):
+        a = Fraction(a)
         if a == 0 or a == 1 or a == -1:
             raise ValueError("a must be a rational other than 0 and +-1")
-        if self.p == 2 or not is_prime(self.p):
+        if p == 2 or not is_prime(p):
             raise ValueError("p must be an odd prime")
-        if a.numerator % self.p == 0 or a.denominator % self.p == 0:
+        if a.numerator % p == 0 or a.denominator % p == 0:
             raise ValueError("a must be a unit at p")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("precision must be >= 1")
+        self.a, self.p, self.n = a, p, n
 
     @functools.cached_property
     def log_twist(self):
@@ -66,7 +60,6 @@ def check_frobenius_invariance(data):
     return residual_valuation(exp_p(-data.log_twist), a ** (data.p - 1))
 
 
-@dataclass(frozen=True)
 class WeightBlockMatrix:
     """Square p-adic matrix, upper-triangular with respect to weights.
 
@@ -74,24 +67,19 @@ class WeightBlockMatrix:
     weight-0 coordinates must be present since they anchor the solve.
     """
 
-    entries: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        n = len(self.weights)
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(self, entries, weights):
+        self.entries = rows = tuple(tuple(row) for row in entries)
+        self.weights = weights = tuple(weights)
+        n = len(weights)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the weight list")
-        if 0 not in self.weights:
+        if 0 not in weights:
             raise ValueError("no weight-0 coordinate")
-        if any(w > 0 for w in self.weights):
+        if any(w > 0 for w in weights):
             raise ValueError("weights must be <= 0")
         for i in range(n):
             for j in range(n):
-                e = rows[i][j]
-                if self.weights[i] > self.weights[j] and e.rel_prec > 0:
+                if weights[i] > weights[j] and rows[i][j].rel_prec > 0:
                     raise ValueError(
                         "entry (%d, %d) violates weight triangularity" % (i, j)
                     )

@@ -8,7 +8,7 @@ coefficients of a given representation actually generate.
 All linear algebra is over exact rationals; nothing is rounded.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -17,19 +17,16 @@ MAX_CLOSURE_CAP = 12
 _GROUP_KINDS = ("torus", "gl2", "sl2", "pgl2", "fiber-product", "trivial")
 
 
-@dataclass(frozen=True)
 class GroupDesc:
-    kind: str
-    rank: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _GROUP_KINDS:
-            raise ValueError("unknown group kind %r" % (self.kind,))
-        if self.kind == "torus":
-            if self.rank < 1:
+    def __init__(self, kind, rank=0):
+        if kind not in _GROUP_KINDS:
+            raise ValueError("unknown group kind %r" % (kind,))
+        if kind == "torus":
+            if rank < 1:
                 raise ValueError("a torus needs a positive rank")
-        elif self.rank != 0:
+        elif rank != 0:
             raise ValueError("only tori carry a rank")
+        self.kind, self.rank = kind, rank
 
 
 GL2 = GroupDesc("gl2")
@@ -73,12 +70,8 @@ def homog_dim(g, h):
     return dim_group(g) - dim_group(h)
 
 
-@dataclass(frozen=True)
-class BoundChain:
-    """Three nested trdeg bounds, tightest first, with strictness flags."""
-
-    bounds: tuple
-    strict: tuple
+# three nested trdeg bounds, tightest first, with strictness flags
+BoundChain = namedtuple("BoundChain", "bounds strict")
 
 
 def _as_dim(x):
@@ -137,15 +130,19 @@ def _reduce_terms(pairs):
     return out
 
 
-@dataclass(frozen=True)
 class CoeffRingElement:
     """An element of Q[a,b,c,d]/(ad - bc - 1) in normal form."""
 
-    terms: tuple
+    def __init__(self, terms):
+        self.terms = tuple(sorted(_reduce_terms(terms).items()))
 
-    def __post_init__(self):
-        reduced = _reduce_terms(self.terms)
-        object.__setattr__(self, "terms", tuple(sorted(reduced.items())))
+    def __eq__(self, other):
+        if not isinstance(other, CoeffRingElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @classmethod
     def monomial(cls, i, j, k, l, coeff=1):
@@ -234,14 +231,7 @@ def _target_multiplicities(cap):
     return out
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    r: int
-    cap: int
-    reached: tuple
-    target: tuple
-    missing: tuple
-    generated: bool
+ClosureReport = namedtuple("ClosureReport", "r cap reached target missing generated")
 
 
 def coeff_subalgebra_closure(r, cap=8):

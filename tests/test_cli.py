@@ -4,7 +4,6 @@ Only the JSON mode is parsed; text mode is checked for exit status
 alone.  Every JSON payload is validated against schema/output.json.
 """
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -388,7 +387,8 @@ def test_malformed_mixed_files_exit_2(tmp_path):
     # cells that to_json never writes: digits outside [0, p), a val that is
     # not an int, a zero leading digit, rel_prec other than the digit count,
     # a null (or missing) val with digits or a nonzero rel_prec, a val past
-    # the file's precision (at 10^9, x - 1 carried 10^9 digits and hung)
+    # the file's precision (at 10^9, x - 1 carried 10^9 digits and hung),
+    # digits that are not a list (len() of them raised a TypeError)
     for cell in (
         {"val": 1, "digits": [0, 7], "rel_prec": 9},
         {"val": 0, "digits": [1, 5], "rel_prec": 2},
@@ -406,6 +406,8 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         {"digits": [3, 1], "rel_prec": 2},
         {"val": 9, "digits": [1], "rel_prec": 1},
         {"val": 10**9, "digits": [1], "rel_prec": 1},
+        {"val": 0, "digits": 5},
+        {"val": 0, "digits": None},
     ):
         entries = [list(row) for row in good["entries"]]
         entries[0][0] = cell
@@ -581,9 +583,7 @@ def test_frob_json_residuals_are_null_exactly_when_inf(monkeypatch):
     monkeypatch.setattr(
         cli,
         "charpoly_certificate",
-        lambda *args: dataclasses.replace(
-            real(*args), trace_valuation=math.inf, det_valuation=math.inf
-        ),
+        lambda *args: real(*args)._replace(trace_valuation=math.inf, det_valuation=math.inf),
     )
     _, payload = run_json(argv)
     assert all(payload["result"][f] is None for f in fields)

@@ -8,6 +8,9 @@ that only tests read belongs in the tests, as an oracle or not at all.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +74,14 @@ def test_every_public_name_has_a_user():
 def test_the_allowlist_is_still_needed():
     unused = {n.rpartition(".")[2] for n in _unused_public_names()}
     assert set(ALLOWED) <= unused
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the value types are plain classes and named tuples: importing
+    # dataclasses pulled in inspect, ast, dis and tokenize at every start
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = ("import sys; before = set(sys.modules); import periods.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=False)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
