@@ -341,6 +341,57 @@ def test_config_errors_exit_2(tmp_path):
         assert (code, payload["error"]) == (2, error), (r, cap)
 
 
+# every subcommand that reads a prime or a precision, once at each refused
+# value; {p} and {n} default to a prime and a precision it accepts
+_SWEEP_COMMANDS = {
+    "gamma": ("gamma --p {p} --x 1/2 --prec {n}", 5),
+    "gk": ("gk --p {p} --a 1 --prec {n}", 5),
+    "cm": ("cm --d 1 --p {p} --prec {n}", 5),
+    "kummer": ("kummer --a 2/3 --p {p} --prec {n}", 5),
+    "hyper": ("hyper --p {p} --lambda0 2 --e 3 --order 12 --prec {n} --at 9", 7),
+    "frob": ("frob --f x^3+x+1 --p {p} --prec {n}", 5),
+    "mixed": ("mixed --matrix {p}:{n}:1 --v0 v0.json", 5),
+}
+_REFUSED_PRIMES = ("2", "4", "9", "1", "-5", "318665857834031151167461")
+_REFUSED_PRECISIONS = ("0", "-1", "-" + str(10**30))
+_HUGE = ("1e5000", "1e100000")
+_SWEEP = sorted(
+    [_SWEEP_COMMANDS[c][0].format(p=p, n=4) for c in _SWEEP_COMMANDS for p in _REFUSED_PRIMES]
+    + [t.format(p=p, n=n) for t, p in _SWEEP_COMMANDS.values() for n in _REFUSED_PRECISIONS]
+    + ["cm --p 3 --ramified-n 8 --prec %s" % n for n in _REFUSED_PRECISIONS]
+    + ["selftest --prec %s" % n for n in _REFUSED_PRECISIONS]
+    # exponent notation: a rational past the int-string limit
+    + ["gamma --p 7 --x %s --prec 2" % x for x in _HUGE]
+    + ["gamma --p 5 --x %s --prec 2" % x for x in _HUGE]
+    + ["kummer --a %s --p 7 --prec 2" % x for x in _HUGE]
+    + ["hyper --p 7 --lambda0 %s --e 3 --order 12 --prec 4 --at 9" % x for x in _HUGE]
+    + ["hyper --p 7 --lambda0 2 --e 3 --order 12 --prec 4 --at %s" % x for x in _HUGE]
+    + ["mixed --matrix 5:4:1e300000 --v0 v0.json"]
+)
+
+
+@pytest.mark.parametrize("command", _SWEEP)
+def test_refused_primes_precisions_and_rationals_exit_2(command, tmp_path):
+    (tmp_path / "v0.json").write_text(json.dumps([1]))
+    argv = []
+    for token in command.split():
+        if token.count(":") == 2:
+            # a one-by-one mixed file: prime, precision and its one cell
+            p, n, cell = token.split(":")
+            (tmp_path / "phi.json").write_text(json.dumps(
+                {"p": int(p), "precision": int(n), "weights": [0], "entries": [[cell]]}))
+            token = "phi.json"
+        argv.append(str(tmp_path / token) if token.endswith(".json") else token)
+    start = time.perf_counter()
+    try:
+        code, payload = run_json(argv)
+    except SystemExit as exc:
+        # argparse's own refusal of a value its type function rejects
+        code, payload = exc.code, {"error": "usage"}
+    assert code == 2 and "error" in payload, payload
+    assert time.perf_counter() - start < 1
+
+
 def test_malformed_mixed_files_exit_2(tmp_path):
     data = KummerData(Fraction(2), 5, 8)
     m = kummer_weight_matrix(data)

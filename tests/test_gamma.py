@@ -148,6 +148,14 @@ def test_gamma_rejects_p2():
         gamma_p_at(2, 1, 4)
 
 
+def test_gamma_checks_p_and_n_before_the_work_budget():
+    # pricing (p, N) first once read a bad p or n as an over-budget request
+    with pytest.raises(ValueError, match="not an odd prime"):
+        gamma_p_at(10**20, Fraction(1, 2), 2)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        gamma_p_at(5, Fraction(1, 2), -10**30)
+
+
 def test_gamma_rejects_nonintegral():
     with pytest.raises(ValueError):
         gamma_p(make_padic(5, Fraction(1, 5), 4), 4)
