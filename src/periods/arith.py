@@ -41,6 +41,21 @@ def is_prime(n):
     return True
 
 
+_PRIMES_FROM = {2: "a prime", 3: "an odd prime", 5: "a prime >= 5"}
+
+
+def check_prime(p, least=3):
+    """The one prime check: ValueError unless p is a prime >= least (2, 3 or 5)."""
+    if p < least or not is_prime(p):
+        raise ValueError("p = %d is not %s" % (p, _PRIMES_FROM[least]))
+
+
+def check_precision(n):
+    """The one precision check: ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+
+
 def kronecker(a, b):
     """Kronecker symbol (a|b), defined for all integers b.
 

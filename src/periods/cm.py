@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import is_prime, kronecker
+from .arith import check_prime, kronecker
 from .arith import rational_reconstruct as _reconstruct_int
 from .gamma import _admit, gamma_p
 from .padic import PadicElement, PrecisionError, _capped
@@ -106,9 +106,7 @@ def _gamma_product(p, n, modulus, mult, chi, c):
     n, so collapsed is pow(P+, k) pow(P-, -k) mod p^n, with k = c's
     numerator and P+- the product of the values with each sign.
     """
-    if n < 1:
-        raise ValueError("relative precision must be >= 1")
-    _admit(p, n)
+    _admit(p, n)  # checks n
     mod = p**n
     factors, prods, signed = [], {1: 1, -1: 1}, {1: c, -1: -c}
     for u in range(1, modulus + 1):
@@ -126,9 +124,8 @@ def _gamma_product(p, n, modulus, mult, chi, c):
 def cm_period_unramified(d, p, n):
     """The Gamma-product period of Q(sqrt(-d)) at an unramified odd p."""
     _bounded(d if d % 4 == 3 else 4 * d)
+    check_prime(p)
     data = imag_quad_data(d)
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime required")
     if data.disc % p == 0:
         raise ValueError("p = %d ramifies in Q(sqrt(-%d))" % (p, d))
     return _gamma_product(p, n, data.conductor, p, lambda u: -(kronecker(data.disc, u) == -1),

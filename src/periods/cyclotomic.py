@@ -22,7 +22,7 @@ check takes M = m + 2 for a requested pi-precision m.
 
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import check_prime
 from .gamma import _admit, gamma_p
 from .padic import _vp, make_padic
 
@@ -63,12 +63,11 @@ def gross_koblitz_residual(p, a, m):
     a + (p-1) v_p(G_a + Gamma_p), read to the k digits that g_a mod
     pi^(m+2) fixes.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p = %d is not an odd prime" % p)
+    check_prime(p)
     if not 1 <= a <= p - 2:
         raise ValueError("need 1 <= a <= p-2")
-    if m < 0:
-        raise ValueError("pi-precision must be >= 0")
+    if m < 1:
+        raise ValueError("pi-precision must be >= 1")
     unit, k = _gauss_unit(p, a, m + 2)
     rel = max(k, 1)
     gamma = gamma_p(make_padic(p, Fraction(a, p - 1), rel), rel)

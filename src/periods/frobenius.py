@@ -20,7 +20,7 @@ exactly W - e.  PadicElement appears only when the entries are read off.
 from collections import namedtuple
 from math import comb
 
-from .arith import is_prime, kronecker
+from .arith import check_precision, check_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, residual_valuation
 
 _MAX_STEPS = 5 * 10**5  # reduction steps times the 64-bit words of p^n: about a second
@@ -78,19 +78,24 @@ def _discriminant(f):
             - 4 * c1**3 - 27 * c0**2)
 
 
+def _good_cubic(f, p, least):
+    """f as a tuple of ints, once it is a monic cubic with good reduction at
+    the prime p >= least."""
+    f = tuple(int(c) for c in f)
+    if len(f) != 4 or f[3] != 1:
+        raise ValueError("f must be a monic cubic, coefficients low to high")
+    check_prime(p, least)
+    if _discriminant(f) % p == 0:
+        raise ValueError("bad reduction: the discriminant vanishes mod p")
+    return f
+
+
 class EllipticCurveW:
     """y^2 = f(x), f a monic integer cubic, p >= 5 of good reduction."""
 
     def __init__(self, f, p, n):
-        self.f = f = tuple(int(c) for c in f)
-        if len(f) != 4 or f[3] != 1:
-            raise ValueError("f must be a monic cubic, coefficients low to high")
-        if p < 5 or not is_prime(p):
-            raise ValueError("p must be a prime >= 5")
-        if n < 1:
-            raise ValueError("precision must be at least 1")
-        if _discriminant(f) % p == 0:
-            raise ValueError("bad reduction: the discriminant vanishes mod p")
+        self.f = _good_cubic(f, p, 5)
+        check_precision(n)
         self.p, self.n = p, n
 
     def discriminant(self):
@@ -103,14 +108,7 @@ def count_points(f, p):
     Sums the quadratic character of f(x) over F_p; the result must sit
     inside the Weil bound, a hard postcondition.
     """
-    f = tuple(int(c) for c in f)
-    if len(f) != 4 or f[3] != 1:
-        raise ValueError("f must be a monic cubic, coefficients low to high")
-    if p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if _discriminant(f) % p == 0:
-        raise ValueError("bad reduction: the discriminant vanishes mod p")
-    c0, c1, c2 = f[0], f[1], f[2]
+    c0, c1, c2 = _good_cubic(f, p, 3)[:3]
     a_p = -sum(kronecker((x * x * x + c2 * x * x + c1 * x + c0) % p, p)
                for x in range(p))
     if a_p * a_p > 4 * p:

@@ -45,6 +45,7 @@ Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 import math
 from fractions import Fraction
 
+from .arith import check_precision, check_prime
 from .padic import (
     PadicElement, PrecisionError, _cutoff, _exp_cut, _exp_int, _vp, make_padic, residual_valuation,
 )
@@ -58,14 +59,19 @@ _MAX_WORK = 10**7  # about a second of constants; admits every p^N <= 10^7
 
 
 def _admit(p, n):
-    """(W, K) of a cold (p, n), None when cached; PrecisionError over _MAX_WORK."""
+    """(W, K) of a cold (p, n), None when cached; PrecisionError over _MAX_WORK.
+
+    p and n are checked before a cold pair is priced; a cached pair passed.
+    """
     def work(big_k, w):
         # on ints of W log2(p) bits; an inverse costs about 16 products
         words = 1 + w * p.bit_length() // 64
         return ((p - 1) * (n + big_k + 16 * (big_k > 0)) + big_k**2) * words
 
-    if p < 3 or (p, n) in _coeffs:
+    if (p, n) in _coeffs:
         return None
+    check_prime(p)
+    check_precision(n)
     if work(n - 1, n) <= _MAX_WORK:  # K >= N - 1 and W >= N: a huge N stops here in O(1)
         w = n + _exp_cut(p, n)[1]
         big_k = _cutoff(w, lambda k: k - _vp(k, p))
@@ -161,13 +167,9 @@ def gamma_p(x, n):
     if isinstance(x, (int, Fraction)):
         raise TypeError("pass a PadicElement, or use gamma_p_at(p, x, n)")
     p = x.p
-    if p == 2:
-        raise ValueError("p = 2 is out of scope for this Gamma implementation")
     if x.min_valuation() < 0:
         raise ValueError("gamma_p needs an integral argument")
     n = min(n, x.abs_precision())
-    if n < 1:
-        raise ValueError("precision must be >= 1")
     d, fact, rows = _series_coeffs(p, n)
     mod = p**n
     m = x.lift() % mod or mod

@@ -17,6 +17,7 @@ like a unit-coefficient one.
 
 from collections import namedtuple
 
+from .arith import check_prime
 from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 
@@ -98,6 +99,7 @@ def solve_second_order(lam0, value, d_value, order, n):
     if not isinstance(lam0, PadicElement):
         raise TypeError("base point must be a p-adic element")
     p = lam0.p
+    check_prime(p)  # the tail bound of evaluate needs v(t) >= 1 > 1/(p-1)
     q0 = lam0 * (lam0 - 1)
     if not q0.is_unit():
         raise ValueError("lam0 (lam0 - 1) must be a unit")

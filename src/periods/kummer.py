@@ -15,7 +15,7 @@ every lower-weight block is recovered by back-substitution, using that
 import functools
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import check_precision, check_prime
 from .padic import exp_p, iwasawa_log, make_padic, residual_valuation
 
 
@@ -24,12 +24,10 @@ class KummerData:
         a = Fraction(a)
         if a == 0 or a == 1 or a == -1:
             raise ValueError("a must be a rational other than 0 and +-1")
-        if p == 2 or not is_prime(p):
-            raise ValueError("p must be an odd prime")
+        check_prime(p)
         if a.numerator % p == 0 or a.denominator % p == 0:
             raise ValueError("a must be a unit at p")
-        if n < 1:
-            raise ValueError("precision must be >= 1")
+        check_precision(n)
         self.a, self.p, self.n = a, p, n
 
     @functools.cached_property

@@ -30,7 +30,7 @@ denominators of the terms kept, and keep the terms up to one proven cut-off
 import math
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import check_precision, check_prime
 
 
 class PrecisionError(ArithmeticError):
@@ -331,10 +331,8 @@ class PadicElement:
 
 def make_padic(p, x, rel_prec, integral=False):
     """Canonical image of the rational x in Q_p to relative precision rel_prec."""
-    if rel_prec < 1:
-        raise ValueError("relative precision must be >= 1")
-    if p < 2 or not is_prime(p):
-        raise ValueError("%d is not prime" % p)
+    check_prime(p, 2)
+    check_precision(rel_prec)
     x = Fraction(x)
     if integral and x.denominator % p == 0:
         raise ValueError("denominator divisible by %d in an integral context" % p)

@@ -65,6 +65,18 @@ def test_parse_cubic():
             cli._parse_cubic(bad)
 
 
+def test_fraction_grammar():
+    for text, want in (("7", 7), ("-5/4", Fraction(-5, 4)), ("2.5", Fraction(5, 2)),
+                       (".5", Fraction(1, 2)), ("%s/%s" % ("7" * 4000, "3" * 4000),
+                                               Fraction(int("7" * 4000), int("3" * 4000)))):
+        assert cli._fraction(text) == want, text
+    # exponent notation, and a decimal whose numerator passes the
+    # int-string limit: each printed a traceback from the JSON echo
+    for text in ("1e5", "2E-3", "1.5e2", "9" * 4000 + "." + "9" * 4000, "1/0"):
+        with pytest.raises(ValueError):
+            cli._fraction(text)
+
+
 def test_bound_cases():
     expected = {"cm-ss": 1, "noncm-ss": 3, "noncm-ord": 2, "legendre": 3}
     for case, want in expected.items():

@@ -313,13 +313,15 @@ def test_exponentiated_product_json_factors():
 # N = 1 and 2 different units share a Gamma argument mod p^N.  The p = 11
 # and 13 rows were frozen again when N = 7 stopped being refused by a cap on
 # p^N; their Gamma values were checked against the product scan mod p^5 and
-# by translation and reflection at N = 7.
+# by translation and reflection at N = 7.  The p = 2 and 9 rows were frozen
+# again when the refusal text became "p = 2 is not an odd prime" (was "odd
+# prime required"); every record differed from the old one in that text only.
 CM_DIGESTS = {
-    ("unramified", 2): "c3a61449c844bb12",
+    ("unramified", 2): "e78d787d20367e94",
     ("unramified", 3): "c02860c4ba1e397f",
     ("unramified", 5): "9a455996bbf59cd2",
     ("unramified", 7): "e0872e8af692057b",
-    ("unramified", 9): "c3a61449c844bb12",
+    ("unramified", 9): "59e17653f5f17bb6",
     ("unramified", 11): "02c9388283d4b6f0",
     ("unramified", 13): "a1a5be046ac9f880",
     ("ramified", 1): "4e8046deb16941d6",
