@@ -190,18 +190,23 @@ def test_buffer_boundary_is_the_loss_count(monkeypatch):
     # and -125 three).  Every lower row joins with fewer, so the max keeps
     # 28; the vertical steps from P = 75 down to 3 divide by P - 2, the odd
     # numbers 1 .. 73, which hold 8 more (25 holds two)
-    cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
-
     def factors_of_5(ds):
         return sum(d % 5**t == 0 for d in ds for t in (1, 2, 3))
 
     loss = factors_of_5(range(-219, 6, 2)) + factors_of_5(range(1, 74, 2))
     assert loss == 36
     assert frobenius._loss_count(5, 7) == loss
-    kedlaya_frobenius(cur)
-    monkeypatch.setattr(frobenius, "_loss_count", lambda p, m_init: loss - 1)
-    with pytest.raises(PrecisionError):
+    # at every shape, W = n + _loss_count succeeds and one digit less fails:
+    # the count is the exact buffer for both columns
+    loss_count = frobenius._loss_count
+    curves = [EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)]
+    curves += [c for p in (5, 7, 11, 13) for c in _kedlaya_cases(p, (2, 4, 6))]
+    for cur in curves:
+        monkeypatch.setattr(frobenius, "_loss_count", loss_count)
         kedlaya_frobenius(cur)
+        monkeypatch.setattr(frobenius, "_loss_count", lambda p, K: loss_count(p, K) - 1)
+        with pytest.raises(PrecisionError):
+            kedlaya_frobenius(cur)
 
 
 def test_entries_come_back_at_the_requested_precision():
