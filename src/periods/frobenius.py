@@ -9,12 +9,13 @@ its own order, expresses the image of each basis element in the basis
 {dx/y, x dx/y} again.  Counting points over F_p directly supplies an
 independent value for the trace.
 
-The reduction runs on plain ints at the single modulus p^W.  Each term
-is reduced horizontally at its pole order P to degree <= 1, dividing by
-2k - 3P + 2; two fixed 2x2 maps from the Bezout factor 1/f' mod f then
-carry it from P to P - 2, dividing by P - 2.  The p-parts of the divisors
-go to one loss counter e, so the result is known to absolute precision
-exactly W - e.  PadicElement appears only when the entries are read off.
+The reduction runs on plain ints at the single modulus p^W.  Each term is
+reduced horizontally at its pole order P to degree <= 1, both columns in one
+pass that divides by 2k - 3P + 2 and reduces only its multipliers mod p^W;
+two fixed 2x2 maps from the Bezout factor 1/f' mod f then carry both from P
+to P - 2, dividing by P - 2.  The p-parts of the divisors go to one loss
+counter e, so the result holds to absolute precision exactly W - e.
+PadicElement appears only when the entries are read off.
 """
 
 from collections import namedtuple
@@ -132,7 +133,7 @@ class FrobeniusMatrix(namedtuple("FrobeniusMatrix", "entries curve")):
 
 
 def _loss_count(p, K):
-    # the second column's counter, walked as the loop walks: row j (P = p(2j+1))
+    # the counter both columns share, walked as the loop walks: row j (P = p(2j+1))
     # divides by the odd 6 - 3P .. p, multiples p*m for odd m = -(6j+1) .. 1
     e = 0
     for P in range(p * (2 * K + 1), 1, -2):
@@ -160,34 +161,38 @@ def _vertical_maps(f, fpr, v, M):
     return images
 
 
-def _horizontal(num, P, f, p, M):
-    """Reduce num(x) dx/y^P to (r0 + r1 x) dx/y^P over p^e, mod exact forms.
+def _horizontal(c, P, f, p, M):
+    """Reduce x^(p(i+1)-1) C(x^p) dx/y^P, C = sum c[t] x^t, for i = 0 and 1.
 
     Twice d(x^(k-2)/y^(P-2)) is (2(k-2) x^(k-3) f - (P-2) x^(k-2) f') dx/y^P,
-    D x^k + a1 x^(k-1) + a2 x^(k-2) + a3 x^(k-3) with D = 2k - 3P + 2.  The
-    window (w0, w1, w2) holds the coefficients of x^k, x^(k-1), x^(k-2)
-    times U * p^e: a step multiplies it by D instead of dividing, the unit
-    part of D joins U and v_p(D) joins e, and U is inverted once at the end.
+    D x^k + a1 x^(k-1) + a2 x^(k-2) + a3 x^(k-3) with D = 2k - 3P + 2.  A
+    window per column holds the coefficients of x^k, x^(k-1), x^(k-2) times
+    U * p^e: a step multiplies it by D, whose unit part joins U and whose
+    p-part joins e, and reduces only w0, the next multiplier, mod M.
+    Returns both columns' (r0, r1) of (r0 + r1 x) dx / (p^e y^P), and e.
     """
     f0, f1, f2 = 2 * f[0], 2 * f[1], 2 * f[2]
-    top = len(num) - 1
-    w0, w1, w2 = num[-1], num[-2], num[-3]
+    t, top = len(c) - 1, p * (len(c) + 1) - 1
+    (u0, u1, u2), (w0, w1, w2) = (0, 0, 0), (c[t], 0, 0)
     D, a1, a2, a3 = 2 * top - 3 * P + 2, f2 * (top - P), f[1] * (2 * top - P - 2), f0 * (top - 2)
     U, e, pe = 1, 0, 1
     for k in range(top, 1, -1):
-        if D % p:
-            U = U * D % M
-        else:
+        r = k % p
+        if r == p - 1:  # D = 2(k + 1) mod p
             v = _vp(D, p)
-            U, e = U * (D // p**v) % M, e + v
-            pe = p**e
-        c = w0
-        w0 = (D * w1 - c * a1) % M
-        w1 = (D * w2 - c * a2) % M
-        w2 = ((num[k - 3] * U * pe if k > 2 else 0) - c * a3) % M
+            U, e, pe = U * (D // p**v) % M, e + v, pe * p**v
+        else:
+            U = U * D % M
+        g, h = u0 % M, w0 % M
+        u0, u1, w0, w1 = D * u1 - g * a1, D * u2 - g * a2, D * w1 - h * a1, D * w2 - h * a2
+        u2, w2 = -g * a3, -h * a3
+        if r == 2 and t >= 0:
+            # x^(k-3) holds c[t] in column 0, c[t-1] in column 1; no other k holds any
+            s = U * pe % M
+            u2, w2, t = u2 + c[t] * s, w2 + (c[t - 1] * s if t else 0), t - 1
         D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0
     inv = pow(U, -1, M)
-    return w1 * inv % M, w0 * inv % M, e
+    return ((u1 * inv % M, u0 * inv % M), (w1 * inv % M, w0 * inv % M)), e
 
 
 def kedlaya_frobenius(curve):
@@ -197,14 +202,15 @@ def kedlaya_frobenius(curve):
     dropped tail carries valuation at least K + 1 before reduction
     losses.  Regrouped by powers of f(x^p), the cut series is a sum of
     K + 1 terms b_j f(x^p)^j / y^P, P = p(2j+1), each reduced horizontally
-    at its own P to join an accumulator that fixed 2x2 vertical steps carry
-    from P to P - 2: O(pK^2) steps of constant size.  Working mod p^W, the
-    loop counts the digits e lost to the divisors 2k - 3P + 2 and P - 2, so
-    the result holds to absolute precision W - e.  W is n plus that count,
-    known before the reduction starts (_loss_count); PrecisionError is
-    raised if W - e still falls below n.  Entries come back capped at n.
-    Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK vertical steps, weighted
-    as _MAX_STEPS says, are counted first; more raise PrecisionError.
+    at its own P, both columns in one pass, to join accumulators that fixed
+    2x2 vertical steps carry from P to P - 2: O(pK^2) steps of constant size.
+    Working mod p^W, the loop counts the digits e lost to the divisors
+    2k - 3P + 2 and P - 2, so the result holds to absolute precision W - e.
+    W is n plus that count, known before the reduction starts (_loss_count);
+    PrecisionError is raised if W - e still falls below n.  Entries come
+    back capped at n.  Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK
+    vertical column-steps, weighted as _MAX_STEPS says, are counted first;
+    more raise PrecisionError.
     """
     p, n = curve.p, curve.n
     K = n + 3
@@ -221,43 +227,36 @@ def kedlaya_frobenius(curve):
     # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
     # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
     # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
-    # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer
+    # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer;
+    # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
     scale = p * pow(4**K, -1, M)
-    rows, fj = ({}, {}), [1]
+    rows, fj = [], [1]
     for j in range(K + 1):
         if j:
             fj = _int_mul(fj, f, M)
         bj = sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k) for k in range(j, K + 1))
-        c = [(-1) ** j * bj * scale * a % M for a in fj]
-        for i in (0, 1):
-            # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
-            num = [0] * (p * (i + 1) + 3 * p * j)
-            num[p * (i + 1) - 1::p] = c
-            rows[i][p * (2 * j + 1)] = num
-    cols = []
-    for i in (0, 1):
-        # (a0 + a1 x) dx / (p^e y^P), carried down from the top pole order
-        a0 = a1 = e = 0
-        for P in range(p * (2 * K + 1), 1, -2):
-            if P in rows[i]:
-                r0, r1, er = _horizontal(rows[i][P], P, f, p, M)
-                # join over the common power p^max(e, er)
-                if er > e:
-                    a0, a1, e = a0 * p ** (er - e), a1 * p ** (er - e), er
-                a0, a1 = a0 + r0 * p ** (e - er), a1 + r1 * p ** (e - er)
-            k = _vp(P - 2, p)
-            pk = p**k
-            s = 2 * pow((P - 2) // pk, -1, M)
-            a0, a1 = ((pk * (a0 * t00 + a1 * t10) + s * (a0 * s00 + a1 * s10)) % M,
-                      (pk * (a0 * t01 + a1 * t11) + s * (a0 * s01 + a1 * s11)) % M)
-            e += k
-        if W - e < n:
-            raise PrecisionError(
-                "working buffer exhausted: achieved absolute precision "
-                "%d is below the requested %d" % (W - e, n)
-            )
-        cols.append((_capped(p, a0, n, p**e), _capped(p, a1, n, p**e)))
-    entries = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+        rows.append([(-1) ** j * bj * scale * a % M for a in fj])
+    # (a0 + a1 x) dx / (p^e y^P) per column, carried down from the top pole order
+    cols, e = ((0, 0), (0, 0)), 0
+    for P in range(p * (2 * K + 1), 1, -2):
+        if P % (2 * p) == p:
+            reduced, er = _horizontal(rows[P // (2 * p)], P, f, p, M)
+            # join over the common power p^max(e, er)
+            up, down = p ** max(er - e, 0), p ** max(e - er, 0)
+            cols = [(a0 * up + r0 * down, a1 * up + r1 * down)
+                    for (a0, a1), (r0, r1) in zip(cols, reduced)]
+            e = max(e, er)
+        k = _vp(P - 2, p)
+        pk = p**k
+        s = 2 * pow((P - 2) // pk, -1, M)
+        cols = [((pk * (a0 * t00 + a1 * t10) + s * (a0 * s00 + a1 * s10)) % M,
+                 (pk * (a0 * t01 + a1 * t11) + s * (a0 * s01 + a1 * s11)) % M)
+                for a0, a1 in cols]
+        e += k
+    if W - e < n:
+        raise PrecisionError("working buffer exhausted: achieved absolute precision "
+                             "%d is below the requested %d" % (W - e, n))
+    entries = tuple(tuple(_capped(p, col[r], n, p**e) for col in cols) for r in (0, 1))
     return FrobeniusMatrix(entries=entries, curve=curve)
 
 
