@@ -230,6 +230,17 @@ class PadicElement:
 
     def __truediv__(self, other):
         if type(other) is not PadicElement or other.p != self.p:
+            p, va, ra = self.p, self.val, self.rel_prec
+            if type(other) is int and other and va is not None:
+                # the int as _coerce embeds it, with __mul__'s cap n = ap + 2
+                n = va + ra + 2
+                v = _vp(other, p) if other % p == 0 else 0
+                if v >= n:
+                    raise ZeroDivisionError(
+                        "divisor indistinguishable from zero at O(%d^%d)" % (p, n))
+                rel = ra if ra < n - v else n - v
+                mod = p**rel
+                return PadicElement(p, va - v, self.unit * pow(other // p**v, -1, mod) % mod, rel)
             other = self._coerce(other)
             if other is NotImplemented:
                 return other

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -585,6 +586,26 @@ def test_operators_equal_the_reference_operators(case):
     a, name, other = case
     got = _outcome(lambda x, y: getattr(x, name)(y), a, other)
     assert got == _outcome(REFERENCE_OPS[name], a, other), case
+
+
+
+def test_division_by_an_int_is_embedded_inline():
+    # a 2-digit quotient at val 10^6 costs what x * 7 does, not an embedding
+    # of 7 to 10^6 + 4 digits
+    x = PadicElement(5, 10**6, 3, 2)
+    start = time.perf_counter()
+    y = x / 7
+    assert time.perf_counter() - start < 0.01
+    assert (y.val, y.unit, y.rel_prec) == (10**6, 3 * pow(7, -1, 25) % 25, 2)
+    # the same refusals, word for word: an exact zero, and an int whose
+    # valuation reaches the cap val + rel_prec + 2 (O(5^4) here)
+    z = PadicElement(5, 0, 3, 2)
+    for k in (0, 5**4, -3 * 5**9):
+        with pytest.raises(ZeroDivisionError) as got:
+            z / k
+        with pytest.raises(ZeroDivisionError) as want:
+            REFERENCE_OPS["__truediv__"](z, k)
+        assert str(got.value) == str(want.value)
 
 
 # precision soundness
