@@ -74,6 +74,15 @@ def _fraction(text):
     return x
 
 
+def _fraction_arg(text):
+    # argparse prints an ArgumentTypeError's own text, but turns a ValueError
+    # into "invalid <function name> value" and drops the reason
+    try:
+        return _fraction(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
 def _frac_json(x):
     x = Fraction(x)
     return [x.numerator, x.denominator]
@@ -566,7 +575,7 @@ def _parser():
 
     sp = add("gamma", _cmd_gamma, "Morita gamma value at a rational argument")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--x", type=_fraction, required=True, metavar="NUM/DEN")
+    sp.add_argument("--x", type=_fraction_arg, required=True, metavar="NUM/DEN")
     sp.add_argument("--prec", type=int, required=True)
 
     sp = add("gk", _cmd_gk, "Gauss sum against the gamma product, residual valuation")
@@ -582,7 +591,7 @@ def _parser():
     sp.add_argument("--probe", type=int, metavar="HEIGHT", help="rational reconstruction probe")
 
     sp = add("kummer", _cmd_kummer, "rank-2 Frobenius and period vector of a Kummer datum")
-    sp.add_argument("--a", type=_fraction, required=True, metavar="NUM/DEN")
+    sp.add_argument("--a", type=_fraction_arg, required=True, metavar="NUM/DEN")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
 
@@ -592,11 +601,11 @@ def _parser():
 
     sp = add("hyper", _cmd_hyper, "hypergeometric period matrix from the local solutions")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda0", type=_fraction, required=True, metavar="NUM/DEN")
+    sp.add_argument("--lambda0", type=_fraction_arg, required=True, metavar="NUM/DEN")
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--order", type=int, required=True, help="series truncation order")
     sp.add_argument("--prec", type=int, required=True)
-    sp.add_argument("--at", type=_fraction, required=True, metavar="NUM/DEN")
+    sp.add_argument("--at", type=_fraction_arg, required=True, metavar="NUM/DEN")
 
     sp = add("frob", _cmd_frob, "crystalline Frobenius matrix of y^2 = f(x)")
     sp.add_argument("--f", required=True, metavar="CUBIC", help='monic cubic, e.g. "x^3-2*x+1"')

@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,7 +379,10 @@ _SWEEP = sorted(
     + ["hyper --p 7 --lambda0 %s --e 3 --order 12 --prec 4 --at 9" % x for x in _HUGE]
     + ["hyper --p 7 --lambda0 2 --e 3 --order 12 --prec 4 --at %s" % x for x in _HUGE]
     + ["mixed --matrix 5:4:1e300000 --v0 v0.json"]
+    + ["kummer --a 1/0 --p 7 --prec 2", "mixed --matrix 5:4:1/0 --v0 v0.json"]
 )
+# the reason a refused rational must name, whether argparse or execute reports it
+_REASONS = {"1e": "exponent notation in '1e", "1/0": "zero denominator in '1/0'"}
 
 
 @pytest.mark.parametrize("command", _SWEEP)
@@ -395,12 +398,17 @@ def test_refused_primes_precisions_and_rationals_exit_2(command, tmp_path):
             token = "phi.json"
         argv.append(str(tmp_path / token) if token.endswith(".json") else token)
     start = time.perf_counter()
+    stderr = io.StringIO()
     try:
-        code, payload = run_json(argv)
+        with redirect_stderr(stderr):
+            code, payload = run_json(argv)
     except SystemExit as exc:
         # argparse's own refusal of a value its type function rejects
-        code, payload = exc.code, {"error": "usage"}
+        code, payload = exc.code, {"error": stderr.getvalue()}
     assert code == 2 and "error" in payload, payload
+    for bad, reason in _REASONS.items():
+        if bad in command:
+            assert reason in payload["error"], payload
     assert time.perf_counter() - start < 1
 
 
