@@ -187,7 +187,7 @@ def _horizontal(c, P, f, p, M):
         u0, u1, w0, w1 = D * u1 - g * a1, D * u2 - g * a2, D * w1 - h * a1, D * w2 - h * a2
         u2, w2 = -g * a3, -h * a3
         if r == 2 and t >= 0:
-            # x^(k-3) holds c[t] in column 0, c[t-1] in column 1; no other k holds any
+            # only at k = 2 mod p does x^(k-3) hold one: c[t] in column 0, c[t-1] in 1
             s = U * pe % M
             u2, w2, t = u2 + c[t] * s, w2 + (c[t - 1] * s if t else 0), t - 1
         D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0

@@ -17,9 +17,10 @@ than those rules justify.
 
 The operators read val, unit and rel_prec from the slots. An operand that
 is not a PadicElement of the same prime goes through _coerce, except an int
-factor of *, which is embedded inline by _coerce's own rule. tests/oracles.py
-keeps the operators that sent every operand through _coerce and read the
-state through the predicates; the tests hold these operators to them.
+factor of * or divisor of /, which is embedded inline by _coerce's own rule.
+tests/oracles.py keeps the operators that sent every operand through _coerce
+and read the state through the predicates; the tests hold these operators
+to them.
 
 iwasawa_log and _exp_int (the exponential of exp_p and gamma_p, cached per
 (p, n)) sum their series on plain ints mod p^(n+e), where p^e clears the
