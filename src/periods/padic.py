@@ -15,12 +15,11 @@ detects cancellation from the digits; multiplication and division work
 at the minimum relative precision. Nothing ever reports more precision
 than those rules justify.
 
-The operators read val, unit and rel_prec from the slots. An operand that
-is not a PadicElement of the same prime goes through _coerce, except an int
-factor of * or divisor of /, which is embedded inline by _coerce's own rule.
-tests/oracles.py keeps the operators that sent every operand through _coerce
-and read the state through the predicates; the tests hold these operators
-to them.
+The operators read val, unit and rel_prec from the slots. Any other operand
+goes through one method, _operand, which holds the cap of an exact operand
+and embeds it by _embed, the embedding that _capped also uses.
+tests/oracles.py keeps the operators that built every operand as an element
+and read the state through the predicates; the tests hold these to them.
 
 iwasawa_log and _exp_int (the exponential of exp_p and gamma_p, cached per
 (p, n)) sum their series on plain ints mod p^(n+e), where p^e clears the
@@ -67,22 +66,35 @@ def _cutoff(n, val):
     return max((k for k in range(1, 2 * n) if val(k) < n), default=0)
 
 
-def _capped(p, num, n, den=1):
-    """num/den, known to absolute precision at least n, capped at n.
+def _embed(p, num, n, den=1, keep=None):
+    """(val, unit, rel_prec) of num/den, known to absolute precision at least n, capped at n.
 
-    The one embedding of a rational into Q_p: make_padic, the int and
-    Fraction operands of the operators, and the int kernels (den = p^e)
-    all go through it.  num = 0, or a valuation of n or more, gives O(p^n);
-    otherwise the unit keeps the n - val digits below p^n.
+    The one embedding of a rational into Q_p: _capped and the int and
+    Fraction operands of the operators go through it.  num = 0, or a
+    valuation of n or more, gives O(p^n); otherwise the unit keeps the
+    n - val digits below p^n.  Given keep, it keeps at most keep digits, and
+    an int's unit is left unreduced: the * or / that asked reduces its result.
     """
-    down = _vp(den, p)
-    val = _vp(num, p) - down if num else n
+    if not num:
+        return n, 0, 0
+    up = _vp(num, p) if num % p == 0 else 0
+    down = _vp(den, p) if den % p == 0 else 0
+    val = up - down
     if val >= n:
-        return PadicElement(p, n, 0, 0)
+        return n, 0, 0
     rel = n - val
-    mod = p**rel
-    unit = num // p ** (val + down) % mod * pow(den // p**down % mod, -1, mod) % mod
-    return PadicElement(p, val, unit, rel)
+    if keep is not None and keep < rel:
+        rel = keep
+    unit = num // p**up if up else num
+    if den != 1:
+        mod = p**rel
+        return val, unit * pow(den // p**down % mod, -1, mod) % mod, rel
+    return val, unit if keep else unit % p**rel, rel
+
+
+def _capped(p, num, n, den=1):
+    """num/den as an element, by _embed: make_padic, iwasawa_log and the int kernels (den = p^e)."""
+    return PadicElement(p, *_embed(p, num, n, den))
 
 
 class PadicElement:
@@ -142,27 +154,35 @@ class PadicElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_prime(self, other):
-        if self.p != other.p:
-            raise ValueError("prime mismatch: %d vs %d" % (self.p, other.p))
+    def _operand(self, other, keep=None):
+        """other's (val, unit, rel_prec), or NotImplemented for another type.
 
-    def _coerce(self, other):
-        if isinstance(other, PadicElement):
-            self._check_same_prime(other)
-            return other
+        An element of the same prime is taken as it is, an int or Fraction 0
+        is the exact zero, and any other int or Fraction goes through _embed
+        at absolute precision ap + 2, or 10 against an exact zero.  That cap
+        loses digits an exact p^v has (make_padic(5, 2, 3) * 5**6 is O(5^5)).
+        * and / pass keep = max(rel_prec, 1): the result keeps no more digits,
+        and the 1 keeps a zero state's O().
+        """
         if isinstance(other, (int, Fraction)):
             if not other:
-                return PadicElement(self.p, None, 0, 0)
-            ap = 8 if self.val is None else self.abs_precision()
-            return _capped(self.p, other.numerator, ap + 2, other.denominator)
-        return NotImplemented
+                return None, 0, 0
+            n = 10 if self.val is None else self.val + self.rel_prec + 2
+            return _embed(self.p, other.numerator, n, other.denominator, keep)
+        if not isinstance(other, PadicElement):
+            return NotImplemented
+        if other.p != self.p:
+            raise ValueError("prime mismatch: %d vs %d" % (self.p, other.p))
+        return other.val, other.unit, other.rel_prec
 
     def __add__(self, other):
-        if type(other) is not PadicElement or other.p != self.p:
-            other = self._coerce(other)
+        p = self.p
+        if type(other) is not PadicElement or other.p != p:
+            other = self._operand(other)
             if other is NotImplemented:
                 return other
-        p, va, vb = self.p, self.val, other.val
+            other = PadicElement(p, *other)
+        va, vb = self.val, other.val
         if va is None:
             return other
         if vb is None:
@@ -193,78 +213,56 @@ class PadicElement:
         return PadicElement(self.p, self.val, (-self.unit) % mod, self.rel_prec)
 
     def __sub__(self, other):
-        if type(other) is not PadicElement or other.p != self.p:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return other
-        return self + (-other)
+        # -other embeds as the negation of other's embedding, so + serves both
+        if isinstance(other, (int, Fraction, PadicElement)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         p, va, ra = self.p, self.val, self.rel_prec
-        if type(other) is not PadicElement or other.p != p:
-            if type(other) is int and other and va is not None:
-                # the int as _coerce embeds it, p^v u to absolute precision
-                # n = ap + 2 or O(p^n) when v >= n, without building it.  That
-                # cap loses digits an exact p^v has (make_padic(5, 2, 3) * 5**6
-                # is O(5^5)); it is kept because mending it moves digits `hyper`
-                # prints today, which an exact oracle has to confirm first
-                n = va + ra + 2
-                v = _vp(other, p) if other % p == 0 else 0
-                if v >= n:
-                    return PadicElement(p, va + n, 0, 0)
-                rel = ra if ra < n - v else n - v
-                return PadicElement(p, va + v, self.unit * (other // p**v) % p**rel, rel)
-            other = self._coerce(other)
+        if type(other) is PadicElement and other.p == p:
+            vb, ub, rb = other.val, other.unit, other.rel_prec
+        else:
+            other = self._operand(other, ra or 1)
             if other is NotImplemented:
                 return other
-        vb, rb = other.val, other.rel_prec
+            vb, ub, rb = other
         if va is None or vb is None:
             return PadicElement(p, None, 0, 0)
         # a zero state has unit 0 and rel 0, so this gives O(p^(val_a + val_b))
         rel = ra if ra < rb else rb
-        return PadicElement(p, va + vb, self.unit * other.unit % p**rel, rel)
+        return PadicElement(p, va + vb, self.unit * ub % p**rel, rel)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not PadicElement or other.p != self.p:
-            p, va, ra = self.p, self.val, self.rel_prec
-            if type(other) is int and other and va is not None:
-                # the int as _coerce embeds it, with __mul__'s cap n = ap + 2
-                n = va + ra + 2
-                v = _vp(other, p) if other % p == 0 else 0
-                if v >= n:
-                    raise ZeroDivisionError(
-                        "divisor indistinguishable from zero at O(%d^%d)" % (p, n))
-                rel = ra if ra < n - v else n - v
-                mod = p**rel
-                return PadicElement(p, va - v, self.unit * pow(other // p**v, -1, mod) % mod, rel)
-            other = self._coerce(other)
+        p, va, ra = self.p, self.val, self.rel_prec
+        if type(other) is PadicElement and other.p == p:
+            vb, ub, rb = other.val, other.unit, other.rel_prec
+        else:
+            other = self._operand(other, ra or 1)
             if other is NotImplemented:
                 return other
-        if other.val is None:
+            vb, ub, rb = other
+        if vb is None:
             raise ZeroDivisionError("division by exact zero")
-        if other.rel_prec == 0:
-            raise ZeroDivisionError(
-                "divisor indistinguishable from zero at O(%d^%d)" % (other.p, other.val)
-            )
-        if self.val is None:
+        if rb == 0:
+            raise ZeroDivisionError("divisor indistinguishable from zero at O(%d^%d)" % (p, vb))
+        if va is None:
             return self
         # O(p^A) / b: mod is 1 and pow(b, -1, 1) == 0, so the unit stays 0
-        ra, rb = self.rel_prec, other.rel_prec
         rel = ra if ra < rb else rb
-        mod = self.p**rel
-        return PadicElement(self.p, self.val - other.val,
-                            self.unit * pow(other.unit, -1, mod) % mod, rel)
+        mod = p**rel
+        return PadicElement(p, va - vb, self.unit * pow(ub, -1, mod) % mod, rel)
 
     def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return coerced
-        return coerced / self
+        other = self._operand(other, self.rel_prec or 1)
+        if other is NotImplemented:
+            return other
+        return PadicElement(self.p, *other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int):

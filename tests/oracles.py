@@ -45,7 +45,8 @@ def with_rel_prec(x, n):
 
 def _coerce(self, other):
     if isinstance(other, PadicElement):
-        self._check_same_prime(other)
+        if self.p != other.p:
+            raise ValueError("prime mismatch: %d vs %d" % (self.p, other.p))
         return other
     if isinstance(other, (int, Fraction)):
         if not other:

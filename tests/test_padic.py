@@ -564,8 +564,9 @@ def _operator_case(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 13]))
     a = draw(_element(p))
     ints = st.builds(lambda k, e: k * p**e, st.integers(-(10**6), 10**6), st.integers(0, 40))
-    fracs = st.builds(lambda q, e: q * Fraction(p) ** e, st.fractions(max_denominator=10**4), st.integers(-6, 6))
-    other = draw(st.one_of(ints, fracs, _element(p), _element(draw(st.sampled_from([3, 11])))))
+    fracs = st.builds(lambda q, e: q * Fraction(p) ** e, st.fractions(max_denominator=10**4), st.integers(-40, 40))
+    foreign = st.sampled_from((1.5, "x", None))
+    other = draw(st.one_of(ints, fracs, _element(p), _element(draw(st.sampled_from([3, 11]))), foreign))
     return a, draw(st.sampled_from(sorted(REFERENCE_OPS))), other
 
 
@@ -579,7 +580,8 @@ def _outcome(op, a, other):
 
 # each operator gives the reference's (val, unit, rel_prec), or raises the same
 # ZeroDivisionError or ValueError, on int, Fraction and element operands (some
-# of another prime); derandomize draws the same 600 examples on every run
+# of another prime), and returns NotImplemented as the reference does for a
+# float, a str or None; derandomize draws the same 600 examples on every run
 @given(_operator_case())
 @settings(max_examples=600, deadline=None, derandomize=True)
 def test_operators_equal_the_reference_operators(case):
@@ -606,6 +608,19 @@ def test_division_by_an_int_is_embedded_inline():
         with pytest.raises(ZeroDivisionError) as want:
             REFERENCE_OPS["__truediv__"](z, k)
         assert str(got.value) == str(want.value)
+
+
+def test_fraction_operands_are_embedded_to_the_digits_kept():
+    # x * q, x / q and q / x keep 2 digits at val 10^6, so q is embedded to
+    # those, not to the cap of 10^6 + 4 digits
+    x = PadicElement(5, 10**6, 3, 2)
+    cases = [("__mul__", Fraction(1, 7)), ("__truediv__", Fraction(7)), ("__rtruediv__", Fraction(1, 7))]
+    for name, q in cases:
+        start = time.perf_counter()
+        y = getattr(x, name)(q)
+        assert time.perf_counter() - start < 0.01, name
+        want = REFERENCE_OPS[name](x, q)
+        assert (y.val, y.unit, y.rel_prec) == (want.val, want.unit, want.rel_prec), name
 
 
 # precision soundness
@@ -640,6 +655,25 @@ def test_precision_soundness_two_evaluation_orders(p, x, y):
 def test_pow_negative_exponent():
     x = make_padic(5, 2, 8)
     assert ((x**-3) * x**3).unit == 1
+
+
+def test_pow_of_the_zero_states():
+    zero, o2 = PadicElement(5, None, 0, 0), PadicElement(5, 2, 0, 0)
+    for base, k, text in ((zero, 0, "0**0 of an exact zero"), (zero, -1, "negative power of exact zero"),
+                          (o2, -1, "negative power of O(p^2)")):
+        with pytest.raises(ZeroDivisionError) as err:
+            base**k
+        assert str(err.value) == text
+    assert (zero**3).is_exact_zero()
+    assert str(o2**3) == "O(5^6)"
+    # a zero state to the 0 is 1 + O(p), one digit
+    assert (o2**0).to_json() == {"p": 5, "val": 0, "digits": [1], "rel_prec": 1}
+
+
+def test_pow_and_eq_return_not_implemented_for_another_type():
+    x = make_padic(5, 2, 3)
+    assert x.__pow__(1.5) is NotImplemented
+    assert x.__eq__(2) is NotImplemented
 
 
 def test_with_rel_prec_truncates_only():
