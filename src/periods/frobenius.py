@@ -6,8 +6,11 @@ at an odd prime p >= 5.  Lifting Frobenius by x -> x^p and expanding
 powers of f(x^p), gives terms f(x^p)^j / y^(p(2j+1)) dx with poles along
 y = 0; pushing the pole order down with exact forms, each term joining at
 its own order, expresses the image of each basis element in the basis
-{dx/y, x dx/y} again.  Counting points over F_p directly supplies an
-independent value for the trace.
+{dx/y, x dx/y} again.  The series is cut after its K-th power of
+E = f(x^p) - f(x)^p, K = _series_cut(p, n), the least K for which Kedlaya's
+Lemmas 2 and 3 prove the tail O(p^n) (kedlaya_frobenius has the proof).
+Counting points over F_p directly supplies an independent value for the
+trace.
 
 The reduction runs on plain ints at the single modulus p^W.  Each term is
 reduced horizontally at its pole order P to degree <= 1, both columns in one
@@ -24,7 +27,9 @@ from math import comb
 from .arith import check_precision, check_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, residual_valuation
 
-_MAX_STEPS = 5 * 10**5  # reduction steps times the 64-bit words of p^n: about a second
+# p(3K^2 + 9K + 4) reduction steps at the proven cut K = _series_cut(p, n), times
+# the 64-bit words of p^n: about a second
+_MAX_STEPS = 5 * 10**5
 
 
 # -- integer polynomials mod M, coefficients low to high ---------------------
@@ -195,12 +200,45 @@ def _horizontal(c, P, f, p, M):
     return ((u1 * inv % M, u0 * inv % M), (w1 * inv % M, w0 * inv % M)), e
 
 
+def _series_cut(p, n):
+    """The least K >= 0 with (K + 1) - floor(log_p(2K + 3)) >= n.
+
+    Cutting the series for 1/sigma(y) after E^K then changes no class by
+    more than O(p^n) (kedlaya_frobenius has the proof).  The left side is
+    at most K + 1, so the search starts at n - 1 and takes about log_p(2n)
+    steps, whatever n is; padic._cutoff would scan 2n terms before the step
+    budget can refuse a huge n.
+    """
+    K = max(n - 1, 0)
+    while True:
+        m, lost = 2 * K + 3, 0
+        while m >= p:
+            m, lost = m // p, lost + 1
+        if K + 1 - lost >= n:
+            return K
+        K += 1
+
+
 def kedlaya_frobenius(curve):
     """Frobenius matrix on {dx/y, x dx/y} to the curve's precision.
 
-    The binomial series for 1/sigma(y) is cut at K = n + 3 terms; the
-    dropped tail carries valuation at least K + 1 before reduction
-    losses.  Regrouped by powers of f(x^p), the cut series is a sum of
+    The binomial series for 1/sigma(y) is cut after E^K, K = _series_cut(p, n).
+    The cut is proven (Kedlaya, J. Ramanujan Math. Soc. 16 (2001), Lemmas 2
+    and 3; Edixhoven, "Point counting after Kedlaya", 2003):
+    - term k of the series is p binom(-1/2, k) E^k x^(p(i+1)-1) dx / y^(p(2k+1))
+      with E = f(x^p) - f(x)^p = 0 mod p, so it is p^(k+1) times an integral
+      form;
+    - written f-adically, its numerator is sum_l A_l f^l with deg A_l <= 2,
+      which splits the form into pieces A_l dx / y^s, s odd and at most
+      p(2k+1); the pieces with s <= 0 have their poles at infinity only;
+    - by Lemma 2 the class of a piece with s >= 3 has denominator at most
+      p^floor(log_p(s - 2)), whatever path the reduction takes, since the
+      class is unique; by Lemma 3, at infinity, the small |s| that occur
+      here cost at most one digit;
+    - as s - 2 < p(2k+1), the class of term k has valuation at least
+      k - floor(log_p(2k+1)), which never decreases as k grows, so every
+      term after K is O(p^n).
+    Regrouped by powers of f(x^p), the cut series is a sum of
     K + 1 terms b_j f(x^p)^j / y^P, P = p(2j+1), each reduced horizontally
     at its own P, both columns in one pass, to join accumulators that fixed
     2x2 vertical steps carry from P to P - 2: O(pK^2) steps of constant size.
@@ -213,7 +251,7 @@ def kedlaya_frobenius(curve):
     more raise PrecisionError.
     """
     p, n = curve.p, curve.n
-    K = n + 3
+    K = _series_cut(p, n)
     if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
         raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
                              "configured maximum %d" % (p, n, _MAX_STEPS))

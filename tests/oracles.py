@@ -220,9 +220,10 @@ def _dense_reduction(terms, f, fpr, v, p, M):
 def dense_kedlaya(f, p, n):
     """(val, unit, rel_prec) of the entries a, b, c, d of the Frobenius matrix.
 
-    The same cut series as periods.frobenius.kedlaya_frobenius (K = n + 3,
-    terms regrouped by powers of f(x^p)), reduced by a dense division by f
-    at every pole order.  Its own buffer: v_p(2m - 1) for each pole order
+    The series of periods.frobenius.kedlaya_frobenius, cut at K = n + 3 in
+    place of its proven cut, so that it checks that cut as well, with terms
+    regrouped by powers of f(x^p), reduced by a dense division by f at every
+    pole order.  Its own buffer: v_p(2m - 1) for each pole order
     m <= pK + (p - 1)/2, and one digit for the degree step at 2j - 1 = p.
     """
     K = n + 3

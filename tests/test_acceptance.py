@@ -296,7 +296,7 @@ def test_14_kummer_at_large_p():
 def test_15_kedlaya_at_large_p():
     # a dense division by f at every pole order took about 4 s at p = 199
     # and about 50 s at p = 1009
-    for p, n, budget in ((199, 4, 1), (1009, 2, 5)):
+    for p, n, budget in ((199, 4, 1), (1009, 2, 5), (10007, 2, 2)):
         started = time.monotonic()
         curve = EllipticCurveW((1, 1, 0, 1), p, n)
         cert = charpoly_certificate(kedlaya_frobenius(curve), count_points(curve.f, p))

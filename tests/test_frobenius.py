@@ -184,7 +184,7 @@ def test_frozen_matrices():
 
 
 def test_buffer_boundary_is_the_loss_count(monkeypatch):
-    # K = n + 3 = 7.  The top row, at pole order P = 5 * 15 = 75, kills
+    # At p = 5 and K = 7 the top row, at pole order P = 5 * 15 = 75, kills
     # x^114 .. x^2 of the second column by dividing by 2k - 3P + 2: the odd
     # numbers -219 .. 5, which hold 28 factors of 5 (-25, -75, -175 hold two
     # and -125 three).  Every lower row joins with fewer, so the max keeps
@@ -267,6 +267,46 @@ def test_selftest_certifies_and_agrees():
             assert diff.is_exact_zero() or diff.min_valuation() >= 4
 
 
+def test_selftest_refuses_digits_that_move(monkeypatch):
+    cur = EllipticCurveW(f=(1, 1, 0, 1), p=7, n=4)
+    real = frobenius.kedlaya_frobenius
+
+    def moved(curve):
+        # the deeper recomputation disagrees from p^3 on
+        m = real(curve)
+        if curve.n == cur.n:
+            return m
+        (a, b), (c, d) = m.entries
+        return type(m)(entries=((a + 7**3, b), (c, d)), curve=curve)
+
+    monkeypatch.setattr(frobenius, "kedlaya_frobenius", moved)
+    with pytest.raises(PrecisionError, match="^matrix digits moved under a deeper recomputation$"):
+        frobenius_selftest(cur)
+
+
+def test_selftest_refuses_a_wrong_point_count(monkeypatch):
+    cur = EllipticCurveW(f=(1, 1, 0, 1), p=7, n=4)
+    monkeypatch.setattr(frobenius, "count_points", lambda f, p: AP_TABLE[(f, p)] + 1)
+    with pytest.raises(PrecisionError, match="^matrix disagrees with the point count$"):
+        frobenius_selftest(cur)
+
+
+def test_count_points_refuses_a_sum_past_the_weil_bound(monkeypatch):
+    # every value a square: a_p = -p, and p^2 > 4p
+    monkeypatch.setattr(frobenius, "kronecker", lambda a, b: 1)
+    with pytest.raises(ArithmeticError, match="^point count violates the Weil bound$"):
+        count_points((1, 1, 0, 1), 5)
+
+
+def test_vertical_maps_refuse_a_wrong_bezout_factor(monkeypatch):
+    # with v f' != 1 mod f, x^b - S f' is no multiple of f
+    real = frobenius._bezout_factor
+    monkeypatch.setattr(frobenius, "_bezout_factor",
+                        lambda f, fpr, M: [(c + 1) % M for c in real(f, fpr, M)])
+    with pytest.raises(ArithmeticError, match="^pole reduction left a nonzero remainder$"):
+        kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4))
+
+
 def test_exhausted_buffer_is_loud(monkeypatch):
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
     monkeypatch.setattr(frobenius, "_loss_count", lambda p, m_init: 0)
@@ -283,6 +323,17 @@ def _kedlaya_cases(p, ns):
             if frobenius._discriminant(f) % p:
                 yield EllipticCurveW(f=f, p=p, n=n)
                 break
+
+
+def test_mazur_divisibility_of_the_hodge_column():
+    # Frobenius maps the Hodge line into p H^1 (Mazur, Bull. AMS 78, 1972),
+    # so column 0, the image of dx/y, is 0 mod p
+    for p in (5, 7, 11, 13, 29):
+        for cur in _kedlaya_cases(p, (2, 4, 6)):
+            m = kedlaya_frobenius(cur)
+            for r in (0, 1):
+                e = m.entries[r][0]
+                assert e.is_exact_zero() or e.min_valuation() >= 1, (cur.f, p, cur.n, r)
 
 
 # sha256 prefix of (val, unit, rel_prec) of the four entries of every matrix
@@ -313,8 +364,9 @@ def test_kedlaya_frozen_digests(p):
 
 
 def test_no_dense_product(monkeypatch):
-    # K = n + 3 = 7: the powers f^j, j <= K, have at most 3K + 1 = 22
-    # coefficients, and no product in the expansion or the reduction is larger
+    # K = _series_cut(29, 4) = 3: the powers f^j, j <= K, have at most
+    # 3K + 1 = 10 coefficients, and no product in the expansion or the
+    # reduction is larger
     sizes = []
 
     def counted(a, b, M):
@@ -324,7 +376,8 @@ def test_no_dense_product(monkeypatch):
     real = frobenius._int_mul
     monkeypatch.setattr(frobenius, "_int_mul", counted)
     kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=29, n=4))
-    assert sizes and max(sizes) <= 22
+    assert frobenius._series_cut(29, 4) == 3
+    assert sizes and max(sizes) <= 10
 
 
 def test_constant_number_of_cubic_divisions(monkeypatch):
@@ -376,3 +429,34 @@ def test_entries_match_the_dense_reduction(p):
         m = kedlaya_frobenius(cur)
         got = tuple((e.val, e.unit, e.rel_prec) for row in m.entries for e in row)
         assert got == dense_kedlaya(cur.f, p, cur.n), (cur.f, p, cur.n)
+
+
+def _floor_log(p, m):
+    t = 0
+    while p ** (t + 1) <= m:
+        t += 1
+    return t
+
+
+def test_series_cut_is_the_least_proven_k():
+    # the tail after E^K is O(p^n) once (K + 1) - floor(log_p(2K + 3)) >= n
+    for p in (5, 7, 11, 13, 29, 101):
+        for n in range(1, 13):
+            K = frobenius._series_cut(p, n)
+            assert K + 1 - _floor_log(p, 2 * K + 3) >= n, (p, n)
+            assert K == 0 or K - _floor_log(p, 2 * K + 1) < n, (p, n)
+    assert [frobenius._series_cut(5, n) for n in range(1, 11)] == [0, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert all(frobenius._series_cut(p, n) == n - 1 for p in (29, 101) for n in range(1, 13))
+
+
+def test_series_cut_is_sharp(monkeypatch):
+    # the proven cut matches the dense reduction, which cuts at K = n + 3;
+    # one term fewer moves a digit at each of these shapes
+    f, cut = (1, 1, 0, 1), frobenius._series_cut
+    for p, n in ((5, 5), (5, 6), (5, 7), (7, 7), (5, 10)):
+        want = dense_kedlaya(f, p, n)
+        for shift, agrees in ((0, True), (1, False)):
+            monkeypatch.setattr(frobenius, "_series_cut", lambda p, n: cut(p, n) - shift)
+            m = kedlaya_frobenius(EllipticCurveW(f=f, p=p, n=n))
+            got = tuple((e.val, e.unit, e.rel_prec) for row in m.entries for e in row)
+            assert (got == want) == agrees, (p, n, shift)
