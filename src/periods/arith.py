@@ -57,18 +57,14 @@ def check_precision(n):
 
 
 def kronecker(a, b):
-    """Kronecker symbol (a|b), defined for all integers b.
+    """Kronecker symbol (a|b) for an integer b >= 1.
 
-    Extends the Jacobi symbol by (a|2) = 0, 1, -1 for a even, a = +-1 mod 8,
-    a = +-3 mod 8, and (a|-1) = sign handling, with (a|0) = 1 iff a = +-1.
+    Extends the Jacobi symbol to even b by (a|2) = 0, 1, -1 for a even,
+    a = +-1 mod 8, a = +-3 mod 8.  ValueError for b < 1.
     """
-    if b == 0:
-        return 1 if a in (1, -1) else 0
+    if b < 1:
+        raise ValueError("kronecker needs b >= 1, got %d" % b)
     sign = 1
-    if b < 0:
-        b = -b
-        if a < 0:
-            sign = -1
     # factor out twos from b
     v = 0
     while b % 2 == 0:
@@ -97,15 +93,11 @@ def rational_reconstruct(x, m, height):
     """Recover a fraction num/den from x mod m with |num|, |den| <= height.
 
     Returns a Fraction, or None when no candidate exists in the box.
-    Uniqueness needs m > 2*height^2; we enforce that and raise otherwise,
-    since a non-unique "reconstruction" is worse than none.
+    Uniqueness needs m > 2*height^2, which the caller checks:
+    cm.rational_reconstruct refuses a smaller modulus with a PrecisionError.
     """
     if height < 1:
         raise ValueError("height must be >= 1, got %d" % height)
-    if m <= 2 * height * height:
-        raise ValueError(
-            "modulus %d too small for height %d (need m > 2*height^2)" % (m, height)
-        )
     x %= m
     # lattice {(u, v): u = v*x mod m}; shortest vector by the Euclid walk
     r0, t0 = m, 0
@@ -121,7 +113,6 @@ def rational_reconstruct(x, m, height):
         num, den = -num, -den
     if math.gcd(num, den) != 1:
         return None
-    if (num - den * x) % m != 0:
-        return None
+    # the walk keeps r_i = t_i * x mod m at every step, so num = den * x mod m
     return Fraction(num, den)
 

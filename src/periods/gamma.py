@@ -101,7 +101,11 @@ def _newton_eval(e, b):
 
 
 def _tail_checkpoints(p, n):
-    """rows[c] = Newton coefficients in B of prod_{i<=c*_TAIL_STEP} (pB + i) mod p^n."""
+    """rows[c] = Newton coefficients in B of prod_{i<=c*_TAIL_STEP} (pB + i) mod p^n.
+
+    Trailing zeros are dropped, so row 0 is [1] and _tail forms no binomial C(B, j)
+    that it would multiply by 0.
+    """
     mod = p**n
     last = (p - 1) // _TAIL_STEP
     cols = []
@@ -118,6 +122,8 @@ def _tail_checkpoints(p, n):
         for j in range(1, n):
             for b in range(n - 1, j - 1, -1):
                 e[b] = (e[b] - e[b - 1]) % mod
+        while len(e) > 1 and not e[-1]:
+            e.pop()
         rows.append(e)
     return rows
 

@@ -31,8 +31,6 @@ class FormalSeries:
 
     def __init__(self, lam0, coeffs):
         self.lam0, self.coeffs = lam0, tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant term")
         slack = 0
         for k, c in enumerate(self.coeffs):
             slack = max(slack, -c.min_valuation() - _vp_factorial(k, lam0.p))
@@ -56,8 +54,6 @@ class FormalSeries:
         value's valuation, and otherwise keeps the digits below the tail.
         """
         t = lam - self.lam0
-        if t.is_exact_zero():
-            return self.coeffs[0]
         vt = t.min_valuation()
         if vt < 1:
             raise ValueError("evaluation point is outside the unit disc")

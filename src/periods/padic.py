@@ -296,9 +296,6 @@ class PadicElement:
             and self.rel_prec == other.rel_prec
         )
 
-    def __hash__(self):
-        return hash((self.p, self.val, self.unit, self.rel_prec))
-
     # -- rendering ------------------------------------------------------------
 
     def __str__(self):

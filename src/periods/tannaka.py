@@ -141,9 +141,6 @@ class CoeffRingElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(self.terms)
-
     @classmethod
     def monomial(cls, i, j, k, l, coeff=1):
         return cls(terms=(((i, j, k, l), coeff),))

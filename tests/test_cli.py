@@ -1,7 +1,8 @@
 """End-to-end checks of the command line front end.
 
-Only the JSON mode is parsed; text mode is checked for exit status
-alone.  Every JSON payload is validated against schema/output.json.
+Every JSON payload is validated against schema/output.json.  Text mode
+is pinned line by line: the selftest table, an error line, and the
+element, zero-state and matrix renderings.
 """
 
 import hashlib
@@ -9,6 +10,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -86,13 +88,44 @@ def test_bound_cases():
         assert payload["result"]["bound"] == want
 
 
-def test_text_mode_runs():
+def test_text_mode_runs(tmp_path):
     code, out = run_cli(["bound", "--case", "legendre"])
     assert code == 0
     assert out
     code, out = run_cli(["kummer", "--a", "2/3", "--p", "5", "--prec", "8"])
     assert code == 0
     assert out
+    code, out = run_cli(["selftest", "--prec", "3"])
+    assert (code, out.splitlines()) == (0, [
+        "selftest: ok",
+        "  bounds         PASS  4/4 cases",
+        "  charpoly       PASS  2/2 curves at precision 4",
+        "  closure        PASS  adjoint generates through 8; Sym^4 misses [2, 6]",
+        "  gross-koblitz  PASS  9/9 residuals at pi-valuation >= 3",
+        "  kummer         PASS  4/4 pairs at precision 3",
+        "  wronskian      PASS  2/2 sample points at order 6",
+        "  6/6 checks passed",
+    ])
+    (tmp_path / "phi.json").write_text(json.dumps(dict(README_PHI, weights=[1, 0])))
+    (tmp_path / "v0.json").write_text(json.dumps([1]))
+    code, out = run_cli(["mixed", "--matrix", str(tmp_path / "phi.json"),
+                         "--v0", str(tmp_path / "v0.json")])
+    assert (code, out) == (2, "mixed: error: weights must be <= 0\n")
+    code, out = run_cli(["frob", "--f", "x^3-x", "--p", "7", "--prec", "4"])
+    assert code == 0 and "  matrix[0][0]: O(7^4)" in out.splitlines()
+    code, out = run_cli(["gamma", "--p", "5", "--x", "1/2", "--prec", "3"])
+    assert code == 0 and "  value: 5^0 * [3, 3, 2] + O(5^3)" in out.splitlines()
+
+
+def test_module_runs_as_a_script(monkeypatch):
+    # python -m periods.cli: the module is imported already, hence runpy's warning
+    monkeypatch.setattr(sys, "argv", ["periods.cli", "bound", "--case", "legendre", "--json"])
+    buf = io.StringIO()
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as exc, redirect_stdout(buf):
+        runpy.run_module("periods.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert (0, buf.getvalue()) == run_cli(["bound", "--case", "legendre", "--json"])
 
 
 def test_gamma_matches_library():
@@ -337,6 +370,15 @@ def test_config_errors_exit_2(tmp_path):
     # --d plays no part in the ramified construction
     code, payload = run_json(["cm", "--p", "3", "--ramified-n", "8", "--d", "5", "--prec", "4"])
     assert code == 2 and "--ramified-n" in payload["error"]
+    # the one ramified case, and the least order the Wronskian needs
+    for argv, error in (
+        (["cm", "--ramified-n", "8", "--p", "5", "--prec", "3"],
+         "the ramified construction is implemented for p = 3"),
+        (["hyper", "--p", "7", "--lambda0", "3", "--e", "2", "--order", "1", "--prec", "4",
+          "--at", "10"], "order must be at least 2"),
+    ):
+        code, payload = run_json(argv)
+        assert (code, payload["error"]) == (2, error), argv
     # psi_12, a strong pseudoprime to the bases 2..37, certified digits before
     code, payload = run_json(["hyper", "--p", "318665857834031151167461", "--lambda0", "2",
                               "--e", "3", "--order", "4", "--prec", "2",
@@ -454,6 +496,33 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         matrix_file.write_text(json.dumps(dict(good, **fields)))
         code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
         assert code == 2 and "integers" in payload["error"], fields
+
+    # a positive weight, a missing key, and weights that are not an array
+    no_entries = {k: v for k, v in good.items() if k != "entries"}
+    for doc, error in (
+        (dict(good, weights=[1, 0]), "weights must be <= 0"),
+        (no_entries, "matrix file lacks the 'entries' key"),
+        (dict(good, weights=5), "matrix weights and entries must be JSON arrays"),
+    ):
+        matrix_file.write_text(json.dumps(doc))
+        code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+        assert (code, payload["error"]) == (2, error), doc
+
+    # cells of another prime or of a type the loader does not read, in the
+    # matrix and in the vector
+    for cell, error in (
+        ({"p": 7, "val": 0, "digits": [1], "rel_prec": 1},
+         "entry prime 7 differs from the matrix prime 5"),
+        (1.5, "cannot interpret 1.5 as a matrix entry"),
+        ([1], "cannot interpret [1] as a matrix entry"),
+    ):
+        entries = [list(row) for row in good["entries"]]
+        entries[0][0] = cell
+        for doc, v0 in ((dict(good, entries=entries), [1]), (good, [cell])):
+            matrix_file.write_text(json.dumps(doc))
+            v0_file.write_text(json.dumps(v0))
+            code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
+            assert (code, payload["error"]) == (2, error), (cell, v0)
 
     # cells that to_json never writes: digits outside [0, p), a val that is
     # not an int, a zero leading digit, rel_prec other than the digit count,

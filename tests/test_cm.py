@@ -46,6 +46,9 @@ def test_class_numbers_small():
     assert class_number(-24) == 2
     assert class_number(-84) == 4
     assert class_number(-132) == 4
+    with pytest.raises(ValueError) as err:
+        class_number(5)
+    assert str(err.value) == "need a negative discriminant, 0 or 1 mod 4"
 
 
 def test_imag_quad_data_examples():
@@ -291,6 +294,12 @@ def test_reconstruct_precision_guard():
 def test_reconstruct_exact_zero():
     z = make_padic(5, 0, 8)
     assert rational_reconstruct(z, 100) == Fraction(0)
+
+
+def test_reconstruct_refuses_a_bare_int():
+    with pytest.raises(TypeError) as err:
+        rational_reconstruct(3, 5)
+    assert str(err.value) == "expected a PadicElement"
 
 
 def test_probe_rejects_negative_valuation():

@@ -74,6 +74,17 @@ def test_gamma_tail_checkpoints(p, n):
         assert gamma_p_at(p, m, n).unit == want[m], (p, n, m)
 
 
+def test_tail_checkpoints_drop_trailing_zeros():
+    # below p = _TAIL_STEP, row 0 is the empty product: no binomial C(B, j) is formed
+    assert gamma._tail_checkpoints(101, 300) == [[1]]
+
+
+def test_gamma_refuses_a_bare_int():
+    with pytest.raises(TypeError) as err:
+        gamma_p(1, 3)
+    assert str(err.value) == "pass a PadicElement, or use gamma_p_at(p, x, n)"
+
+
 @pytest.mark.parametrize("p,n,k", [(101, 20, 2), (3, 40, 5)])
 def test_gamma_beyond_table_precision(p, n, k):
     # p^n is far past any scan, yet cheap; the oracle checks the value mod p^k

@@ -85,6 +85,9 @@ def test_solver_rejects_bad_base_points():
         solve_katz_ode(make_padic(5, 0, 10), 0, 10, 10)
     with pytest.raises(ValueError):
         solve_katz_ode(make_padic(5, 6, 10), 0, 10, 10)
+    with pytest.raises(TypeError) as err:
+        solve_second_order(2, 1, 0, 4, 4)
+    assert str(err.value) == "base point must be a p-adic element"
 
 
 def test_solver_rejects_fractional_e():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periods.arith import is_prime
+from periods.arith import is_prime, kronecker
 from periods.padic import (
     PadicElement,
     PrecisionError,
@@ -50,6 +50,17 @@ def test_is_prime_proven_range():
     for n in (3317044064679887385961981, 10**30 + 57, 2**100):
         with pytest.raises(ValueError):
             is_prime(n)
+    # below 2 by its guard: at 1, d = n - 1 = 0 would halve forever
+    assert not is_prime(0) and not is_prime(1)
+
+
+def test_kronecker_at_even_b_and_its_refusal():
+    assert kronecker(2, 6) == 0
+    assert [kronecker(a, 8) for a in (1, 3, 5, 7)] == [1, -1, -1, 1]
+    for b in (0, -5):
+        with pytest.raises(ValueError) as err:
+            kronecker(3, b)
+        assert str(err.value) == "kronecker needs b >= 1, got %d" % b
 
 
 def test_make_one():
@@ -199,6 +210,9 @@ def test_log_splitting_identity():
 def test_log_rejects_nonunit():
     with pytest.raises(ValueError):
         iwasawa_log(make_padic(3, 6, 8))
+    with pytest.raises(TypeError) as err:
+        iwasawa_log(3)
+    assert str(err.value) == "expected a PadicElement"
 
 
 @given(
@@ -244,6 +258,9 @@ def test_exp_log_round_trip():
 def test_exp_rejects_small_valuation():
     with pytest.raises(ValueError):
         exp_p(make_padic(5, 2, 8))
+    with pytest.raises(TypeError) as err:
+        exp_p(3)
+    assert str(err.value) == "expected a PadicElement"
 
 
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 10**4))
@@ -668,6 +685,19 @@ def test_pow_of_the_zero_states():
     assert str(o2**3) == "O(5^6)"
     # a zero state to the 0 is 1 + O(p), one digit
     assert (o2**0).to_json() == {"p": 5, "val": 0, "digits": [1], "rel_prec": 1}
+
+
+def test_lift_refuses_a_negative_valuation():
+    with pytest.raises(ValueError) as err:
+        make_padic(5, Fraction(1, 5), 4).lift()
+    assert str(err.value) == "negative valuation has no integer lift"
+
+
+def test_repr_shows_the_slots_and_elements_are_unhashable():
+    assert repr(make_padic(5, 7, 3)) == "PadicElement(p=5, val=0, unit=7, rel_prec=3)"
+    assert repr(make_padic(5, 0, 3)) == "PadicElement(p=5, val=None, unit=0, rel_prec=0)"
+    with pytest.raises(TypeError):
+        hash(make_padic(5, 7, 3))
 
 
 def test_pow_and_eq_return_not_implemented_for_another_type():

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from periods import tannaka
 from periods.tannaka import (
     FIBER_PRODUCT,
     GL2,
@@ -188,6 +189,23 @@ def test_ring_grading():
     assert _is_zero(_sub(e, e))
 
 
+def test_terms_drop_zero_coefficients_and_refuse_bad_monomials():
+    assert _mono(1, 0, 0, 0, 0).terms == ()
+    for key in ((-1, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(ValueError) as err:
+            CoeffRingElement(terms=((key, 1),))
+        assert str(err.value) == "bad monomial %r" % (key,)
+
+
+def test_ring_elements_meet_only_ring_elements():
+    one = CoeffRingElement.one()
+    assert (one == 1) is False
+    with pytest.raises(TypeError):
+        one * 2
+    with pytest.raises(TypeError):
+        hash(one)
+
+
 def test_scalar_multiplication():
     e = _mono(0, 1, 1, 0)
     assert _scale(e, 2) == _add(e, e)
@@ -276,6 +294,13 @@ def test_closure_input_checks():
         coeff_subalgebra_closure(2, cap=7)
     with pytest.raises(ValueError):
         coeff_subalgebra_closure(2, cap=14)
+
+
+def test_closure_refuses_a_monomial_count_past_one(monkeypatch):
+    monkeypatch.setattr(tannaka, "_target_multiplicities", lambda cap: {0: 1, 2: 2})
+    with pytest.raises(ArithmeticError) as err:
+        coeff_subalgebra_closure(2, cap=2)
+    assert str(err.value) == "monomial count gives multiplicity 2 in degree 2"
 
 
 # sha256 prefix of the repr of every ClosureReport for one r over the even
