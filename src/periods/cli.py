@@ -611,7 +611,8 @@ def _parser():
     sp.add_argument("--f", required=True, metavar="CUBIC", help='monic cubic, e.g. "x^3-2*x+1"')
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
-    sp.add_argument("--selftest", action="store_true", help="recompute deeper and cross-check")
+    sp.add_argument("--selftest", action="store_true",
+                    help="cross-check against a shifted model and the point count")
 
     sp = add("closure", _cmd_closure, "coefficient subalgebra of a symmetric power")
     sp.add_argument("--r", type=int, required=True, help="even symmetric power")

@@ -113,10 +113,10 @@ def _reduce_terms(pairs):
     out = {}
     for key, coeff in pairs:
         key, coeff = tuple(key), Fraction(coeff)
-        if not coeff:
-            continue
         if len(key) != 4 or min(key) < 0:
             raise ValueError("bad monomial %r" % (key,))
+        if not coeff:
+            continue
         i, j, k, l = key
         # a^i d^l = a^(i-m) (1 + bc)^m d^(l-m), expanded binomially
         m = min(i, l)

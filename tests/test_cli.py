@@ -281,6 +281,24 @@ def test_frob_selftest_flag():
     assert payload["result"]["a_p"] == 0
 
 
+def test_frob_selftest_is_admitted_wherever_the_plain_run_is():
+    # the self-test's second run is at the requested precision, so at
+    # p = 10007 it meets the same step budget as the plain request
+    argv = ["frob", "--f", "x^3+x+1", "--p", "10007", "--prec", "2"]
+    code, plain = run_json(argv)
+    assert code == 0
+    code, checked = run_json(argv + ["--selftest"])
+    assert code == 0
+    assert checked["result"].pop("selftest") is True
+    assert plain["result"].pop("selftest") is False
+    assert checked == plain
+    for extra in ([], ["--selftest"]):
+        code, payload = run_json(["frob", "--f", "x^3+x+1", "--p", "10007", "--prec", "4"] + extra)
+        assert code == 2
+        assert payload["error"] == ("the Kedlaya step count at p = 10007, precision 4 "
+                                    "exceeds the configured maximum 500000")
+
+
 def test_frob_rejects_bad_reduction():
     code, payload = run_json(["frob", "--f", "x^3-x", "--p", "3", "--prec", "4"])
     assert code == 2

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from periods import frobenius
+from periods.arith import is_prime
 from periods.cm import rational_reconstruct
 from periods.frobenius import (
     CharpolyCertificate,
@@ -13,7 +14,7 @@ from periods.frobenius import (
     frobenius_selftest,
     kedlaya_frobenius,
 )
-from periods.padic import PrecisionError
+from periods.padic import PrecisionError, residual_valuation
 
 from oracles import dense_kedlaya
 
@@ -272,16 +273,33 @@ def test_selftest_refuses_digits_that_move(monkeypatch):
     real = frobenius.kedlaya_frobenius
 
     def moved(curve):
-        # the deeper recomputation disagrees from p^3 on
+        # the run on the shifted model f(X + 1) disagrees from p^3 on
         m = real(curve)
-        if curve.n == cur.n:
+        if curve.f == cur.f:
             return m
         (a, b), (c, d) = m.entries
         return type(m)(entries=((a + 7**3, b), (c, d)), curve=curve)
 
     monkeypatch.setattr(frobenius, "kedlaya_frobenius", moved)
-    with pytest.raises(PrecisionError, match="^matrix digits moved under a deeper recomputation$"):
+    with pytest.raises(PrecisionError, match="^matrix digits moved under a change of model: "
+                                             "the models agree to 3 of 4 digits$"):
         frobenius_selftest(cur)
+
+
+def test_selftest_runs_the_kernel_twice_at_the_requested_precision(monkeypatch):
+    # the base model and its shift f(X + 1), both at n: nothing deeper
+    calls = []
+
+    def counted(curve):
+        calls.append((curve.f, curve.n))
+        return real(curve)
+
+    real = frobenius.kedlaya_frobenius
+    monkeypatch.setattr(frobenius, "kedlaya_frobenius", counted)
+    for cur in _kedlaya_cases(5, (2, 4, 6)):
+        calls.clear()
+        frobenius_selftest(cur)
+        assert calls == [(cur.f, cur.n), (_shift(cur.f, 1), cur.n)], cur.f
 
 
 def test_selftest_refuses_a_wrong_point_count(monkeypatch):
@@ -334,6 +352,87 @@ def test_mazur_divisibility_of_the_hodge_column():
             for r in (0, 1):
                 e = m.entries[r][0]
                 assert e.is_exact_zero() or e.min_valuation() >= 1, (cur.f, p, cur.n, r)
+
+
+def _shift(f, r):
+    """g(X) = f(X + r), coefficients low to high."""
+    c0, c1, c2 = f[:3]
+    return (c0 + c1 * r + c2 * r * r + r**3, c1 + 2 * c2 * r + 3 * r * r, c2 + 3 * r, 1)
+
+
+def _matmul(x, y):
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)) for i in (0, 1))
+
+
+def _model_residual(m, shifted, r, u):
+    """Least v(F_f - B^-1 F_g B) over the entries, B = [[1/u, r/u], [0, u]].
+
+    The substitution x = u^2 X + r, y = u^3 Y, u = +-1, takes y^2 = f(x) to
+    y^2 = g(X), g = _shift(f, r), and dx/y, x dx/y to dX/Y, X dX/Y times the
+    columns of B.
+    """
+    b, b_inv = ((u, r * u), (0, u)), ((u, -r * u), (0, u))
+    moved = _matmul(b_inv, _matmul(shifted.entries, b))
+    return min(residual_valuation(x, y)
+               for row, mrow in zip(m.entries, moved) for x, y in zip(row, mrow))
+
+
+def test_matrix_is_covariant_under_a_change_of_model():
+    # the action on H^1 does not depend on the lift (Monsky-Washnitzer), so a
+    # shifted model gives the same map in the moved basis, to every digit
+    rng = random.Random(13)
+    for p in (5, 7, 11, 13, 29):
+        for cur in _kedlaya_cases(p, (2, 4, 6)):
+            m = kedlaya_frobenius(cur)
+            for r in (1, 2, 3, -4):
+                shifted = kedlaya_frobenius(EllipticCurveW(f=_shift(cur.f, r), p=p, n=cur.n))
+                u = rng.choice((1, -1))
+                assert _model_residual(m, shifted, r, u) >= cur.n, (cur.f, p, cur.n, r, u)
+
+
+def test_covariance_sees_what_the_charpoly_misses(monkeypatch):
+    # conjugating by diag(1 + p^k, 1) keeps trace and determinant, but moves
+    # the unit F[0][1] from p^k on: the certificate passes and the model
+    # residual is exactly k, which frobenius_selftest reports
+    real = frobenius.kedlaya_frobenius
+    for f, p, n in (((1, 1, 0, 1), 5, 6), ((1, 1, 0, 1), 7, 4), ((2, 3, 0, 1), 11, 4)):
+        cur = EllipticCurveW(f=f, p=p, n=n)
+        m = kedlaya_frobenius(cur)
+        (a, b), (c, d) = m.entries
+        assert b.val == 0
+        shifted = kedlaya_frobenius(EllipticCurveW(f=_shift(f, 1), p=p, n=n))
+        assert _model_residual(m, shifted, 1, 1) >= n
+        for k in range(1, n):
+            s = 1 + p**k
+            bad = type(m)(entries=((a, b / s), (c * s, d)), curve=cur)
+            assert charpoly_certificate(bad, count_points(f, p)).ok, (f, p, k)
+            assert _model_residual(bad, shifted, 1, 1) == k, (f, p, k)
+            with monkeypatch.context() as mp:
+                mp.setattr(frobenius, "kedlaya_frobenius",
+                           lambda curve: bad if curve.f == f else real(curve))
+                with pytest.raises(PrecisionError, match="agree to %d of %d digits$" % (k, n)):
+                    frobenius_selftest(cur)
+
+
+def _is_small(e, n):
+    return e.is_exact_zero() or e.min_valuation() >= n
+
+
+def test_cm_curves_have_the_shape_of_their_automorphism():
+    # dx/y and x dx/y are eigenforms of x -> -x, y -> iy on y^2 = x^3 - x and
+    # of x -> zeta x on y^2 = x^3 + 1, so F is diagonal at a split p (1 mod 4,
+    # resp. 1 mod 3) and anti-diagonal at an inert one; every p < 200, n = 4
+    n, seen = 4, {}
+    for f, m in (((0, -1, 0, 1), 4), ((1, 0, 0, 1), 3)):
+        for p in range(5, 200):
+            if not is_prime(p):
+                continue
+            (a, b), (c, d) = kedlaya_frobenius(EllipticCurveW(f=f, p=p, n=n)).entries
+            split = p % m == 1
+            small = (b, c) if split else (a, d)
+            assert all(_is_small(e, n) for e in small), (f, p)
+            seen[f, split] = seen.get((f, split), 0) + 1
+    assert sorted(seen.values()) == [21, 21, 23, 23]
 
 
 # sha256 prefix of (val, unit, rel_prec) of the four entries of every matrix

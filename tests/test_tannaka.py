@@ -191,10 +191,13 @@ def test_ring_grading():
 
 def test_terms_drop_zero_coefficients_and_refuse_bad_monomials():
     assert _mono(1, 0, 0, 0, 0).terms == ()
-    for key in ((-1, 0, 0, 0), (1, 0, 0)):
-        with pytest.raises(ValueError) as err:
-            CoeffRingElement(terms=((key, 1),))
-        assert str(err.value) == "bad monomial %r" % (key,)
+    # a key is checked before its coefficient, so a zero coefficient does
+    # not let a bad monomial through
+    for key in ((-1, 0, 0, 0), (1, 0, 0), (1, 2)):
+        for coeff in (1, 0):
+            with pytest.raises(ValueError) as err:
+                CoeffRingElement(terms=((key, coeff),))
+            assert str(err.value) == "bad monomial %r" % (key,)
 
 
 def test_ring_elements_meet_only_ring_elements():
