@@ -41,11 +41,11 @@ def test_fiber_product_quotient_count():
 
 
 def test_group_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown group kind 'so3'$"):
         GroupDesc("so3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a torus needs a positive rank$"):
         torus(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^only tori carry a rank$"):
         GroupDesc("gl2", rank=1)
 
 
@@ -63,11 +63,11 @@ def test_homog_dim_is_the_dimension_difference():
 
 
 def test_homog_dim_rejects_missing_embeddings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no designated embedding of 'torus' in 'pgl2'$"):
         homog_dim(PGL2, torus(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no designated embedding of 'gl2' in 'pgl2'$"):
         homog_dim(PGL2, GL2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no designated embedding of 'torus' in 'trivial'$"):
         homog_dim(TRIVIAL, torus(1))
 
 
