@@ -3,7 +3,7 @@
 Submodules:
 
     padic       tracked-precision p-adic arithmetic
-    arith       primality, Kronecker symbols, rational reconstruction
+    arith       primality, the prime and precision checks, Kronecker symbols
     gamma       the Morita gamma function and its functional equations
     cyclotomic  Gross-Koblitz: Gauss sums from Dwork's coefficients against gamma_p
     cm          gamma-product periods of imaginary quadratic fields

@@ -1,10 +1,8 @@
 """Integer number theory shared by the rest of the package.
 
-Everything here is exact: Python ints and fractions.Fraction only.
+Primality, the one prime and precision checks, and Kronecker symbols.
+Everything here is exact: Python ints only.
 """
-
-import math
-from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13: the bases above are a proven witness set for every n below it
@@ -87,32 +85,3 @@ def kronecker(a, b):
             sign = -sign
         a %= b
     return sign if b == 1 else 0
-
-
-def rational_reconstruct(x, m, height):
-    """Recover a fraction num/den from x mod m with |num|, |den| <= height.
-
-    Returns a Fraction, or None when no candidate exists in the box.
-    Uniqueness needs m > 2*height^2, which the caller checks:
-    cm.rational_reconstruct refuses a smaller modulus with a PrecisionError.
-    """
-    if height < 1:
-        raise ValueError("height must be >= 1, got %d" % height)
-    x %= m
-    # lattice {(u, v): u = v*x mod m}; shortest vector by the Euclid walk
-    r0, t0 = m, 0
-    r1, t1 = x, 1
-    while r1 > height:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > height or t1 == 0:
-        return None
-    num, den = r1, t1
-    if den < 0:
-        num, den = -num, -den
-    if math.gcd(num, den) != 1:
-        return None
-    # the walk keeps r_i = t_i * x mod m at every step, so num = den * x mod m
-    return Fraction(num, den)
-

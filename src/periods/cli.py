@@ -612,7 +612,7 @@ def _parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--prec", type=int, required=True)
     sp.add_argument("--selftest", action="store_true",
-                    help="cross-check against a shifted model and the point count")
+                    help="cross-check against a shifted model")
 
     sp = add("closure", _cmd_closure, "coefficient subalgebra of a symmetric power")
     sp.add_argument("--r", type=int, required=True, help="even symmetric power")

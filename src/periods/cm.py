@@ -20,7 +20,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import check_prime, kronecker
-from .arith import rational_reconstruct as _reconstruct_int
 from .gamma import _admit, gamma_p
 from .padic import PadicElement, PrecisionError, _capped
 
@@ -149,7 +148,8 @@ def cm_period_ramified_p3(n0, n):
 def rational_reconstruct(x, height):
     """Bounded-height rational matching x mod p^(abs precision), or None.
 
-    Needs p^A > 2 height^2 so that a match is unique.
+    Needs p^A > 2 height^2 so that a match is unique: a fraction num/den
+    with |num|, |den| <= height and num = den * x mod p^A.
     """
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
@@ -163,7 +163,24 @@ def rational_reconstruct(x, height):
         raise PrecisionError(
             "absolute precision %d too low for height bound %d" % (a, height)
         )
-    return _reconstruct_int(x.lift(), modulus, height)
+    if height < 1:
+        raise ValueError("height must be >= 1, got %d" % height)
+    # lattice {(u, v): u = v*x mod p^A}; shortest vector by the Euclid walk
+    r0, t0 = modulus, 0
+    r1, t1 = x.lift() % modulus, 1
+    while r1 > height:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > height or t1 == 0:
+        return None
+    num, den = r1, t1
+    if den < 0:
+        num, den = -num, -den
+    if math.gcd(num, den) != 1:
+        return None
+    # the walk keeps r_i = t_i * x mod p^A at every step, so num = den * x mod p^A
+    return Fraction(num, den)
 
 
 def algebraicity_probe(x, height, max_power):

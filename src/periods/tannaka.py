@@ -1,11 +1,13 @@
 """Symbolic bookkeeping for groups, representations, and matrix coefficients.
 
 Dimension arithmetic for the handful of algebraic groups the period
-bounds need, and an exact computation inside
+bounds need, read from one fixed table, and an exact computation inside
 O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per degree, which
 irreducible blocks of the torus-invariant coordinate ring the matrix
-coefficients of a given representation actually generate.
-All linear algebra is over exact rationals; nothing is rounded.
+coefficients of a given representation actually generate.  The blocks
+to reach are fixed by Peter-Weyl (each even Sym^m once); only the
+generated side is computed.  All linear algebra is over exact
+rationals; nothing is rounded.
 """
 
 from collections import namedtuple
@@ -14,12 +16,15 @@ from math import comb
 
 MAX_CLOSURE_CAP = 12
 
-_GROUP_KINDS = ("torus", "gl2", "sl2", "pgl2", "fiber-product", "trivial")
+# kind -> (dimension, rank of a maximal torus), a torus having its rank for
+# both; the fiber product {(a, b, A) : ab = det A} in Gm^2 x GL2 is one equation
+_GROUPS = {"torus": None, "gl2": (4, 2), "sl2": (3, 1), "pgl2": (3, 1),
+           "fiber-product": (2 + 4 - 1, 3), "trivial": (0, 0)}
 
 
 class GroupDesc:
     def __init__(self, kind, rank=0):
-        if kind not in _GROUP_KINDS:
+        if kind not in _GROUPS:
             raise ValueError("unknown group kind %r" % (kind,))
         if kind == "torus":
             if rank < 1:
@@ -40,31 +45,17 @@ def torus(rank):
     return GroupDesc("torus", rank)
 
 
+def _row(g):
+    return _GROUPS[g.kind] or (g.rank, g.rank)
+
+
 def dim_group(g):
-    if g.kind == "torus":
-        return g.rank
-    if g.kind == "gl2":
-        return 4
-    if g.kind in ("sl2", "pgl2"):
-        return 3
-    if g.kind == "fiber-product":
-        # {(a, b, A) : ab = det A} inside Gm^2 x GL2, one equation
-        return 2 + 4 - 1
-    return 0
-
-
-def _max_torus_rank(g):
-    return {"torus": g.rank, "gl2": 2, "sl2": 1, "pgl2": 1,
-            "fiber-product": 3, "trivial": 0}[g.kind]
+    return _row(g)[0]
 
 
 def homog_dim(g, h):
     """Dimension of G/H for a designated embedding of H in G."""
-    if h.kind == "trivial":
-        pass
-    elif h.kind == "torus" and h.rank <= _max_torus_rank(g):
-        pass
-    else:
+    if not (h.kind == "trivial" or h.kind == "torus" and h.rank <= _row(g)[1]):
         raise ValueError("no designated embedding of %r in %r"
                          % (h.kind, g.kind))
     return dim_group(g) - dim_group(h)
@@ -202,32 +193,6 @@ def _echelon_insert(pivots, vec):
     return False
 
 
-def _target_multiplicities(cap):
-    """Irreducible content of the weight-0 ring through each even degree.
-
-    Counts normal-form monomials with right weight 0 and degree at most
-    cap, bucketed by left weight; consecutive differences give the
-    multiplicity of each Sym^m, which the product structure predicts to
-    be exactly one.  This count is the independent yardstick the closure
-    is compared against.
-    """
-    counts = {}
-    for i in range(cap + 1):
-        for j in range(cap + 1 - i):
-            for k in range(cap + 1 - i - j):
-                for l in range(cap + 1 - i - j - k):
-                    if i and l:
-                        continue
-                    if i - j + k - l:
-                        continue
-                    w = i + j - k - l
-                    counts[w] = counts.get(w, 0) + 1
-    out = {}
-    for m in range(0, cap + 1, 2):
-        out[m] = counts.get(m, 0) - counts.get(m + 2, 0)
-    return out
-
-
 ClosureReport = namedtuple("ClosureReport", "r cap reached target missing generated")
 
 
@@ -237,8 +202,8 @@ def coeff_subalgebra_closure(r, cap=8):
     Multiplies the matrix coefficients of the PGL2 representation Sym^r
     out to total degree cap, splits the product span by left weight, and
     differences the ranks to read off which Sym^m blocks (m even, at most
-    cap) are present.  The target side comes from the monomial count, not
-    from the products.
+    cap) are present.  The target side is fixed by Peter-Weyl, not read off
+    the products: each such Sym^m occurs once in the weight-0 ring.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -269,14 +234,10 @@ def coeff_subalgebra_closure(r, cap=8):
     reached = {}
     for m in range(0, cap + 1, 2):
         reached[m] = len(tables.get(m, ())) - len(tables.get(m + 2, ()))
-    target = _target_multiplicities(cap)
-    for m, mult in target.items():
-        if mult != 1:
-            raise ArithmeticError(
-                "monomial count gives multiplicity %d in degree %d" % (mult, m)
-            )
-    missing = tuple(m for m in sorted(target)
-                    if reached.get(m, 0) < target[m])
+    # Peter-Weyl: through degree cap, O(SL2) is the sum of Sym^k x Sym^k over
+    # k <= cap, and Sym^k has a torus-fixed line iff k is even: each Sym^m once
+    target = {m: 1 for m in range(0, cap + 1, 2)}
+    missing = tuple(m for m in target if reached[m] < target[m])
     return ClosureReport(
         r=r,
         cap=cap,

@@ -7,7 +7,8 @@ cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
 built one unit at a time, with Fraction exponents and PadicElement powers;
 REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state
-through the predicates.
+through the predicates; target_multiplicities counts the irreducible content
+of the torus-invariant part of O(SL2) from its normal-form monomials.
 """
 
 from fractions import Fraction
@@ -310,3 +311,29 @@ def cm_ramified_p3_by_unit(n0, n):
     data = imag_quad_data(_squarefree_kernel(3 * n0))
     exponent = lambda u: Fraction(kronecker(n0, u) * data.w, 2 * data.h)
     return collapse(3, gamma_factors(3, n, n0, 1, exponent), n)
+
+
+def target_multiplicities(cap):
+    """Irreducible content of the weight-0 ring through each even degree.
+
+    Counts normal-form monomials with right weight 0 and degree at most
+    cap, bucketed by left weight; consecutive differences give the
+    multiplicity of each Sym^m, which the product structure predicts to
+    be exactly one.  This count is the independent yardstick the closure
+    is compared against.
+    """
+    counts = {}
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            for k in range(cap + 1 - i - j):
+                for l in range(cap + 1 - i - j - k):
+                    if i and l:
+                        continue
+                    if i - j + k - l:
+                        continue
+                    w = i + j - k - l
+                    counts[w] = counts.get(w, 0) + 1
+    out = {}
+    for m in range(0, cap + 1, 2):
+        out[m] = counts.get(m, 0) - counts.get(m + 2, 0)
+    return out

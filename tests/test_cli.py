@@ -21,7 +21,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from periods import cli, kummer
+from periods import cli, frobenius, kummer
 from periods.frobenius import EllipticCurveW, FrobeniusMatrix, charpoly_certificate
 from periods.gamma import check_reflection, check_translation
 from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
@@ -279,6 +279,43 @@ def test_frob_selftest_flag():
     assert code == 0
     assert payload["result"]["selftest"] is True
     assert payload["result"]["a_p"] == 0
+
+
+def test_frob_selftest_certificate_miss_exits_1(monkeypatch):
+    # the point count is taken once and certified as without --selftest,
+    # so a wrong a_p is a failed check with the payload, not a refusal
+    counts = []
+
+    def wrong(f, p):
+        counts.append((f, p))
+        return -3 + 1
+
+    monkeypatch.setattr(cli, "count_points", wrong)
+    argv = ["frob", "--f", "x^3+x+1", "--p", "5", "--prec", "4"]
+    for extra in ([], ["--selftest"]):
+        counts.clear()
+        code, payload = run_json(argv + extra)
+        assert code == 1 and payload["ok"] is False
+        assert payload["result"]["a_p"] == -2
+        assert payload["result"]["trace_residual_valuation"] < 4
+        assert counts == [((1, 1, 0, 1), 5)]
+
+
+def test_frob_selftest_model_mismatch_exits_1(monkeypatch):
+    real = frobenius.kedlaya_frobenius
+
+    def moved(curve):
+        m = real(curve)
+        if curve.f == (1, 1, 0, 1):
+            return m
+        (a, b), (c, d) = m.entries
+        return type(m)(entries=((a + 5**3, b), (c, d)), curve=curve)
+
+    monkeypatch.setattr(frobenius, "kedlaya_frobenius", moved)
+    code, payload = run_json(["frob", "--f", "x^3+x+1", "--p", "5", "--prec", "4", "--selftest"])
+    assert code == 1
+    assert payload["error"] == ("matrix digits moved under a change of model: "
+                                "the models agree to 3 of 4 digits")
 
 
 def test_frob_selftest_is_admitted_wherever_the_plain_run_is():

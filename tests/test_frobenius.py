@@ -281,9 +281,11 @@ def test_selftest_refuses_digits_that_move(monkeypatch):
         return type(m)(entries=((a + 7**3, b), (c, d)), curve=curve)
 
     monkeypatch.setattr(frobenius, "kedlaya_frobenius", moved)
-    with pytest.raises(PrecisionError, match="^matrix digits moved under a change of model: "
-                                             "the models agree to 3 of 4 digits$"):
+    # a failed check, not a precision the request could not reach
+    with pytest.raises(ArithmeticError, match="^matrix digits moved under a change of model: "
+                                              "the models agree to 3 of 4 digits$") as err:
         frobenius_selftest(cur)
+    assert not isinstance(err.value, PrecisionError)
 
 
 def test_selftest_runs_the_kernel_twice_at_the_requested_precision(monkeypatch):
@@ -300,13 +302,6 @@ def test_selftest_runs_the_kernel_twice_at_the_requested_precision(monkeypatch):
         calls.clear()
         frobenius_selftest(cur)
         assert calls == [(cur.f, cur.n), (_shift(cur.f, 1), cur.n)], cur.f
-
-
-def test_selftest_refuses_a_wrong_point_count(monkeypatch):
-    cur = EllipticCurveW(f=(1, 1, 0, 1), p=7, n=4)
-    monkeypatch.setattr(frobenius, "count_points", lambda f, p: AP_TABLE[(f, p)] + 1)
-    with pytest.raises(PrecisionError, match="^matrix disagrees with the point count$"):
-        frobenius_selftest(cur)
 
 
 def test_count_points_refuses_a_sum_past_the_weil_bound(monkeypatch):
@@ -410,7 +405,7 @@ def test_covariance_sees_what_the_charpoly_misses(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(frobenius, "kedlaya_frobenius",
                            lambda curve: bad if curve.f == f else real(curve))
-                with pytest.raises(PrecisionError, match="agree to %d of %d digits$" % (k, n)):
+                with pytest.raises(ArithmeticError, match="agree to %d of %d digits$" % (k, n)):
                     frobenius_selftest(cur)
 
 

@@ -25,6 +25,8 @@ from periods.tannaka import (
     trdeg_bound_chain,
 )
 
+from oracles import target_multiplicities
+
 
 def test_group_dimensions():
     assert dim_group(PGL2) == 3
@@ -299,11 +301,15 @@ def test_closure_input_checks():
         coeff_subalgebra_closure(2, cap=14)
 
 
-def test_closure_refuses_a_monomial_count_past_one(monkeypatch):
-    monkeypatch.setattr(tannaka, "_target_multiplicities", lambda cap: {0: 1, 2: 2})
-    with pytest.raises(ArithmeticError) as err:
-        coeff_subalgebra_closure(2, cap=2)
-    assert str(err.value) == "monomial count gives multiplicity 2 in degree 2"
+def test_closure_target_is_the_monomial_count():
+    # the monomial count finds each even Sym^m once, past the largest
+    # admitted cap too; every admitted cap's fixed target matches it
+    for cap in range(0, 25, 2):
+        assert target_multiplicities(cap) == {m: 1 for m in range(0, cap + 1, 2)}, cap
+    for cap in range(0, tannaka.MAX_CLOSURE_CAP + 1, 2):
+        for r in (0, 2, 4, cap + 2):
+            report = coeff_subalgebra_closure(r, cap)
+            assert report.target == tuple(sorted(target_multiplicities(cap).items())), (r, cap)
 
 
 # sha256 prefix of the repr of every ClosureReport for one r over the even
