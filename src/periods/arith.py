@@ -39,11 +39,11 @@ def is_prime(n):
     return True
 
 
-_PRIMES_FROM = {2: "a prime", 3: "an odd prime", 5: "a prime >= 5"}
+_PRIMES_FROM = {3: "an odd prime", 5: "a prime >= 5"}
 
 
 def check_prime(p, least=3):
-    """The one prime check: ValueError unless p is a prime >= least (2, 3 or 5)."""
+    """The one prime check: ValueError unless p is a prime >= least (3 or 5)."""
     if p < least or not is_prime(p):
         raise ValueError("p = %d is not %s" % (p, _PRIMES_FROM[least]))
 

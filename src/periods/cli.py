@@ -28,7 +28,7 @@ from .frobenius import (
     kedlaya_frobenius,
 )
 from .gamma import gamma_p_at
-from .hypergeom import period_matrix_hypergeom, solve_katz_ode, wronskian_defect
+from .hypergeom import period_matrix_hypergeom, solve_katz_ode
 from .kummer import (
     KummerData,
     WeightBlockMatrix,
@@ -40,7 +40,6 @@ from .kummer import (
 from .padic import (
     PadicElement,
     PrecisionError,
-    iwasawa_log,
     make_padic,
     residual_valuation,
 )
@@ -365,95 +364,52 @@ def _cmd_closure(args):
 
 
 # ---------------------------------------------------------------------------
-# selftest: a fixed battery over every component, seeded where randomized
+# selftest: the commands' own checks over a fixed list of requests, seeded
+# where randomized
 
 
-def _row(name, results, detail):
-    """A selftest row that passes when every result does; detail follows hits/total."""
-    hits = sum(results)
-    return {
-        "name": name,
-        "ok": hits == len(results),
-        "detail": "%d/%d %s" % (hits, len(results), detail),
-    }
+def _selftest_requests(n, rng):
+    """(argv, pinned result fields) per request, in run order; the row is the command.
 
-
-def _check_bounds():
-    expected = {"cm-ss": 1, "noncm-ss": 3, "noncm-ord": 2, "legendre": 3}
-    results = [homog_dim(*BOUND_CASES[case][1:]) == want for case, want in expected.items()]
-    return _row("bounds", results, "cases")
-
-
-def _check_gross_koblitz(n):
-    results = [gross_koblitz_residual(p, a, n) >= n for p in (3, 5, 7) for a in range(1, p - 1)]
-    return _row("gross-koblitz", results, "residuals at pi-valuation >= %d" % n)
-
-
-def _check_kummer(n, rng):
-    results = []
+    Only bound and closure print no check of their own, so only their
+    results are pinned.  gk is the first request that takes n: its budget
+    refuses an unattainable n before any other command starts.
+    """
+    for case, want in (("cm-ss", 1), ("noncm-ss", 3), ("noncm-ord", 2), ("legendre", 3)):
+        yield "bound --case %s" % case, {"bound": want}
+    for p in (3, 5, 7):
+        for a in range(1, p - 1):
+            yield "gk --p %d --a %d --prec %d" % (p, a, n), {}
     for _ in range(4):
         p = rng.choice((3, 5, 7, 11))
         while True:
-            num = rng.randint(2, 40)
-            den = rng.randint(1, 40)
-            a = Fraction(num, den)
-            if a != 1 and num % p and den % p:
+            num, den = rng.randint(2, 40), rng.randint(1, 40)
+            if num != den and num % p and den % p:
                 break
-        data = KummerData(a, p, n)
-        res = check_frobenius_invariance(data)
-        vec = period_vector_kummer(data)
-        rv = residual_valuation(vec[0], iwasawa_log(make_padic(p, a, n)))
-        results.append(res >= n and rv >= n)
-    return _row("kummer", results, "pairs at precision %d" % n)
-
-
-def _check_wronskian(n, rng):
+        yield "kummer --a %s --p %d --prec %d" % (Fraction(num, den), p, n), {}
     order = max(6, n)
-    results = []
     for _ in range(2):
         p = rng.choice((5, 7, 11, 13))
-        lam0 = rng.randrange(2, p)
-        e = rng.randrange(2, p)
-        alpha, beta = solve_katz_ode(
-            make_padic(p, lam0, 2 * order), e, order, 2 * order
-        )
-        results.append(not wronskian_defect(alpha, beta))
-    return _row("wronskian", results, "sample points at order %d" % order)
-
-
-def _check_charpoly():
-    cases = (((1, 1, 0, 1), 5), ((0, -1, 0, 1), 7))
-    results = [
-        charpoly_certificate(kedlaya_frobenius(EllipticCurveW(f, p, 4)), count_points(f, p)).ok
-        for f, p in cases
-    ]
-    return _row("charpoly", results, "curves at precision 4")
-
-
-def _check_closure():
-    adjoint = coeff_subalgebra_closure(2, 8)
-    sym4 = coeff_subalgebra_closure(4, 8)
-    ok = adjoint.generated and len(sym4.missing) > 0
-    return {
-        "name": "closure",
-        "ok": ok,
-        "detail": "adjoint generates through %d; Sym^4 misses %s"
-        % (adjoint.cap, list(sym4.missing)),
-    }
+        lam0, e = rng.randrange(2, p), rng.randrange(2, p)
+        yield "hyper --p %d --lambda0 %d --e %d --order %d --prec %d --at %d" % (
+            p, lam0, e, order, 2 * order, lam0 + p), {}
+    for f, p in (("x^3+x+1", 5), ("x^3-x", 7)):
+        yield "frob --f %s --p %d --prec 4" % (f, p), {}
+    yield "closure --r 2 --cap 8", {"generated": True}
+    yield "closure --r 4 --cap 8", {"missing": [2, 6]}
 
 
 def _cmd_selftest(args):
     n = args.prec
-    rng = random.Random(args.seed)
+    rows = {}
+    for argv, pins in _selftest_requests(n, random.Random(args.seed)):
+        req = _parser().parse_args(argv.split())
+        result, ok = req.handler(req)
+        rows.setdefault(req.command, []).append(ok and all(result[k] == v for k, v in pins.items()))
     checks = [
-        _check_bounds(),
-        _check_gross_koblitz(n),
-        _check_kummer(n, rng),
-        _check_wronskian(n, rng),
-        _check_charpoly(),
-        _check_closure(),
+        {"name": name, "ok": all(hits), "detail": "%d/%d requests" % (sum(hits), len(hits))}
+        for name, hits in sorted(rows.items())
     ]
-    checks.sort(key=lambda row: row["name"])
     passed = sum(1 for row in checks if row["ok"])
     return {
         "precision": n,

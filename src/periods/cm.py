@@ -151,6 +151,8 @@ def rational_reconstruct(x, height):
     Needs p^A > 2 height^2 so that a match is unique: a fraction num/den
     with |num|, |den| <= height and num = den * x mod p^A.
     """
+    if height < 1:
+        raise ValueError("height must be >= 1, got %d" % height)
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     if x.min_valuation() < 0:
@@ -163,8 +165,6 @@ def rational_reconstruct(x, height):
         raise PrecisionError(
             "absolute precision %d too low for height bound %d" % (a, height)
         )
-    if height < 1:
-        raise ValueError("height must be >= 1, got %d" % height)
     # lattice {(u, v): u = v*x mod p^A}; shortest vector by the Euclid walk
     r0, t0 = modulus, 0
     r1, t1 = x.lift() % modulus, 1

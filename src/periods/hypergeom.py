@@ -145,28 +145,6 @@ def solve_katz_ode(lam0, e, order, n):
     return alpha, beta
 
 
-def wronskian_defect(alpha, beta):
-    """Orders where alpha D(beta) - beta D(alpha) provably differs from 1.
-
-    The Wronskian of genuine solutions is the constant 1, so any coefficient
-    with a certain nonzero digit convicts the solver; coefficients that are
-    merely zero-to-their-precision are fine (precision decays with order,
-    it does not lie).
-    """
-    a, b = alpha.coeffs, beta.coeffs
-    da, db = apply_D(alpha).coeffs, apply_D(beta).coeffs
-    bad = []
-    for k in range(min(len(a), len(b), len(da), len(db))):
-        # t^k of alpha D(beta) and of beta D(alpha), each summed in order
-        left, right = a[0] * db[k], b[0] * da[k]
-        for i in range(1, k + 1):
-            left, right = left + a[i] * db[k - i], right + b[i] * da[k - i]
-        w = left - right - 1 if k == 0 else left - right
-        if w.rel_prec > 0:
-            bad.append(k)
-    return bad
-
-
 class HypergeomPeriodMatrix(namedtuple("HypergeomPeriodMatrix", "entries")):
     # entries: ((D beta, -D alpha), (-beta, alpha)) evaluated
     __slots__ = ()

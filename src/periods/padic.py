@@ -61,7 +61,7 @@ def _cutoff(n, val):
 
     val(k) is the valuation of the k-th term of a series; every val cut here
     is at least k/2, so no k >= 2n qualifies: k*m - v_p(k) with m >= 1, and
-    k*v - v_p(k!) with v_p(k!) <= (k-1)/(p-1), v >= 1 (v >= 2 at p = 2).
+    k*v - v_p(k!) with v_p(k!) <= (k-1)/(p-1), v >= 1.
     """
     return max((k for k in range(1, 2 * n) if val(k) < n), default=0)
 
@@ -338,7 +338,7 @@ class PadicElement:
 
 def make_padic(p, x, rel_prec, integral=False):
     """Canonical image of the rational x in Q_p to relative precision rel_prec."""
-    check_prime(p, 2)
+    check_prime(p)
     check_precision(rel_prec)
     x = Fraction(x)
     if integral and x.denominator % p == 0:
@@ -386,8 +386,8 @@ def iwasawa_log(x):
 
 
 def _exp_cut(p, n):
-    """(K, v_p(K!)): exp(x) mod p^n ends at x^K/K! when v(x) >= 1 (>= 2 at p = 2)."""
-    big_k = _cutoff(n, lambda k: k * (1 + (p == 2)) - _vp_factorial(k, p))
+    """(K, v_p(K!)): exp(x) mod p^n ends at x^K/K! when v(x) >= 1."""
+    big_k = _cutoff(n, lambda k: k - _vp_factorial(k, p))
     return big_k, _vp_factorial(big_k, p)
 
 
@@ -395,7 +395,7 @@ _exp_consts = {}
 
 
 def _exp_int(p, x, n):
-    """exp(x) mod p^n for an int x with v(x) >= 1 (>= 2 at p = 2), known mod p^n.
+    """exp(x) mod p^n for an int x with v(x) >= 1, known mod p^n.
 
     Sums (K!/k!) x^k mod p^(n+e) by Horner and divides by K! = p^e u; K, e,
     the K!/k! (successive products) and u^-1 are built once per (p, n).
@@ -415,14 +415,13 @@ def _exp_int(p, x, n):
 
 
 def exp_p(x):
-    """p-adic exponential, for v(x) >= 1 (>= 2 at p = 2); O(p^A) lifts to 0, giving 1 + O(p^A)."""
+    """p-adic exponential, for v(x) >= 1; O(p^A) lifts to 0, giving 1 + O(p^A)."""
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     p = x.p
     if x.is_exact_zero():
         return PadicElement(p, 0, 1, 8)
-    need = 2 if p == 2 else 1
-    if x.val < need:
-        raise ValueError("exp_p needs valuation >= %d at p = %d" % (need, p))
+    if x.val < 1:
+        raise ValueError("exp_p needs valuation >= 1 at p = %d" % p)
     n = x.abs_precision()
     return PadicElement(p, 0, _exp_int(p, x.lift(), n), n)

@@ -35,9 +35,7 @@ class GroupDesc:
 
 
 GL2 = GroupDesc("gl2")
-SL2 = GroupDesc("sl2")
 PGL2 = GroupDesc("pgl2")
-FIBER_PRODUCT = GroupDesc("fiber-product")
 TRIVIAL = GroupDesc("trivial")
 
 
@@ -59,36 +57,6 @@ def homog_dim(g, h):
         raise ValueError("no designated embedding of %r in %r"
                          % (h.kind, g.kind))
     return dim_group(g) - dim_group(h)
-
-
-# three nested trdeg bounds, tightest first, with strictness flags
-BoundChain = namedtuple("BoundChain", "bounds strict")
-
-
-def _as_dim(x):
-    if isinstance(x, GroupDesc):
-        return dim_group(x)
-    return int(x)
-
-
-def trdeg_bound_chain(g_dr_m, g_crys_m, g_dr_mm, g_crys_mm):
-    """Chain dim difference of the dual pair <= pair difference <= ambient.
-
-    Inputs are dimensions (or group descriptors, which are measured).
-    Rejects data that cannot come from nested fixed groups: negative
-    differences or an out-of-order chain.
-    """
-    a = _as_dim(g_dr_m)
-    b = _as_dim(g_crys_m)
-    c = _as_dim(g_dr_mm)
-    d = _as_dim(g_crys_mm)
-    tight, mid, loose = c - d, a - b, a
-    if tight < 0 or mid < 0:
-        raise ValueError("a fixed group outgrew its ambient group")
-    if not tight <= mid <= loose:
-        raise ValueError("bounds do not chain")
-    return BoundChain(bounds=(tight, mid, loose),
-                      strict=(tight < mid, mid < loose))
 
 
 # -- the coordinate ring of SL2 ---------------------------------------------

@@ -8,7 +8,8 @@ built one unit at a time, with Fraction exponents and PadicElement powers;
 REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state
 through the predicates; target_multiplicities counts the irreducible content
-of the torus-invariant part of O(SL2) from its normal-form monomials.
+of the torus-invariant part of O(SL2) from its normal-form monomials;
+wronskian_defect checks a hypergeometric solution pair by its Wronskian.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from periods.arith import is_prime, kronecker
 from periods.cm import ExponentiatedProduct, _squarefree_kernel, field_discriminant, imag_quad_data
 from periods.frobenius import _bezout_factor, _divmod_cubic, _int_mul
 from periods.gamma import gamma_p
+from periods.hypergeom import apply_D
 from periods.kummer import KummerData, WeightBlockMatrix, check_frobenius_invariance
 from periods.padic import PadicElement, _capped, _vp, make_padic
 
@@ -337,3 +339,25 @@ def target_multiplicities(cap):
     for m in range(0, cap + 1, 2):
         out[m] = counts.get(m, 0) - counts.get(m + 2, 0)
     return out
+
+
+def wronskian_defect(alpha, beta):
+    """Orders where alpha D(beta) - beta D(alpha) provably differs from 1.
+
+    The Wronskian of genuine solutions is the constant 1, so any coefficient
+    with a certain nonzero digit convicts the solver; coefficients that are
+    merely zero-to-their-precision are fine (precision decays with order,
+    it does not lie).
+    """
+    a, b = alpha.coeffs, beta.coeffs
+    da, db = apply_D(alpha).coeffs, apply_D(beta).coeffs
+    bad = []
+    for k in range(min(len(a), len(b), len(da), len(db))):
+        # t^k of alpha D(beta) and of beta D(alpha), each summed in order
+        left, right = a[0] * db[k], b[0] * da[k]
+        for i in range(1, k + 1):
+            left, right = left + a[i] * db[k - i], right + b[i] * da[k - i]
+        w = left - right - 1 if k == 0 else left - right
+        if w.rel_prec > 0:
+            bad.append(k)
+    return bad

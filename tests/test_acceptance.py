@@ -30,10 +30,12 @@ from periods.frobenius import (
     kedlaya_frobenius,
 )
 from periods.gamma import check_reflection, check_translation, gamma_p_at
-from periods.hypergeom import period_matrix_hypergeom, solve_katz_ode, wronskian_defect
+from periods.hypergeom import period_matrix_hypergeom, solve_katz_ode
 from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
 from periods.padic import exp_p, iwasawa_log, make_padic, residual_valuation
 from periods.tannaka import coeff_subalgebra_closure
+
+from oracles import wronskian_defect
 
 # a_p values frozen from the double-loop point-count oracle
 AP_TABLE = {

@@ -98,12 +98,12 @@ def test_text_mode_runs(tmp_path):
     code, out = run_cli(["selftest", "--prec", "3"])
     assert (code, out.splitlines()) == (0, [
         "selftest: ok",
-        "  bounds         PASS  4/4 cases",
-        "  charpoly       PASS  2/2 curves at precision 4",
-        "  closure        PASS  adjoint generates through 8; Sym^4 misses [2, 6]",
-        "  gross-koblitz  PASS  9/9 residuals at pi-valuation >= 3",
-        "  kummer         PASS  4/4 pairs at precision 3",
-        "  wronskian      PASS  2/2 sample points at order 6",
+        "  bound          PASS  4/4 requests",
+        "  closure        PASS  2/2 requests",
+        "  frob           PASS  2/2 requests",
+        "  gk             PASS  9/9 requests",
+        "  hyper          PASS  2/2 requests",
+        "  kummer         PASS  4/4 requests",
         "  6/6 checks passed",
     ])
     (tmp_path / "phi.json").write_text(json.dumps(dict(README_PHI, weights=[1, 0])))
@@ -360,7 +360,18 @@ def test_selftest_all_pass():
     r = payload["result"]
     assert r["passed"] == r["total"] == 6
     names = [row["name"] for row in r["checks"]]
-    assert names == sorted(names)
+    assert names == ["bound", "closure", "frob", "gk", "hyper", "kummer"]
+
+
+def test_selftest_row_reads_its_commands_own_check(monkeypatch):
+    # a Gauss-sum residual one short of the target fails gk's own check
+    monkeypatch.setattr(cli, "gross_koblitz_residual", lambda p, a, m: m - 1)
+    code, payload = run_json(["selftest", "--prec", "6"])
+    assert code == 1 and payload["ok"] is False
+    rows = {row["name"]: row for row in payload["result"]["checks"]}
+    assert rows.pop("gk") == {"name": "gk", "ok": False, "detail": "0/9 requests"}
+    assert all(row["ok"] for row in rows.values())
+    assert payload["result"]["passed"] == 5
 
 
 def test_json_byte_identical_reruns():
@@ -697,13 +708,12 @@ def test_one_logarithm_per_kummer_datum(monkeypatch):
         return iwasawa_log(x)
 
     monkeypatch.setattr(kummer, "iwasawa_log", counted)
-    monkeypatch.setattr(cli, "iwasawa_log", counted)
     code, _ = run_json(["kummer", "--a", "2/3", "--p", "13", "--prec", "40"])
     assert code == 0 and len(calls) == 1
     calls.clear()
-    # four data, each with its own L and one direct log(a) to compare with
+    # four data, one L each
     code, _ = run_json(["selftest", "--prec", "6"])
-    assert code == 0 and len(calls) == 8
+    assert code == 0 and len(calls) == 4
 
 
 # the residual convention: a residual is an int, or math.inf when the
@@ -820,7 +830,8 @@ GOLDEN = {
     "hyper --p 7 --lambda0 2 --e 3 --order 12 --prec 12 --at 9": (0, "217d8185161d8214efac8fb10ed649dc06a7d6ea94aefed96b14a387be52c1fa"),
     "frob --f x^3+x+1 --p 5 --prec 4 --selftest": (0, "062c6c3f0f0d86bdacc5246c0c6b13f7dbcea2b97bd8363035bec5ef28180a2a"),
     "closure --r 4 --cap 8": (0, "9f9bc965c63616c7f020cc41f5b39f964e8af12b8e5cc1645b7fef821021bb37"),
-    "selftest --prec 10 --seed 0": (0, "0083c601e960c832af21c751102f0be36673bcf1900536aa6fc0424df8151bc7"),
+    # re-frozen when the selftest rows became the commands' own checks
+    "selftest --prec 10 --seed 0": (0, "21839599b5ccac631e24171616a74067558878789e8cef6a7023d9c0c38a8868"),
     # exit 2 until p^N was no longer capped at 10^7; checked against the
     # product scan and by translation and reflection before it was frozen
     "gamma --p 101 --x 1/2 --prec 4": (0, "2b4029dde023d10ccbb23dfb901acd6a634924d9ad6e99fea0d98681fc9f254b"),
@@ -863,12 +874,12 @@ def test_golden_json_output(command, tmp_path):
 
 
 # sha256 prefix over --prec 1..20 of the exit code and the sha256 of the
-# selftest --json stdout, per seed; frozen before the selftest rows were
-# built by one helper
+# selftest --json stdout, per seed; frozen when the rows became the
+# commands' own checks over fixed requests
 SELFTEST_DIGESTS = {
-    0: "3b86ab5154d71fdd",
-    1: "a282e0f5f2a12b46",
-    2: "772228477005f29c",
+    0: "6f6d380af8a82f46",
+    1: "062d25cea0c09a9b",
+    2: "f952abfffc946fb6",
 }
 
 

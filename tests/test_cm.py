@@ -296,6 +296,16 @@ def test_reconstruct_exact_zero():
     assert rational_reconstruct(z, 100) == Fraction(0)
 
 
+def test_reconstruct_checks_the_height_first():
+    # refused whatever the value: an exact zero, and a precision too low for
+    # any height, each reach the height check before their own branches
+    for x, height in ((make_padic(5, 0, 8), 0), (make_padic(3, 1, 1), -2)):
+        with pytest.raises(ValueError) as err:
+            rational_reconstruct(x, height)
+        assert str(err.value) == "height must be >= 1, got %d" % height
+        assert not isinstance(err.value, PrecisionError)
+
+
 def test_reconstruct_refuses_a_bare_int():
     with pytest.raises(TypeError) as err:
         rational_reconstruct(3, 5)

@@ -10,9 +10,10 @@ from periods.hypergeom import (
     period_matrix_hypergeom,
     solve_katz_ode,
     solve_second_order,
-    wronskian_defect,
 )
 from periods.padic import PadicElement, PrecisionError, _vp_factorial, make_padic
+
+from oracles import wronskian_defect
 
 
 def _series(p, n, coeffs, lam0=2):

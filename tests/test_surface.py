@@ -15,12 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# names kept without a caller in src/ or bench/, each for one reason
-ALLOWED = {
-    "trdeg_bound_chain": "the paper's transcendence-degree bound",
-    "SL2": "one of the paper's groups, measured by dim_group",
-    "FIBER_PRODUCT": "one of the paper's groups, measured by dim_group",
-}
+# names kept without a caller in src/ or bench/, each for one reason; none now
+ALLOWED = {}
 
 
 def _reads(node, strings=False):
