@@ -352,3 +352,55 @@ def test_apply_D_and_wronskian_frozen_digests(p):
         lines.append(repr(wronskian_defect(alpha, beta)))
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DERIVATION_DIGESTS[p]
+
+
+def _solve_pair(lam0, x0, x1, order, n):
+    """The one solution with value x0 and D-value x1 at the base point, as a 1-tuple."""
+    return (solve_second_order(lam0, x0, x1, order, n),)
+
+
+def _solve_lines(p):
+    """(val, unit, rel_prec) of every coefficient of every solve in a fixed sweep.
+
+    Each (order, n) solves e = 0, an element e, and one general (x0, x1)
+    pair; a solve that raises ZeroDivisionError contributes its text.  n = 1
+    reaches the divisor refusal at p = 3 from order 27.
+    """
+    for order in (2, 3, 6, 12, 36, 60):
+        for n in (1, 2, 8, 24, 60):
+            lam0 = make_padic(p, p + 2, n)
+            e = make_padic(p, Fraction(p + 1, 2), n)
+            runs = (
+                lambda: solve_katz_ode(lam0, 0, order, n),
+                lambda: solve_katz_ode(lam0, e, order, n),
+                lambda: _solve_pair(lam0, 12345, Fraction(-7, 4), order, n),
+            )
+            for run in runs:
+                yield "%d %d" % (order, n)
+                try:
+                    sols = run()
+                except ZeroDivisionError as err:
+                    yield str(err)
+                    continue
+                for f in sols:
+                    yield from ("%r %d %d" % (c.val, c.unit, c.rel_prec) for c in f.coeffs)
+
+
+# sha256 prefix of _solve_lines(p), frozen from the solver that ran the
+# recurrence once per solution
+SOLVE_DIGESTS = {
+    3: "6c18a7761e732fb8",
+    5: "c9d0932253b15c81",
+    7: "58239d3d81003e87",
+    11: "2352ba105e1a30b5",
+    13: "d8195e015139c524",
+}
+
+
+@pytest.mark.parametrize("p", sorted(SOLVE_DIGESTS))
+def test_solve_frozen_digests(p):
+    lines = list(_solve_lines(p))
+    if p == 3:
+        assert "divisor indistinguishable from zero at O(3^3)" in lines
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == SOLVE_DIGESTS[p]
