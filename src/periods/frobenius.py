@@ -104,9 +104,6 @@ class EllipticCurveW:
         check_precision(n)
         self.p, self.n = p, n
 
-    def discriminant(self):
-        return _discriminant(self.f)
-
 
 def count_points(f, p):
     """Trace of Frobenius a_p = p + 1 - #E(F_p) by direct enumeration.

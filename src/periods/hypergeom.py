@@ -85,12 +85,13 @@ def apply_D(f):
     return FormalSeries(lam0, out)
 
 
-def solve_second_order(lam0, value, d_value, order, n):
-    """One solution of D^2 f = -q f with prescribed f and Df at the base.
+def solve_second_order(lam0, pairs, order, n):
+    """The solutions of D^2 f = -q f, one per (value, D-value) pair at the base.
 
     Works order-by-order: writing u = Df, the t^k coefficient of
     Du + q f = 0 pins c_{k+2} after dividing by q0^2 (k+1)(k+2), which is
-    where v_p((k+2)!)-style precision loss enters.
+    where v_p((k+2)!)-style precision loss enters.  Each order forms its
+    multipliers once and applies them to every solution.
     """
     if not isinstance(lam0, PadicElement):
         raise TypeError("base point must be a p-adic element")
@@ -101,31 +102,30 @@ def solve_second_order(lam0, value, d_value, order, n):
         raise ValueError("lam0 (lam0 - 1) must be a unit")
     if order < 2:
         raise ValueError("order must be at least 2")
-    zero = make_padic(p, 0, n)
-    q1 = 2 * lam0 - 1
-    if not isinstance(value, PadicElement):
-        value = make_padic(p, value, n)
-    if not isinstance(d_value, PadicElement):
-        d_value = make_padic(p, d_value, n)
-
-    c = [value, d_value / q0]
-    u = [q0 * c[1]]
+    q1, q0sq = 2 * lam0 - 1, q0 * q0
+    sols = []
+    for pair in pairs:
+        value, d_value = (x if isinstance(x, PadicElement) else make_padic(p, x, n) for x in pair)
+        c = [value, d_value / q0]
+        sols.append((c, [q0 * c[1]]))
     for k in range(order - 1):
-        cm1 = c[k - 1] if k >= 1 else zero
-        cm2 = c[k - 2] if k >= 2 else zero
-        um1 = u[k - 1] if k >= 1 else zero
-        rest = (
-            q0 * (k + 1) * (q1 * (k + 1) * c[k + 1] + k * c[k])
-            + q1 * k * u[k]
-            + (k - 1) * um1
-            + q0 * c[k]
-            + q1 * cm1
-            + cm2
-        )
-        ck2 = -rest / (q0 * q0 * ((k + 1) * (k + 2)))
-        c.append(ck2)
-        u.append(q0 * (k + 2) * ck2 + q1 * (k + 1) * c[k + 1] + k * c[k])
-    return FormalSeries(lam0, c)
+        q0a, q1a, q1k = q0 * (k + 1), q1 * (k + 1), q1 * k
+        den, q0b = q0sq * ((k + 1) * (k + 2)), q0 * (k + 2)
+        for c, u in sols:
+            # the terms of c_{k-1}, c_{k-2} and u_{k-1} start once they exist
+            b, kc = q1a * c[k + 1], k * c[k]
+            rest = q0a * (b + kc) + q1k * u[k]
+            if k:
+                rest = rest + (k - 1) * u[k - 1]
+            rest = rest + q0 * c[k]
+            if k:
+                rest = rest + q1 * c[k - 1]
+            if k > 1:
+                rest = rest + c[k - 2]
+            ck2 = -rest / den
+            c.append(ck2)
+            u.append(q0b * ck2 + b + kc)
+    return tuple(FormalSeries(lam0, c) for c, _ in sols)
 
 
 def solve_katz_ode(lam0, e, order, n):
@@ -134,15 +134,11 @@ def solve_katz_ode(lam0, e, order, n):
     alpha has value 1 and D-derivative e at the base point, beta value 0 and
     D-derivative 1.
     """
-    p = lam0.p if isinstance(lam0, PadicElement) else None
-    if isinstance(e, PadicElement):
-        if e.min_valuation() < 0:
-            raise ValueError("e must be integral")
-    elif p is not None:
-        e = make_padic(p, e, n, integral=True)
-    alpha = solve_second_order(lam0, 1, e, order, n)
-    beta = solve_second_order(lam0, 0, 1, order, n)
-    return alpha, beta
+    if not isinstance(e, PadicElement):
+        e = make_padic(lam0.p, e, n)
+    if e.min_valuation() < 0:
+        raise ValueError("e must be integral")
+    return solve_second_order(lam0, ((1, e), (0, 1)), order, n)
 
 
 class HypergeomPeriodMatrix(namedtuple("HypergeomPeriodMatrix", "entries")):
@@ -154,7 +150,7 @@ class HypergeomPeriodMatrix(namedtuple("HypergeomPeriodMatrix", "entries")):
         return a * d - b * c
 
     def achieved_precision(self):
-        """The lowest absolute precision of an entry, math.inf when all are exact zeros."""
+        """The lowest absolute precision of an entry."""
         return min(x.abs_precision() for row in self.entries for x in row)
 
 

@@ -111,10 +111,6 @@ class PadicElement:
     def is_exact_zero(self):
         return self.val is None
 
-    def is_zero_at_precision(self):
-        """True when the value is indistinguishable from zero (O(p^A) state)."""
-        return self.val is not None and self.rel_prec == 0
-
     def is_unit(self):
         return self.val == 0 and self.rel_prec > 0
 
@@ -336,13 +332,11 @@ class PadicElement:
         }
 
 
-def make_padic(p, x, rel_prec, integral=False):
+def make_padic(p, x, rel_prec):
     """Canonical image of the rational x in Q_p to relative precision rel_prec."""
     check_prime(p)
     check_precision(rel_prec)
     x = Fraction(x)
-    if integral and x.denominator % p == 0:
-        raise ValueError("denominator divisible by %d in an integral context" % p)
     if not x:
         return PadicElement(p, None, 0, 0)
     num, den = x.numerator, x.denominator
@@ -361,7 +355,7 @@ def residual_valuation(a, b):
 def iwasawa_log(x):
     """Logarithm killing Teichmuller torsion: log(x) = log(x / omega(x)).
 
-    Defined here for units; satisfies log(x*y) = log(x) + log(y) and
+    Defined here for units at odd p; satisfies log(x*y) = log(x) + log(y) and
     log(a) = log(a^(1-p)) / (1-p) to the reported precision.  As
     omega(x)^(p-1) = 1, it is log(1 + s) / (p-1) with s = x^(p-1) - 1.
     """
@@ -415,7 +409,7 @@ def _exp_int(p, x, n):
 
 
 def exp_p(x):
-    """p-adic exponential, for v(x) >= 1; O(p^A) lifts to 0, giving 1 + O(p^A)."""
+    """p-adic exponential at odd p, for v(x) >= 1; O(p^A) lifts to 0, giving 1 + O(p^A)."""
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     p = x.p

@@ -1,6 +1,6 @@
 """Helpers that tests build inputs and oracles with; no command uses them.
 
-teichmuller and with_rel_prec work on PadicElement; kummer_weight_matrix
+teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement; kummer_weight_matrix
 and perturbed_invariance on the rank-2 Kummer system of periods.kummer;
 dense_kedlaya is the Frobenius matrix by the dense pole reduction;
 cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
@@ -35,6 +35,11 @@ def teichmuller(x):
         raise ValueError("Teichmuller lift needs a unit (valuation 0)")
     p, n = x.p, x.rel_prec
     return PadicElement(p, 0, pow(x.unit, p ** (n - 1), p**n), n)
+
+
+def is_zero_at_precision(x):
+    """True when the element x is indistinguishable from zero (the O(p^A) state)."""
+    return x.val is not None and x.rel_prec == 0
 
 
 def with_rel_prec(x, n):

@@ -278,7 +278,7 @@ def test_reconstruct_random_digits_miss():
     hits = []
     for _ in range(100):
         lift = rng.randrange(1, 5**12)
-        x = make_padic(5, lift, 12, integral=True)
+        x = make_padic(5, lift, 12)
         got = rational_reconstruct(x, 100)
         if got is not None:
             hits.append((lift, got))

@@ -3,8 +3,10 @@
 A public module-level name (a def, a class or an assignment not starting
 with "_") must be read somewhere in src/periods/ outside its own definition
 (a command, another function, another module) or in the benchmark under
-bench/, whose library requests name their function as a string.  A name
-that only tests read belongs in the tests, as an oracle or not at all.
+bench/, whose library requests name their function as a string.  A public
+method or property of a class must be read the same way, outside its own
+def: in another member of its class or anywhere beyond it.  A name that only
+tests read belongs in the tests, as an oracle or not at all.
 """
 
 import ast
@@ -54,11 +56,18 @@ def _unused_public_names():
     reads = [_reads(node) for _, node in tops]
     unused = []
     for i, (module, node) in enumerate(tops):
-        for name in _defines(node):
-            if name.startswith("_") or name in bench:
+        # (label, name, the reads of its class's other members)
+        members = [(name, name, set()) for name in _defines(node)]
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    rest = set().union(*(_reads(s) for s in node.body if s is not item))
+                    members.append(("%s.%s" % (node.name, item.name), item.name, rest))
+        for label, name, rest in members:
+            if name.startswith("_") or name in bench or name in rest:
                 continue
             if not any(name in r for j, r in enumerate(reads) if j != i):
-                unused.append("%s.%s" % (module, name))
+                unused.append("%s.%s" % (module, label))
     return unused
 
 
