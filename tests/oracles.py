@@ -1,9 +1,9 @@
 """Helpers that tests build inputs and oracles with; no command uses them.
 
-teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement; kummer_weight_matrix
-and perturbed_invariance on the rank-2 Kummer system of periods.kummer;
-dense_kedlaya is the Frobenius matrix by the dense pole reduction;
-cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
+teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement;
+kummer_weight_matrix and perturbed_invariance on the rank-2 Kummer system
+of periods.kummer; dense_kedlaya is the Frobenius matrix by the dense pole
+reduction; cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
 built one unit at a time, with Fraction exponents and PadicElement powers;
 REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state

@@ -355,11 +355,6 @@ def test_apply_D_and_wronskian_frozen_digests(p):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DERIVATION_DIGESTS[p]
 
 
-def _solve_pair(lam0, x0, x1, order, n):
-    """The one solution with value x0 and D-value x1 at the base point, as a 1-tuple."""
-    return solve_second_order(lam0, ((x0, x1),), order, n)
-
-
 def _solve_lines(p):
     """(val, unit, rel_prec) of every coefficient of every solve in a fixed sweep.
 
@@ -374,7 +369,7 @@ def _solve_lines(p):
             runs = (
                 lambda: solve_katz_ode(lam0, 0, order, n),
                 lambda: solve_katz_ode(lam0, e, order, n),
-                lambda: _solve_pair(lam0, 12345, Fraction(-7, 4), order, n),
+                lambda: solve_second_order(lam0, ((12345, Fraction(-7, 4)),), order, n),
             )
             for run in runs:
                 yield "%d %d" % (order, n)
