@@ -11,8 +11,8 @@ evaluated near the base point has determinant 1 by the Wronskian argument.
 
 Coefficients live in Q_p and the recurrence divides by (k+1)(k+2) at each
 order, so valuations can sink like -v_p(k!); evaluation accounts for that
-through an explicit tail bound instead of pretending the series converges
-like a unit-coefficient one.
+through a tail bound proven from the equation instead of pretending the
+series converges like a unit-coefficient one.
 """
 
 from collections import namedtuple
@@ -21,20 +21,10 @@ from .arith import check_prime
 from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 
-class FormalSeries:
-    """Truncated power series in t = lam - lam0 with p-adic coefficients.
+class FormalSeries(namedtuple("FormalSeries", "lam0 coeffs")):
+    """Truncated power series in t = lam - lam0: coeffs holds c_0 .. c_order."""
 
-    coeffs holds c_0 .. c_order; tail_slack records how far the computed
-    coefficients dip below the -v_p(k!) growth model (0 when they respect
-    it), and feeds the evaluation tail bound.
-    """
-
-    def __init__(self, lam0, coeffs):
-        self.lam0, self.coeffs = lam0, tuple(coeffs)
-        slack = 0
-        for k, c in enumerate(self.coeffs):
-            slack = max(slack, -c.min_valuation() - _vp_factorial(k, lam0.p))
-        self.tail_slack = slack
+    __slots__ = ()
 
     @property
     def p(self):
@@ -46,12 +36,17 @@ class FormalSeries:
     def evaluate(self, lam):
         """Value at lam, with the truncation tail folded into the precision.
 
-        Requires v(lam - lam0) >= 1.  The dropped orders k > T contribute at
-        valuation >= k v(t) - v_p(k!) - tail_slack, which is minimized at
-        k = T + 1 because v(t) >= 1 > 1/(p-1).  The Horner value is capped
-        there by adding O(p^tail): addition keeps the lower absolute
-        precision, so the result is O(p^tail) when the tail reaches the
-        value's valuation, and otherwise keeps the digits below the tail.
+        Requires v(t) >= 1, t = lam - lam0.  For a solution f with an integral
+        (value, D-value) pair, and for g = Df, v(c_k) >= -v_p(k!): the
+        equation reads f' = g/q, g' = -f with 1/q in Z_p[[t]] (q(0) is a
+        unit), so k! c_k and k! g_k are integral by induction on k.  Order k
+        thus adds at valuation >= k v(t) - v_p(k!); the O()s of the computed
+        coefficients already ride in the Horner value.  The tail is that
+        bound at k = T + 1, which is NOT proven to be the minimum over k > T:
+        it drops at multiples of p^(v(t)+1), and
+        test_tail_minimum_past_the_next_order pins a digit it gets wrong.
+        Adding O(p^tail) caps the value: the result is O(p^tail) when the
+        tail reaches its valuation, and otherwise keeps the digits below it.
         """
         t = lam - self.lam0
         vt = t.min_valuation()
@@ -61,9 +56,7 @@ class FormalSeries:
         for k in range(self.order() - 1, -1, -1):
             acc = acc * t + self.coeffs[k]
         kk = self.order() + 1
-        tail = kk * vt - _vp_factorial(kk, self.p) - self.tail_slack
-        # v_p(k!) <= (k-1)/(p-1) < k vt keeps later terms above this bound,
-        # so the whole dropped tail is O(p^tail); adding it caps acc there
+        tail = kk * vt - _vp_factorial(kk, self.p)
         return acc + PadicElement(self.p, tail, 0, 0)
 
 
@@ -82,7 +75,7 @@ def apply_D(f):
         if k >= 2:
             acc = acc + d[k - 2]
         out.append(acc)
-    return FormalSeries(lam0, out)
+    return FormalSeries(lam0, tuple(out))
 
 
 def solve_second_order(lam0, pairs, order, n):
@@ -106,6 +99,9 @@ def solve_second_order(lam0, pairs, order, n):
     sols = []
     for pair in pairs:
         value, d_value = (x if isinstance(x, PadicElement) else make_padic(p, x, n) for x in pair)
+        # evaluate's tail bound starts from an integral pair
+        if min(value.min_valuation(), d_value.min_valuation()) < 0:
+            raise ValueError("e must be integral")
         c = [value, d_value / q0]
         sols.append((c, [q0 * c[1]]))
     for k in range(order - 1):
@@ -125,7 +121,7 @@ def solve_second_order(lam0, pairs, order, n):
             ck2 = -rest / den
             c.append(ck2)
             u.append(q0b * ck2 + b + kc)
-    return tuple(FormalSeries(lam0, c) for c, _ in sols)
+    return tuple(FormalSeries(lam0, tuple(c)) for c, _ in sols)
 
 
 def solve_katz_ode(lam0, e, order, n):
@@ -134,10 +130,6 @@ def solve_katz_ode(lam0, e, order, n):
     alpha has value 1 and D-derivative e at the base point, beta value 0 and
     D-derivative 1.
     """
-    if not isinstance(e, PadicElement):
-        e = make_padic(lam0.p, e, n)
-    if e.min_valuation() < 0:
-        raise ValueError("e must be integral")
     return solve_second_order(lam0, ((1, e), (0, 1)), order, n)
 
 

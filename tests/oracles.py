@@ -9,7 +9,8 @@ REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state
 through the predicates; target_multiplicities counts the irreducible content
 of the torus-invariant part of O(SL2) from its normal-form monomials;
-wronskian_defect checks a hypergeometric solution pair by its Wronskian.
+wronskian_defect checks a hypergeometric solution pair by its Wronskian, and
+exact_katz solves the same equation over Q from its first-order form.
 """
 
 from fractions import Fraction
@@ -366,3 +367,27 @@ def wronskian_defect(alpha, beta):
         if w.rel_prec > 0:
             bad.append(k)
     return bad
+
+
+def exact_katz(lam0, e, order):
+    """The Fraction coefficients of alpha, beta, D(alpha) and D(beta) through order.
+
+    lam0 and e are ints or Fractions.  With g = Df = q f' the equation
+    D^2 f = -q f is the first-order system q f' = g, g' = -f, whose t^k
+    coefficients give
+        q0 (k+1) c_{k+1} = g_k - q1 k c_k - (k-1) c_{k-1},
+        (k+1) g_{k+1} = -c_k,
+    for q = q0 + q1 t + t^2; alpha starts from (c_0, g_0) = (1, e) and beta
+    from (0, 1).  No PadicElement and no second-order recurrence is used.
+    """
+    lam0, e = Fraction(lam0), Fraction(e)
+    q0, q1 = lam0 * (lam0 - 1), 2 * lam0 - 1
+    out = []
+    for c0, g0 in ((Fraction(1), e), (Fraction(0), Fraction(1))):
+        c, g = [c0, g0 / q0], [g0, -c0]
+        for k in range(1, order):
+            c.append((g[k] - q1 * k * c[k] - (k - 1) * c[k - 1]) / (q0 * (k + 1)))
+            g.append(-c[k] / (k + 1))
+        out.append((tuple(c[:order + 1]), tuple(g[:order + 1])))
+    (alpha, d_alpha), (beta, d_beta) = out
+    return alpha, beta, d_alpha, d_beta

@@ -839,6 +839,9 @@ GOLDEN = {
     "gamma --p 3 --x 1/2 --prec 100000000": (2, "04d5c1c27946f101635ec58b4cf4e6a3a789ab63ee07a12d69ef9233a12b2449"),
     # the discriminant of x^3 - 2x + 1 is 5
     "frob --f x^3-2*x+1 --p 5 --prec 4": (2, "0a55db692dcfd9c278a25c123a3e077c6939db96071c5d54a5b3ccb068353a0d"),
+    # D(beta) is O(3^15), one digit past the tail that probed the computed
+    # coefficients; the exact first-order solution agrees through 3^15
+    "hyper --p 3 --lambda0 2 --e 0 --order 28 --prec 24 --at 5": (0, "1bf5e292f23cfd2e6a36c7cf36e145df2d9e0bf41bd0edeb29aa155f342bcd24"),
 }
 
 def test_precision_cap_variable_is_ignored():
