@@ -19,10 +19,14 @@ two fixed 2x2 maps from the Bezout factor 1/f' mod f then carry both from P
 to P - 2, dividing by P - 2.  The p-parts of the divisors go to one loss
 counter e, so the result holds to absolute precision exactly W - e.
 PadicElement appears only when the entries are read off.
+
+Only f enters the Bezout factor, the vertical maps, the powers f^j and the
+window walk; K, W, the row scalars and the divisors' products, inverses and
+p-parts depend on (p, n) alone and form one _Plan, kept in _plans.
 """
 
 from collections import namedtuple
-from math import comb
+from math import comb, prod
 
 from .arith import check_precision, check_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, residual_valuation
@@ -30,6 +34,8 @@ from .padic import PrecisionError, _capped, _vp, residual_valuation
 # p(3K^2 + 9K + 4) reduction steps at the proven cut K = _series_cut(p, n), times
 # the 64-bit words of p^n: about a second
 _MAX_STEPS = 5 * 10**5
+# divisors per product in _row_walk
+_CHUNK = 64
 
 
 # -- integer polynomials mod M, coefficients low to high ---------------------
@@ -163,37 +169,62 @@ def _vertical_maps(f, fpr, v, M):
     return images
 
 
-def _horizontal(c, P, f, p, M):
+def _row_walk(K, p, M):
+    """(multipliers, rows): what the divisors of rows 0 .. K give _horizontal.
+
+    _horizontal multiplies row j's window by D = 2k - 3P + 2, P = p(2j+1),
+    at each k from p(3j+2) - 1 down to 2, so D runs from p down to 6 - 3P
+    and every row walks a prefix of row K's divisors.  Its input t joins
+    after k = p(t+1) + 2, the i-th input (i = 3j - t) times U p^e mod M, the
+    product of the D so far: multipliers[i], whatever the row.  The D between
+    two inputs are p consecutive odd numbers (p - 2 before the first), only
+    the one at k = -1 mod p divisible by p, so one product per segment, its
+    p-part split off, moves U and e; _CHUNK divisors per product keep each
+    product short.  Row j ends p steps after its last input, at the end of
+    segment 3j + 1, with rows[j] = (U^-1, e).
+    """
+    U, e, pe, D, mults, rows = 1, 0, 1, p, [], []
+    for i, count in enumerate((p - 2,) + (p,) * (3 * K + 1)):
+        end = D - 2 * count
+        for lo in range(D, end, -2 * _CHUNK):
+            x = prod(range(lo, max(lo - 2 * _CHUNK, end), -2))
+            v = _vp(x, p)
+            U, e, pe = U * (x // p**v) % M, e + v, pe * p**v
+        D = end
+        mults.append(U * pe % M)
+        if i % 3 == 1:
+            rows.append((pow(U, -1, M), e))
+    return tuple(mults), tuple(rows)
+
+
+def _horizontal(c, P, f, p, M, mults, row):
     """Reduce x^(p(i+1)-1) C(x^p) dx/y^P, C = sum c[t] x^t, for i = 0 and 1.
 
     Twice d(x^(k-2)/y^(P-2)) is (2(k-2) x^(k-3) f - (P-2) x^(k-2) f') dx/y^P,
     D x^k + a1 x^(k-1) + a2 x^(k-2) + a3 x^(k-3) with D = 2k - 3P + 2.  A
     window per column holds the coefficients of x^k, x^(k-1), x^(k-2) times
-    U * p^e: a step multiplies it by D, whose unit part joins U and whose
-    p-part joins e, and reduces only w0, the next multiplier, mod M.
-    Returns both columns' (r0, r1) of (r0 + r1 x) dx / (p^e y^P), and e.
+    U * p^e: a step multiplies it by D and reduces only w0, the next
+    multiplier, mod M.  _row_walk gives the U * p^e mod M each input takes
+    (mults) and the row's (U^-1, e).  Returns both columns' (r0, r1) of
+    (r0 + r1 x) dx / (p^e y^P), and e.
     """
+    inv, e = row
     f0, f1, f2 = 2 * f[0], 2 * f[1], 2 * f[2]
-    t, top = len(c) - 1, p * (len(c) + 1) - 1
-    (u0, u1, u2), (w0, w1, w2) = (0, 0, 0), (c[t], 0, 0)
+    top = p * (len(c) + 1) - 1
+    (u0, u1, u2), (w0, w1, w2) = (0, 0, 0), (c[-1], 0, 0)
     D, a1, a2, a3 = 2 * top - 3 * P + 2, f2 * (top - P), f[1] * (2 * top - P - 2), f0 * (top - 2)
-    U, e, pe = 1, 0, 1
-    for k in range(top, 1, -1):
-        r = k % p
-        if r == p - 1:  # D = 2(k + 1) mod p
-            v = _vp(D, p)
-            U, e, pe = U * (D // p**v) % M, e + v, pe * p**v
-        else:
-            U = U * D % M
-        g, h = u0 % M, w0 % M
-        u0, u1, w0, w1 = D * u1 - g * a1, D * u2 - g * a2, D * w1 - h * a1, D * w2 - h * a2
-        u2, w2 = -g * a3, -h * a3
-        if r == 2 and t >= 0:
-            # only at k = 2 mod p does x^(k-3) hold one: c[t] in column 0, c[t-1] in 1
-            s = U * pe % M
-            u2, w2, t = u2 + c[t] * s, w2 + (c[t - 1] * s if t else 0), t - 1
-        D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0
-    inv = pow(U, -1, M)
+    # x^(k-3) holds c[t] in column 0 and c[t-1] in column 1 at k = p(t+1) + 2;
+    # the walk ends with p steps past the last input, which adds nothing
+    inputs = [(c[t] * s, c[t - 1] * s if t else 0)
+              for t, s in zip(range(len(c) - 1, -1, -1), mults)] + [(0, 0)]
+    count = p - 2
+    for x0, x1 in inputs:
+        for _ in range(count):
+            g, h = u0 % M, w0 % M
+            u0, u1, w0, w1 = D * u1 - g * a1, D * u2 - g * a2, D * w1 - h * a1, D * w2 - h * a2
+            u2, w2 = -g * a3, -h * a3
+            D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0
+        u2, w2, count = u2 + x0, w2 + x1, p
     return ((u1 * inv % M, u0 * inv % M), (w1 * inv % M, w0 * inv % M)), e
 
 
@@ -214,6 +245,39 @@ def _series_cut(p, n):
         if K + 1 - lost >= n:
             return K
         K += 1
+
+
+# what kedlaya_frobenius needs of (p, n) alone: the cut K, the width W and
+# M = p^W; the row scalars b_j p 4^-K mod M; per pole order P from p(2K+1)
+# down to 3, the vertical step's (p^k, 2 ((P-2)/p^k)^-1 mod M, k) with
+# k = v_p(P - 2); and the _row_walk's multipliers and per-row (U^-1, e)
+_Plan = namedtuple("_Plan", "K W M scalars verticals mults rows")
+_plans = {}
+
+
+def _build_plan(p, n):
+    """The _Plan of (p, n); PrecisionError over the step budget, before any work."""
+    K = _series_cut(p, n)
+    if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
+        raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
+                             "configured maximum %d" % (p, n, _MAX_STEPS))
+    W = n + _loss_count(p, K)
+    M = p**W
+    # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
+    # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
+    # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
+    # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer;
+    # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
+    scale = p * pow(4**K, -1, M)
+    scalars = tuple((-1) ** j * scale * sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k)
+                                            for k in range(j, K + 1)) % M
+                    for j in range(K + 1))
+    verticals = []
+    for P in range(p * (2 * K + 1), 1, -2):
+        k = _vp(P - 2, p)
+        pk = p**k
+        verticals.append((pk, 2 * pow((P - 2) // pk, -1, M), k))
+    return _Plan(K, W, M, scalars, tuple(verticals), *_row_walk(K, p, M))
 
 
 def kedlaya_frobenius(curve):
@@ -245,45 +309,38 @@ def kedlaya_frobenius(curve):
     PrecisionError is raised if W - e still falls below n.  Entries come
     back capped at n.  Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK
     vertical column-steps, weighted as _MAX_STEPS says, are counted first;
-    more raise PrecisionError.
+    more raise PrecisionError.  K, W, the row scalars b_j p 4^-K, the
+    divisors' products, inverses and p-parts are per (p, n) and come from
+    the cached _Plan (a refused (p, n) is not cached); per curve are only
+    the Bezout factor, the vertical maps, the powers f^j, the window walk
+    and the joins.
     """
     p, n = curve.p, curve.n
-    K = _series_cut(p, n)
-    if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
-        raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
-                             "configured maximum %d" % (p, n, _MAX_STEPS))
-    W = n + _loss_count(p, K)
-    M = p**W
+    plan = _plans.get((p, n))
+    if plan is None:
+        plan = _plans[p, n] = _build_plan(p, n)
+    K, W, M = plan.K, plan.W, plan.M
 
     f = list(curve.f)
     fpr = [f[i] * i for i in range(1, 4)]
     v = _bezout_factor(f, fpr, M)
     (t00, t01, s00, s01), (t10, t11, s10, s11) = _vertical_maps(f, fpr, v, M)
-    # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
-    # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
-    # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
-    # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer;
-    # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
-    scale = p * pow(4**K, -1, M)
     rows, fj = [], [1]
-    for j in range(K + 1):
+    for j, scalar in enumerate(plan.scalars):
         if j:
             fj = _int_mul(fj, f, M)
-        bj = sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k) for k in range(j, K + 1))
-        rows.append([(-1) ** j * bj * scale * a % M for a in fj])
+        rows.append([scalar * a % M for a in fj])
     # (a0 + a1 x) dx / (p^e y^P) per column, carried down from the top pole order
     cols, e = ((0, 0), (0, 0)), 0
-    for P in range(p * (2 * K + 1), 1, -2):
+    for P, (pk, s, k) in zip(range(p * (2 * K + 1), 1, -2), plan.verticals):
         if P % (2 * p) == p:
-            reduced, er = _horizontal(rows[P // (2 * p)], P, f, p, M)
+            j = P // (2 * p)
+            reduced, er = _horizontal(rows[j], P, f, p, M, plan.mults, plan.rows[j])
             # join over the common power p^max(e, er)
             up, down = p ** max(er - e, 0), p ** max(e - er, 0)
             cols = [(a0 * up + r0 * down, a1 * up + r1 * down)
                     for (a0, a1), (r0, r1) in zip(cols, reduced)]
             e = max(e, er)
-        k = _vp(P - 2, p)
-        pk = p**k
-        s = 2 * pow((P - 2) // pk, -1, M)
         cols = [((pk * (a0 * t00 + a1 * t10) + s * (a0 * s00 + a1 * s10)) % M,
                  (pk * (a0 * t01 + a1 * t11) + s * (a0 * s01 + a1 * s11)) % M)
                 for a0, a1 in cols]

@@ -97,11 +97,13 @@ def solve_second_order(lam0, pairs, order, n):
         raise ValueError("order must be at least 2")
     q1, q0sq = 2 * lam0 - 1, q0 * q0
     sols = []
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         value, d_value = (x if isinstance(x, PadicElement) else make_padic(p, x, n) for x in pair)
         # evaluate's tail bound starts from an integral pair
-        if min(value.min_valuation(), d_value.min_valuation()) < 0:
-            raise ValueError("e must be integral")
+        v = min(value.min_valuation(), d_value.min_valuation())
+        if v < 0:
+            raise ValueError("(value, D-value) pair %d has valuation %d; it must be integral"
+                             % (i, v))
         c = [value, d_value / q0]
         sols.append((c, [q0 * c[1]]))
     for k in range(order - 1):

@@ -202,9 +202,12 @@ def test_buffer_boundary_is_the_loss_count(monkeypatch):
     loss_count = frobenius._loss_count
     curves = [EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)]
     curves += [c for p in (5, 7, 11, 13) for c in _kedlaya_cases(p, (2, 4, 6))]
+    # W is part of the (p, n) plan, so each patched call starts from no plan
     for cur in curves:
+        monkeypatch.setattr(frobenius, "_plans", {})
         monkeypatch.setattr(frobenius, "_loss_count", loss_count)
         kedlaya_frobenius(cur)
+        monkeypatch.setattr(frobenius, "_plans", {})
         monkeypatch.setattr(frobenius, "_loss_count", lambda p, K: loss_count(p, K) - 1)
         with pytest.raises(PrecisionError):
             kedlaya_frobenius(cur)
@@ -322,6 +325,7 @@ def test_vertical_maps_refuse_a_wrong_bezout_factor(monkeypatch):
 
 def test_exhausted_buffer_is_loud(monkeypatch):
     cur = EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4)
+    monkeypatch.setattr(frobenius, "_plans", {})
     monkeypatch.setattr(frobenius, "_loss_count", lambda p, m_init: 0)
     with pytest.raises(PrecisionError):
         kedlaya_frobenius(cur)
@@ -550,7 +554,57 @@ def test_series_cut_is_sharp(monkeypatch):
     for p, n in ((5, 5), (5, 6), (5, 7), (7, 7), (5, 10)):
         want = dense_kedlaya(f, p, n)
         for shift, agrees in ((0, True), (1, False)):
+            monkeypatch.setattr(frobenius, "_plans", {})
             monkeypatch.setattr(frobenius, "_series_cut", lambda p, n: cut(p, n) - shift)
             m = kedlaya_frobenius(EllipticCurveW(f=f, p=p, n=n))
             got = tuple((e.val, e.unit, e.rel_prec) for row in m.entries for e in row)
             assert (got == want) == agrees, (p, n, shift)
+
+
+def _entries(m):
+    return tuple((e.val, e.unit, e.rel_prec) for row in m.entries for e in row)
+
+
+def test_a_warm_plan_gives_the_cold_entries(monkeypatch):
+    # the plan depends on (p, n) alone: a plan built for the shifted model
+    # (same p, n and discriminant) gives every curve its cold-plan entries
+    curves = [EllipticCurveW(f=f, p=p, n=n) for f, p, n, _ in FROZEN]
+    curves += [c for p in ORACLE_PRIMES for c in _oracle_cases(p)]
+    for cur in curves:
+        monkeypatch.setattr(frobenius, "_plans", {})
+        cold = _entries(kedlaya_frobenius(cur))
+        monkeypatch.setattr(frobenius, "_plans", {})
+        kedlaya_frobenius(EllipticCurveW(f=_shift(cur.f, 1), p=cur.p, n=cur.n))
+        assert list(frobenius._plans) == [(cur.p, cur.n)]
+        assert _entries(kedlaya_frobenius(cur)) == cold, (cur.f, cur.p, cur.n)
+
+
+def test_a_plan_is_built_once_per_shape(monkeypatch):
+    # a second curve at the same (p, n), and the shifted model inside
+    # frobenius_selftest, reuse the plan of the first
+    built = []
+
+    def counted(p, n):
+        built.append((p, n))
+        return real(p, n)
+
+    real = frobenius._build_plan
+    monkeypatch.setattr(frobenius, "_plans", {})
+    monkeypatch.setattr(frobenius, "_build_plan", counted)
+    kedlaya_frobenius(EllipticCurveW(f=(1, 1, 0, 1), p=5, n=4))
+    kedlaya_frobenius(EllipticCurveW(f=(2, 3, 0, 1), p=5, n=4))
+    assert built == [(5, 4)]
+    frobenius_selftest(EllipticCurveW(f=(1, 1, 0, 1), p=7, n=4))
+    assert built == [(5, 4), (7, 4)]
+
+
+def test_an_over_budget_shape_is_refused_each_time(monkeypatch):
+    # the step budget is checked before any work, and a refusal is not cached
+    monkeypatch.setattr(frobenius, "_plans", {})
+    cur = EllipticCurveW(f=(1, 1, 0, 1), p=100003, n=2)
+    for _ in range(2):
+        with pytest.raises(PrecisionError) as err:
+            kedlaya_frobenius(cur)
+        assert str(err.value) == ("the Kedlaya step count at p = 100003, precision 2 exceeds "
+                                  "the configured maximum 500000")
+        assert (100003, 2) not in frobenius._plans

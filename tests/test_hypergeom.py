@@ -96,14 +96,16 @@ def test_solver_rejects_bad_base_points():
 
 def test_solver_rejects_fractional_e():
     lam0 = make_padic(5, 2, 10)
-    runs = [lambda e=e: solve_katz_ode(lam0, e, 10, 10)
+    runs = [(lambda e=e: solve_katz_ode(lam0, e, 10, 10), 0)
             for e in (make_padic(5, Fraction(1, 5), 10), Fraction(1, 5))]
-    # the tail bound needs every (value, D-value) pair integral, not e alone
-    runs.append(lambda: solve_second_order(lam0, ((1, 0), (Fraction(3, 5), 1)), 10, 10))
-    for run in runs:
+    # the tail bound needs every (value, D-value) pair integral, not e alone,
+    # and a pair without an e is named by its place
+    runs.append((lambda: solve_second_order(lam0, ((1, 0), (Fraction(3, 5), 1)), 10, 10), 1))
+    runs.append((lambda: solve_second_order(lam0, ((Fraction(3, 5), 1),), 10, 10), 0))
+    for run, i in runs:
         with pytest.raises(ValueError) as err:
             run()
-        assert str(err.value) == "e must be integral"
+        assert str(err.value) == "(value, D-value) pair %d has valuation -1; it must be integral" % i
 
 
 def test_beta_linear_coefficient():
