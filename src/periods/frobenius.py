@@ -12,29 +12,31 @@ Lemmas 2 and 3 prove the tail O(p^n) (kedlaya_frobenius has the proof).
 Counting points over F_p directly supplies an independent value for the
 trace.
 
-The reduction runs on plain ints at the single modulus p^W.  Each term is
-reduced horizontally at its pole order P to degree <= 1, both columns in one
-pass that divides by 2k - 3P + 2 and reduces only its multipliers mod p^W;
-two fixed 2x2 maps from the Bezout factor 1/f' mod f then carry both from P
-to P - 2, dividing by P - 2.  The p-parts of the divisors go to one loss
-counter e, so the result holds to absolute precision exactly W - e.
+The reduction runs on plain ints at the single modulus M = p^W.  Each term
+is reduced horizontally at its pole order P to degree <= 1, both columns in
+one pass that multiplies by 2k - 3P + 2 and reduces only its multipliers
+mod M; two fixed 2x2 maps from the Bezout factor 1/f' mod f then carry both
+from P to P - 2, multiplying by P - 2 where the form divides by it.  What
+those products put on a class depends on (p, n) alone, so each row's scalar
+takes it back in advance: the accumulators end at p^(W - n) times the
+classes, and a curve's pass takes no inverse and counts no digit.
 PadicElement appears only when the entries are read off.
 
 Only f enters the Bezout factor, the vertical maps, the powers f^j and the
-window walk; K, W, the row scalars and the divisors' products, inverses and
-p-parts depend on (p, n) alone and form one _Plan, kept in _plans.
+window walk; K, W, the row scalars and the window multipliers depend on
+(p, n) alone and form one _Plan, kept in _plans.
 """
 
 from collections import namedtuple
 from math import comb, prod
 
 from .arith import check_precision, check_prime, kronecker
-from .padic import PrecisionError, _capped, _vp, residual_valuation
+from .padic import PrecisionError, _capped, _vp, _vp_factorial, residual_valuation
 
 # p(3K^2 + 9K + 4) reduction steps at the proven cut K = _series_cut(p, n), times
 # the 64-bit words of p^n: about a second
 _MAX_STEPS = 5 * 10**5
-# divisors per product in _row_walk
+# odd numbers per product in _odd_walk
 _CHUNK = 64
 
 
@@ -93,13 +95,15 @@ def _discriminant(f):
 def _good_cubic(f, p, least):
     """f as a tuple of ints, once it is a monic cubic with good reduction at
     the prime p >= least."""
-    f = tuple(int(c) for c in f)
-    if len(f) != 4 or f[3] != 1:
+    g = tuple(int(c) for c in f)
+    if g != tuple(f):
+        raise ValueError("f must have integer coefficients")
+    if len(g) != 4 or g[3] != 1:
         raise ValueError("f must be a monic cubic, coefficients low to high")
     check_prime(p, least)
-    if _discriminant(f) % p == 0:
+    if _discriminant(g) % p == 0:
         raise ValueError("bad reduction: the discriminant vanishes mod p")
-    return f
+    return g
 
 
 class EllipticCurveW:
@@ -141,20 +145,23 @@ class FrobeniusMatrix(namedtuple("FrobeniusMatrix", "entries curve")):
 
 
 def _loss_count(p, K):
-    # the counter both columns share, walked as the loop walks: row j (P = p(2j+1))
-    # divides by the odd 6 - 3P .. p, multiples p*m for odd m = -(6j+1) .. 1
-    e = 0
-    for P in range(p * (2 * K + 1), 1, -2):
-        if P % (2 * p) == p:
-            e = max(e, sum(_vp(d, p) for d in range(2 * p - 3 * P, p + 1, 2 * p)))
-        e += _vp(P - 2, p)
-    return e
+    """Digits the divisors take from the classes at the cut K.
+
+    The top row, at P = p(2K + 1), multiplies by 2k - 3P + 2, the odd numbers
+    p down to 6 - 3P: one p from p itself and v_p((3P - 6)!!) from the rest.
+    The vertical steps from P down to 3 multiply by P - 2, v_p((P - 2)!!) in
+    all.  A lower row walks a prefix of the top row's divisors and passes
+    fewer vertical steps, so it loses no more.  For odd m,
+    m! = m!! 2^((m-1)/2) ((m-1)/2)!.
+    """
+    P = p * (2 * K + 1)
+    return 1 + sum(_vp_factorial(m, p) - _vp_factorial(m // 2, p) for m in (3 * P - 6, P - 2))
 
 
 def _vertical_maps(f, fpr, v, M):
-    """Images of 1 and x under T and S' as (T0, T1, S'0, S'1), ints mod M.
+    """Images of 1 and x under T and 2S' as (T0, T1, 2S'0, 2S'1), ints.
 
-    With r = R*f + S*f' (S = r*v mod f), r dx/y^P is T(r) + (2/(P-2)) S'(r)
+    With r = R*f + S*f' (S = r*v mod f), (P-2) r dx/y^P is (P-2) T(r) + 2 S'(r)
     over y^(P-2) up to an exact form, where T(r) = R = (r - S*f')/f.
     """
     images = []
@@ -165,50 +172,40 @@ def _vertical_maps(f, fpr, v, M):
         T, rem = _divmod_cubic(w, f, M)
         if any(rem):
             raise ArithmeticError("pole reduction left a nonzero remainder")
-        images.append((T[0], T[1], S[1], 2 * S[2]))
+        images.append((T[0], T[1], 2 * S[1], 4 * S[2]))
     return images
 
 
-def _row_walk(K, p, M):
-    """(multipliers, rows): what the divisors of rows 0 .. K give _horizontal.
+def _odd_walk(d, step, counts, p, M):
+    """(U, e) after each segment of the odd numbers d, d + step, d + 2 step, ...
 
-    _horizontal multiplies row j's window by D = 2k - 3P + 2, P = p(2j+1),
-    at each k from p(3j+2) - 1 down to 2, so D runs from p down to 6 - 3P
-    and every row walks a prefix of row K's divisors.  Its input t joins
-    after k = p(t+1) + 2, the i-th input (i = 3j - t) times U p^e mod M, the
-    product of the D so far: multipliers[i], whatever the row.  The D between
-    two inputs are p consecutive odd numbers (p - 2 before the first), only
-    the one at k = -1 mod p divisible by p, so one product per segment, its
-    p-part split off, moves U and e; _CHUNK divisors per product keep each
-    product short.  Row j ends p steps after its last input, at the end of
-    segment 3j + 1, with rows[j] = (U^-1, e).
+    Segment i holds counts[i] of them, and the product of all of them so
+    far is U p^e, U a unit mod M.  _CHUNK numbers per product keep each
+    product short.
     """
-    U, e, pe, D, mults, rows = 1, 0, 1, p, [], []
-    for i, count in enumerate((p - 2,) + (p,) * (3 * K + 1)):
-        end = D - 2 * count
-        for lo in range(D, end, -2 * _CHUNK):
-            x = prod(range(lo, max(lo - 2 * _CHUNK, end), -2))
+    U, e = 1, 0
+    for count in counts:
+        end = d + step * count
+        for lo in range(d, end, step * _CHUNK):
+            x = prod(range(lo, end, step)[:_CHUNK])
             v = _vp(x, p)
-            U, e, pe = U * (x // p**v) % M, e + v, pe * p**v
-        D = end
-        mults.append(U * pe % M)
-        if i % 3 == 1:
-            rows.append((pow(U, -1, M), e))
-    return tuple(mults), tuple(rows)
+            U, e = U * (x // p**v) % M, e + v
+        d = end
+        yield U, e
 
 
-def _horizontal(c, P, f, p, M, mults, row):
+def _horizontal(c, P, f, p, M, mults):
     """Reduce x^(p(i+1)-1) C(x^p) dx/y^P, C = sum c[t] x^t, for i = 0 and 1.
 
     Twice d(x^(k-2)/y^(P-2)) is (2(k-2) x^(k-3) f - (P-2) x^(k-2) f') dx/y^P,
     D x^k + a1 x^(k-1) + a2 x^(k-2) + a3 x^(k-3) with D = 2k - 3P + 2.  A
     window per column holds the coefficients of x^k, x^(k-1), x^(k-2) times
-    U * p^e: a step multiplies it by D and reduces only w0, the next
-    multiplier, mod M.  _row_walk gives the U * p^e mod M each input takes
-    (mults) and the row's (U^-1, e).  Returns both columns' (r0, r1) of
-    (r0 + r1 x) dx / (p^e y^P), and e.
+    the product of the D so far: a step multiplies it by D and reduces only
+    w0, the next multiplier, mod M.  Input t joins after k = p(t+1) + 2, the
+    i-th input (i = 3j - t, P = p(2j+1)) times that product, which is
+    mults[i] whatever the row.  Returns both columns' (r0, r1) of
+    (r0 + r1 x) dx / y^P times the product of all the row's D, unreduced.
     """
-    inv, e = row
     f0, f1, f2 = 2 * f[0], 2 * f[1], 2 * f[2]
     top = p * (len(c) + 1) - 1
     (u0, u1, u2), (w0, w1, w2) = (0, 0, 0), (c[-1], 0, 0)
@@ -225,7 +222,7 @@ def _horizontal(c, P, f, p, M, mults, row):
             u2, w2 = -g * a3, -h * a3
             D, a1, a2, a3 = D - 2, a1 - f2, a2 - f1, a3 - f0
         u2, w2, count = u2 + x0, w2 + x1, p
-    return ((u1 * inv % M, u0 * inv % M), (w1 * inv % M, w0 * inv % M)), e
+    return (u1, u0), (w1, w0)
 
 
 def _series_cut(p, n):
@@ -247,37 +244,45 @@ def _series_cut(p, n):
         K += 1
 
 
-# what kedlaya_frobenius needs of (p, n) alone: the cut K, the width W and
-# M = p^W; the row scalars b_j p 4^-K mod M; per pole order P from p(2K+1)
-# down to 3, the vertical step's (p^k, 2 ((P-2)/p^k)^-1 mod M, k) with
-# k = v_p(P - 2); and the _row_walk's multipliers and per-row (U^-1, e)
-_Plan = namedtuple("_Plan", "K W M scalars verticals mults rows")
+# what kedlaya_frobenius needs of (p, n) alone: the cut K, M = p^W, the row
+# scalars, the 3K + 2 window multipliers every row shares, and p^(W - n), the
+# power of p the accumulators end with
+_Plan = namedtuple("_Plan", "K M scalars mults pe")
 _plans = {}
 
 
 def _build_plan(p, n):
-    """The _Plan of (p, n); PrecisionError over the step budget, before any work."""
+    """The _Plan of (p, n); PrecisionError over the step budget, before any work,
+    or when W leaves a row short of digits."""
     K = _series_cut(p, n)
     if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
         raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
                              "configured maximum %d" % (p, n, _MAX_STEPS))
     W = n + _loss_count(p, K)
     M = p**W
+    # the window's D run from p down in 3K + 2 segments of odd numbers, p - 2
+    # and then p each, with one multiple of p per p-segment; row j's walk ends
+    # with segment 3j + 1.  The vertical steps at and below P = p(2j+1)
+    # multiply by (P - 2)!!: (p - 1)/2 odd numbers, then p more per row
+    walk = list(_odd_walk(p, -2, (p - 2,) + (p,) * (3 * K + 1), p, M))
+    verticals = list(_odd_walk(1, 2, ((p - 1) // 2,) + (p,) * K, p, M))
     # with E = f(x^p) - y^(2p), 1/sigma(y) = y^-p (1 + E/y^(2p))^(-1/2); the
     # series cut at E^K is sum_j b_j f(x^p)^j / y^(p(2j+1)) with
     # b_j = sum_(j<=k<=K) binom(-1/2, k) binom(k, j) (-1)^(k-j), and
     # 4^K b_j = (-1)^j sum_k binom(2k, k) binom(k, j) 4^(K-k) is an integer;
-    # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y), the p in scale
-    scale = p * pow(4**K, -1, M)
-    scalars = tuple((-1) ** j * scale * sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k)
-                                            for k in range(j, K + 1)) % M
-                    for j in range(K + 1))
-    verticals = []
-    for P in range(p * (2 * K + 1), 1, -2):
-        k = _vp(P - 2, p)
-        pk = p**k
-        verticals.append((pk, 2 * pow((P - 2) // pk, -1, M), k))
-    return _Plan(K, W, M, scalars, tuple(verticals), *_row_walk(K, p, M))
+    # sigma(x^i dx/y) = p x^(p(i+1)-1) dx / sigma(y).  Row j's window gains
+    # U p^e and its vertical steps Q p^v, and every class is to end at
+    # p^(W - n), so its scalar is b_j p^(1 + W - n - e - v) / (U Q)
+    scalars = []
+    for j in range(K, -1, -1):  # the top row loses the most, so it refuses first
+        (U, e), (Q, v) = walk[3 * j + 1], verticals[j]
+        spare = W - n - e - v
+        if spare < 0:
+            raise PrecisionError("working buffer exhausted: achieved absolute precision "
+                                 "%d is below the requested %d" % (n + spare, n))
+        b = (-1) ** j * sum(comb(2 * k, k) * comb(k, j) * 4 ** (K - k) for k in range(j, K + 1))
+        scalars.append(b * p ** (1 + spare) * pow(4**K * U * Q, -1, M) % M)
+    return _Plan(K, M, tuple(scalars[::-1]), tuple(U * p**e % M for U, e in walk), p ** (W - n))
 
 
 def kedlaya_frobenius(curve):
@@ -303,23 +308,23 @@ def kedlaya_frobenius(curve):
     K + 1 terms b_j f(x^p)^j / y^P, P = p(2j+1), each reduced horizontally
     at its own P, both columns in one pass, to join accumulators that fixed
     2x2 vertical steps carry from P to P - 2: O(pK^2) steps of constant size.
-    Working mod p^W, the loop counts the digits e lost to the divisors
-    2k - 3P + 2 and P - 2, so the result holds to absolute precision W - e.
-    W is n plus that count, known before the reduction starts (_loss_count);
-    PrecisionError is raised if W - e still falls below n.  Entries come
-    back capped at n.  Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK
+    Working mod M = p^W, the divisors 2k - 3P + 2 and P - 2 act as
+    multipliers, and each row scalar of the _Plan divides out in advance
+    what they will put on that row, so every class ends at p^(W - n).  W is
+    n plus the digits those products hold (_loss_count), so the entries come
+    back at absolute precision exactly n; _build_plan raises PrecisionError
+    if W leaves a row short.  Its 2 sum_(j<=K) (3pj + 2p) horizontal and 2pK
     vertical column-steps, weighted as _MAX_STEPS says, are counted first;
-    more raise PrecisionError.  K, W, the row scalars b_j p 4^-K, the
-    divisors' products, inverses and p-parts are per (p, n) and come from
-    the cached _Plan (a refused (p, n) is not cached); per curve are only
-    the Bezout factor, the vertical maps, the powers f^j, the window walk
-    and the joins.
+    more raise PrecisionError.  K, W, the row scalars and the window
+    multipliers are per (p, n) and come from the cached _Plan (a refused
+    (p, n) is not cached); per curve are only the Bezout factor, the
+    vertical maps, the powers f^j, the window walk and the joins.
     """
     p, n = curve.p, curve.n
     plan = _plans.get((p, n))
     if plan is None:
         plan = _plans[p, n] = _build_plan(p, n)
-    K, W, M = plan.K, plan.W, plan.M
+    K, M = plan.K, plan.M
 
     f = list(curve.f)
     fpr = [f[i] * i for i in range(1, 4)]
@@ -330,25 +335,17 @@ def kedlaya_frobenius(curve):
         if j:
             fj = _int_mul(fj, f, M)
         rows.append([scalar * a % M for a in fj])
-    # (a0 + a1 x) dx / (p^e y^P) per column, carried down from the top pole order
-    cols, e = ((0, 0), (0, 0)), 0
-    for P, (pk, s, k) in zip(range(p * (2 * K + 1), 1, -2), plan.verticals):
+    # (a0 + a1 x) dx / y^P per column, times p^(W - n) / (P - 2)!!: the step at
+    # P multiplies by P - 2, and the row joining at P comes at the same scale
+    cols = ((0, 0), (0, 0))
+    for P in range(p * (2 * K + 1), 1, -2):
         if P % (2 * p) == p:
-            j = P // (2 * p)
-            reduced, er = _horizontal(rows[j], P, f, p, M, plan.mults, plan.rows[j])
-            # join over the common power p^max(e, er)
-            up, down = p ** max(er - e, 0), p ** max(e - er, 0)
-            cols = [(a0 * up + r0 * down, a1 * up + r1 * down)
-                    for (a0, a1), (r0, r1) in zip(cols, reduced)]
-            e = max(e, er)
-        cols = [((pk * (a0 * t00 + a1 * t10) + s * (a0 * s00 + a1 * s10)) % M,
-                 (pk * (a0 * t01 + a1 * t11) + s * (a0 * s01 + a1 * s11)) % M)
+            reduced = _horizontal(rows[P // (2 * p)], P, f, p, M, plan.mults)
+            cols = [(a0 + r0, a1 + r1) for (a0, a1), (r0, r1) in zip(cols, reduced)]
+        cols = [(((P - 2) * (a0 * t00 + a1 * t10) + a0 * s00 + a1 * s10) % M,
+                 ((P - 2) * (a0 * t01 + a1 * t11) + a0 * s01 + a1 * s11) % M)
                 for a0, a1 in cols]
-        e += k
-    if W - e < n:
-        raise PrecisionError("working buffer exhausted: achieved absolute precision "
-                             "%d is below the requested %d" % (W - e, n))
-    entries = tuple(tuple(_capped(p, col[r], n, p**e) for col in cols) for r in (0, 1))
+    entries = tuple(tuple(_capped(p, col[r], n, plan.pe) for col in cols) for r in (0, 1))
     return FrobeniusMatrix(entries=entries, curve=curve)
 
 

@@ -3,7 +3,8 @@
 teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement;
 kummer_weight_matrix and perturbed_invariance on the rank-2 Kummer system
 of periods.kummer; dense_kedlaya is the Frobenius matrix by the dense pole
-reduction; cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
+reduction, and walked_loss_count its digit loss counted one pole order at a
+time; cm_unramified_by_unit and cm_ramified_p3_by_unit are the CM Gamma products
 built one unit at a time, with Fraction exponents and PadicElement powers;
 REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state
@@ -224,6 +225,22 @@ def _dense_reduction(terms, f, fpr, v, p, M):
             A[j - 2 + t] -= c * fpr[t]
         e += k
     return A[0] % M, A[1] % M, e
+
+
+def walked_loss_count(p, K):
+    """The digits Kedlaya's reduction at the cut K loses, one pole order at a time.
+
+    The counter both columns share, walked as the reduction walks: row j, at
+    P = p(2j+1), divides by the odd 6 - 3P .. p, the multiples of p among
+    them p*m for odd m = -(6j+1) .. 1, and joins with the max of the two
+    counts; every vertical step divides by P - 2.
+    """
+    e = 0
+    for P in range(p * (2 * K + 1), 1, -2):
+        if P % (2 * p) == p:
+            e = max(e, sum(_vp(d, p) for d in range(2 * p - 3 * P, p + 1, 2 * p)))
+        e += _vp(P - 2, p)
+    return e
 
 
 def dense_kedlaya(f, p, n):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from periods.frobenius import (
 )
 from periods.padic import PrecisionError, residual_valuation
 
-from oracles import dense_kedlaya
+from oracles import dense_kedlaya, walked_loss_count
 
 # a_p frozen from a standalone double-loop enumeration, checked against
 # the character sum and the table of squares below
@@ -96,6 +97,17 @@ def test_curve_validation():
         EllipticCurveW(f=(1, -2, 0, 1), p=5, n=4)
     with pytest.raises(ValueError):
         EllipticCurveW(f=(1, 1, 0, 2), p=5, n=4)
+
+
+def test_non_integral_coefficients_are_refused():
+    # int() alone would take 3/2 to 1 and 7/2 to 3 without a word
+    for call in (lambda: EllipticCurveW((Fraction(3, 2), 1, 0, 1), 5, 4),
+                 lambda: count_points((Fraction(7, 2), 1, 0, 1), 5),
+                 lambda: EllipticCurveW((1, 1.5, 0, 1), 5, 4)):
+        with pytest.raises(ValueError, match="^f must have integer coefficients$"):
+            call()
+    assert EllipticCurveW((Fraction(2, 2), 1.0, 0, 1), 5, 4).f == (1, 1, 0, 1)
+    assert count_points((Fraction(6, 2), 1, 0, 1), 5) == count_points((3, 1, 0, 1), 5)
 
 
 def test_discriminants():
@@ -211,6 +223,32 @@ def test_buffer_boundary_is_the_loss_count(monkeypatch):
         monkeypatch.setattr(frobenius, "_loss_count", lambda p, K: loss_count(p, K) - 1)
         with pytest.raises(PrecisionError):
             kedlaya_frobenius(cur)
+
+
+def test_loss_count_is_the_walked_count():
+    # the closed form against the count walked one pole order at a time, at
+    # every K up to the cut of the largest n whose plan the budget admits,
+    # found from above: a refusal comes before any work
+    for p in (5, 7, 11, 13, 29, 101, 1009, 10007):
+        n = 200
+        while True:
+            try:
+                frobenius._build_plan(p, n)
+                break
+            except PrecisionError:
+                n -= 1
+        for K in range(frobenius._series_cut(p, n) + 1):
+            assert frobenius._loss_count(p, K) == walked_loss_count(p, K), (p, K)
+
+
+def test_a_plan_holds_nothing_per_pole_order():
+    # at (10007, 3), the largest plan the budget admits, K = 2 and there are
+    # p(2K + 1)/2 = 25017 vertical steps; the largest field is the 3K + 2
+    # window multipliers that every row shares
+    plan = frobenius._build_plan(10007, 3)
+    assert plan.K == 2
+    sizes = [len(x) for x in plan if isinstance(x, tuple)]
+    assert sizes and max(sizes) <= 3 * plan.K + 2
 
 
 def test_entries_come_back_at_the_requested_precision():
