@@ -16,6 +16,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .arith import check_precision, check_prime
 from .cm import algebraicity_probe, cm_period_ramified_p3, cm_period_unramified
@@ -448,7 +449,35 @@ def execute(args):
 
 
 def _canonical_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) + "\\n".
+
+    Written in one recursive pass: with an indent, json.dumps leaves the C
+    encoder for its pure-Python one.  Every key must be a str.
+    """
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(v, nl):
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k in sorted(v):
+            if not isinstance(k, str):
+                raise TypeError("JSON keys must be str, not %s" % type(k).__name__)
+            items.append(encode_basestring_ascii(k) + ": " + _json_text(v[k], inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        # most items are the ints of digit lists: written without a call
+        texts = [str(x) if type(x) is int else _json_text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    if type(v) is int:
+        return str(v)
+    return json.dumps(v)
 
 
 def _is_padic(v):

@@ -6,13 +6,14 @@ O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per degree, which
 irreducible blocks of the torus-invariant coordinate ring the matrix
 coefficients of a given representation actually generate.  The blocks
 to reach are fixed by Peter-Weyl (each even Sym^m once); only the
-generated side is computed.  All linear algebra is over exact
-rationals; nothing is rounded.
+generated side is computed.  Coefficients are ints (Fractions only
+where a caller passes them), and the linear algebra is exact and
+fraction-free over Z; nothing is rounded.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 MAX_CLOSURE_CAP = 12
 
@@ -71,9 +72,12 @@ def homog_dim(g, h):
 def _reduce_terms(pairs):
     out = {}
     for key, coeff in pairs:
-        key, coeff = tuple(key), Fraction(coeff)
+        key = tuple(key)
         if len(key) != 4 or min(key) < 0:
             raise ValueError("bad monomial %r" % (key,))
+        if type(coeff) is bool or not isinstance(coeff, (int, Fraction)):
+            raise TypeError("a coefficient must be an int or a Fraction, not %r"
+                            % (coeff,))
         if not coeff:
             continue
         i, j, k, l = key
@@ -134,30 +138,47 @@ def matrix_coefficients(r):
         pairs = []
         for s in range(max(0, m - h), min(h, m) + 1):
             t = m - s
-            pairs.append(((h - s, h - t, s, t),
-                          Fraction(comb(h, s) * comb(h, t))))
+            pairs.append(((h - s, h - t, s, t), comb(h, s) * comb(h, t)))
         out.append(CoeffRingElement(terms=tuple(pairs)))
     return tuple(out)
 
 
-# -- exact sparse linear algebra over the rationals --------------------------
+# -- exact sparse linear algebra over the integers ---------------------------
+
+def _without_content(vec):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return {k: c // g for k, c in vec.items()} if g > 1 else vec
+
 
 def _echelon_insert(pivots, vec):
-    """Reduce vec against the pivot rows; install it if independent."""
-    vec = dict(vec)
+    """Reduce vec against the pivot rows; install it if independent.
+
+    Fraction-free: pivot rows are primitive integer rows, and a reduction
+    step is v <- a*v - b*row with a/b in lowest terms, then v divided by
+    its content.  Every v is a nonzero multiple of the vector the same
+    elimination over Q would hold, so the same pivot keys are installed.
+    A rational vec is first scaled to a primitive integer row.
+    """
+    den = lcm(*(c.denominator for c in vec.values()))
+    vec = _without_content({k: int(c * den) for k, c in vec.items()})
     while vec:
         lead = min(vec)
-        if lead not in pivots:
-            inv = Fraction(1) / vec[lead]
-            pivots[lead] = {k: c * inv for k, c in vec.items()}
+        row = pivots.get(lead)
+        if row is None:
+            pivots[lead] = vec
             return True
-        factor = vec[lead]
-        for k, c in pivots[lead].items():
-            nc = vec.get(k, 0) - factor * c
+        a, b = row[lead], vec[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        vec = {k: a * c for k, c in vec.items()}
+        for k, c in row.items():
+            nc = vec.get(k, 0) - b * c
             if nc:
                 vec[k] = nc
             else:
                 vec.pop(k, None)
+        vec = _without_content(vec)
     return False
 
 

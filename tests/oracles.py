@@ -9,11 +9,15 @@ built one unit at a time, with Fraction exponents and PadicElement powers;
 REFERENCE_OPS holds the PadicElement operators as they were before they
 read the slots directly: each operand went through _coerce, and every state
 through the predicates; target_multiplicities counts the irreducible content
-of the torus-invariant part of O(SL2) from its normal-form monomials;
-wronskian_defect checks a hypergeometric solution pair by its Wronskian, and
-exact_katz solves the same equation over Q from its first-order form.
+of the torus-invariant part of O(SL2) from its normal-form monomials, and
+fraction_echelon_insert is the closure's elimination over Fractions, the
+reference for the fraction-free one; wronskian_defect checks a hypergeometric solution pair by its
+Wronskian, and exact_katz solves the same equation over Q from its
+first-order form; REFERENCE_JSON is the --json text as the json module
+writes it.
 """
 
+import json
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -364,6 +368,25 @@ def target_multiplicities(cap):
     return out
 
 
+def fraction_echelon_insert(pivots, vec):
+    """Reduce vec against the pivot rows; install it if independent."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        if lead not in pivots:
+            inv = Fraction(1) / vec[lead]
+            pivots[lead] = {k: c * inv for k, c in vec.items()}
+            return True
+        factor = vec[lead]
+        for k, c in pivots[lead].items():
+            nc = vec.get(k, 0) - factor * c
+            if nc:
+                vec[k] = nc
+            else:
+                vec.pop(k, None)
+    return False
+
+
 def wronskian_defect(alpha, beta):
     """Orders where alpha D(beta) - beta D(alpha) provably differs from 1.
 
@@ -408,3 +431,8 @@ def exact_katz(lam0, e, order):
         out.append((tuple(c[:order + 1]), tuple(g[:order + 1])))
     (alpha, d_alpha), (beta, d_beta) = out
     return alpha, beta, d_alpha, d_beta
+
+
+def REFERENCE_JSON(payload):
+    """The canonical --json text, written by the json module itself."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -10,10 +10,12 @@ import io
 import json
 import math
 import os
+import random
 import runpy
 import subprocess
 import sys
 import time
+from collections import OrderedDict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +29,7 @@ from periods.gamma import check_reflection, check_translation
 from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
 from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
 
-from oracles import kummer_weight_matrix, perturbed_invariance
+from oracles import REFERENCE_JSON, kummer_weight_matrix, perturbed_invariance
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "output.json").read_text()
@@ -893,3 +895,80 @@ def test_selftest_frozen_digests(seed):
         code, out = run_cli(["selftest", "--prec", str(n), "--seed", str(seed), "--json"])
         h.update(("%d %s" % (code, hashlib.sha256(out.encode()).hexdigest())).encode())
     assert h.hexdigest()[:16] == SELFTEST_DIGESTS[seed]
+
+
+# --json is written by cli._canonical_json in one pass; the json module's
+# indent=2 text is the reference for every byte
+
+
+def _payload(argv):
+    return cli.execute(cli._parser().parse_args(cli._join_negative_values(argv)))[1]
+
+
+def test_canonical_json_on_golden_and_selftest_payloads(tmp_path):
+    (tmp_path / "phi.json").write_text(json.dumps(README_PHI))
+    (tmp_path / "v0.json").write_text(json.dumps([1]))
+    payloads = []
+    for command in sorted(GOLDEN):
+        payloads.append(_payload([str(tmp_path / t) if t.endswith(".json") else t
+                                  for t in command.split()]))
+    for seed in (0, 1):
+        for n in range(1, 21):
+            payloads.append(_payload(["selftest", "--prec", str(n), "--seed", str(seed)]))
+            for argv, _ in cli._selftest_requests(n, random.Random(seed)):
+                payloads.append(_payload(argv.split()))
+    assert len(payloads) == len(GOLDEN) + 2 * 20 * 24
+    for payload in payloads:
+        assert cli._canonical_json(payload) == REFERENCE_JSON(payload)
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_ODD_TEXT = ('"', "\\", "\\u", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+             "\u2028", "\U0001d11e", "\ud800", "plain", "")
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_ODD_TEXT) for _ in range(rng.randrange(4)))
+
+
+def _random_leaf(rng):
+    return rng.choice((
+        lambda: rng.randint(-10**40, 10**40),
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((0.0, -0.0, 0.1, -2.5e-300, 1e300, float("inf"),
+                            float("-inf"), float("nan"))),
+        lambda: _random_text(rng),
+    ))()
+
+
+def _random_payload(rng, depth):
+    kind = rng.randrange(8 if depth else 1)
+    if kind == 0:
+        return _random_leaf(rng)
+    items = [_random_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind in (1, 2):
+        return items
+    if kind == 3:
+        return tuple(items)
+    if kind == 4:
+        return _Pair(_random_payload(rng, depth - 1), _random_payload(rng, depth - 1))
+    pairs = [(_random_text(rng), x) for x in items]
+    return OrderedDict(pairs[::-1]) if kind == 5 else dict(pairs)
+
+
+def test_canonical_json_on_generated_payloads():
+    rng = random.Random(36)
+    for _ in range(2000):
+        payload = _random_payload(rng, 4)
+        assert cli._canonical_json(payload) == REFERENCE_JSON(payload)
+    for payload in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}], _Pair((), {})):
+        assert cli._canonical_json(payload) == REFERENCE_JSON(payload)
+
+
+def test_canonical_json_refuses_a_key_that_is_not_a_str():
+    # json.dumps would write these keys as strings; no payload has one
+    for payload in ({1: 0}, {"a": [{None: 0}]}, {True: 0}, {1.5: 0}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            cli._canonical_json(payload)

@@ -4,7 +4,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -23,7 +23,7 @@ from periods.tannaka import (
     torus,
 )
 
-from oracles import target_multiplicities
+from oracles import fraction_echelon_insert, target_multiplicities
 
 
 def test_group_dimensions():
@@ -231,6 +231,21 @@ def test_terms_drop_zero_coefficients_and_refuse_bad_monomials():
             assert str(err.value) == "bad monomial %r" % (key,)
 
 
+def test_coefficients_are_ints_or_fractions():
+    # Fraction() would take each of these without a word: 0.1 as
+    # 3602879701896397/36028797018963968, "1/3" as a third, True as one
+    for coeff in (0.1, "1/3", True, False, 0.0, None, 1 + 0j):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            CoeffRingElement(terms=(((1, 0, 0, 0), coeff),))
+        with pytest.raises(TypeError):
+            _mono(0, 1, 1, 0, coeff)
+    assert _mono(1, 0, 0, 1, 3).terms == (((0, 0, 0, 0), 3), ((0, 1, 1, 0), 3))
+    half = _mono(0, 1, 0, 0, Fraction(1, 2))
+    assert half.terms == (((0, 1, 0, 0), Fraction(1, 2)),)
+    for _, c in matrix_coefficients(6)[3].terms:
+        assert type(c) is int
+
+
 def test_ring_elements_meet_only_ring_elements():
     one = CoeffRingElement.one()
     assert (one == 1) is False
@@ -328,6 +343,46 @@ def test_closure_input_checks():
         coeff_subalgebra_closure(2, cap=7)
     with pytest.raises(ValueError):
         coeff_subalgebra_closure(2, cap=14)
+
+
+def test_int_elimination_installs_the_fraction_pivot_keys(monkeypatch):
+    # every admitted (r, cap) with r <= cap + 2: each insert the closure
+    # makes also goes through the Fraction elimination into a shadow table
+    def check_row(row, ref):
+        assert row.keys() == ref.keys()
+        lead = min(row)
+        assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+        assert all(row[k] == ref[k] * row[lead] for k in row)
+
+    for cap in range(0, 13, 2):
+        for r in range(0, cap + 3, 2):
+            shadow = {}
+
+            def insert(pivots, vec):
+                ref = shadow.setdefault(id(pivots), (pivots, {}))[1]
+                installed = _echelon_insert(pivots, vec)
+                assert fraction_echelon_insert(ref, vec) == installed
+                return installed
+
+            monkeypatch.setattr(tannaka, "_echelon_insert", insert)
+            coeff_subalgebra_closure(r, cap)
+            assert shadow, (r, cap)
+            for pivots, ref in shadow.values():
+                assert pivots.keys() == ref.keys(), (r, cap)
+                for lead, row in pivots.items():
+                    check_row(row, ref[lead])
+    # a rational vector is scaled to a primitive integer row first
+    rng = random.Random(36)
+    keys = [(0, j, k, 0) for j in range(3) for k in range(3)]
+    pivots, ref = {}, {}
+    for _ in range(40):
+        vec = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+               for k in rng.sample(keys, rng.randint(1, 4))}
+        vec = {k: c for k, c in vec.items() if c}
+        assert _echelon_insert(pivots, vec) == fraction_echelon_insert(ref, vec)
+    assert pivots.keys() == ref.keys() and len(pivots) == len(keys)
+    for lead, row in pivots.items():
+        check_row(row, ref[lead])
 
 
 def test_closure_target_is_the_monomial_count():
