@@ -59,6 +59,7 @@ BOUND_CASES = {
 PROBE_MAX_POWER = 8
 
 _MAX_MIXED_PRECISION = 10**4  # each "num/den" cell of a mixed file is embedded at its precision
+_MAX_MIXED_DIMENSION = 10  # the block solve is cubic in it: 10 at precision 10^4 takes about 1 s
 
 
 def _fraction(text):
@@ -235,11 +236,16 @@ def _load_cell(p, cell, n):
     raise ValueError("cannot interpret %r as a matrix entry" % (cell,))
 
 
+def _load_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON in %s is nested too deeply" % path)
+
+
 def _cmd_mixed(args):
-    with open(args.matrix) as fh:
-        mdoc = json.load(fh)
-    with open(args.v0) as fh:
-        vdoc = json.load(fh)
+    mdoc, vdoc = _load_json(args.matrix), _load_json(args.v0)
     if not isinstance(mdoc, dict):
         raise ValueError("matrix file must hold a JSON object")
     for key in ("p", "precision", "weights", "entries"):
@@ -257,10 +263,6 @@ def _cmd_mixed(args):
     if n > _MAX_MIXED_PRECISION:
         raise ValueError("matrix precision %d exceeds the configured maximum %d"
                          % (n, _MAX_MIXED_PRECISION))
-    entries = tuple(
-        tuple(_load_cell(p, cell, n) for cell in row) for row in mdoc["entries"]
-    )
-    phi = WeightBlockMatrix(entries=entries, weights=tuple(mdoc["weights"]))
     if isinstance(vdoc, dict):
         if "values" not in vdoc:
             raise ValueError("vector file lacks the 'values' key")
@@ -269,6 +271,15 @@ def _cmd_mixed(args):
         values = vdoc
     if not isinstance(values, list):
         raise ValueError("vector file must hold a JSON array of values")
+    # the longest side of either file, so no more cells are embedded than fit the budget
+    dim = max(len(mdoc["weights"]), len(mdoc["entries"]), len(values), *map(len, mdoc["entries"]))
+    if dim > _MAX_MIXED_DIMENSION:
+        raise ValueError("matrix dimension %d exceeds the configured maximum %d"
+                         % (dim, _MAX_MIXED_DIMENSION))
+    entries = tuple(
+        tuple(_load_cell(p, cell, n) for cell in row) for row in mdoc["entries"]
+    )
+    phi = WeightBlockMatrix(entries=entries, weights=tuple(mdoc["weights"]))
     v0 = [_load_cell(p, cell, n) for cell in values]
     solution = solve_mixed_period(phi, v0)
     return {
@@ -537,7 +548,49 @@ def _render_text(payload, out):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the table of commands
+
+
+def _opt(flag, **kw):
+    """An option's spec, (flag, add_argument keywords): an int, required unless it has a default."""
+    return flag, {"type": int, "required": "default" not in kw, **kw}
+
+
+_rational = functools.partial(_opt, type=_fraction_arg, metavar="NUM/DEN")
+_prec = functools.partial(_opt, "--prec")
+_P = _opt("--p")
+
+# name -> (help, handler, option specs in usage order); `periods --help`
+# lists the commands in this order, and each one also takes --json
+COMMANDS = {
+    "bound": ("transcendence-degree bound for a named case", _cmd_bound, [
+        _opt("--case", type=None, choices=sorted(BOUND_CASES))]),
+    "gamma": ("Morita gamma value at a rational argument", _cmd_gamma, [
+        _P, _rational("--x"), _prec()]),
+    "gk": ("Gauss sum against the gamma product, residual valuation", _cmd_gk, [
+        _P, _opt("--a"), _prec(help="target pi-adic valuation")]),
+    "cm": ("gamma-product period of an imaginary quadratic field", _cmd_cm, [
+        _opt("--d", default=None, help="the field is Q(sqrt(-d))"), _P, _prec(),
+        _opt("--ramified-n", default=None, help="ramified p = 3 construction for sqrt(-3n)"),
+        _opt("--probe", default=None, metavar="HEIGHT", help="rational reconstruction probe")]),
+    "kummer": ("rank-2 Frobenius and period vector of a Kummer datum", _cmd_kummer, [
+        _rational("--a"), _P, _prec()]),
+    "mixed": ("invariant period vector of a weight-triangular matrix", _cmd_mixed, [
+        _opt("--matrix", type=None, metavar="FILE.json"),
+        _opt("--v0", type=None, metavar="FILE.json")]),
+    "hyper": ("hypergeometric period matrix from the local solutions", _cmd_hyper, [
+        _P, _rational("--lambda0"), _opt("--e"), _opt("--order", help="series truncation order"),
+        _prec(), _rational("--at")]),
+    "frob": ("crystalline Frobenius matrix of y^2 = f(x)", _cmd_frob, [
+        _opt("--f", type=None, metavar="CUBIC", help='monic cubic, e.g. "x^3-2*x+1"'),
+        _P, _prec(),
+        ("--selftest", {"action": "store_true", "help": "cross-check against a shifted model"})]),
+    "closure": ("coefficient subalgebra of a symmetric power", _cmd_closure, [
+        _opt("--r", help="even symmetric power"),
+        _opt("--cap", default=8, help="total degree cap")]),
+    "selftest": ("run the whole battery of cross-checks", _cmd_selftest, [
+        _prec(default=10), _opt("--seed", default=0, help="seed for the randomized checks")]),
+}
 
 
 @functools.cache
@@ -548,65 +601,12 @@ def _parser():
         description="exact p-adic periods: special values, Frobenius matrices, dimension bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name, handler, help_text):
+    for name, (help_text, handler, specs) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
-        return sp
-
-    sp = add("bound", _cmd_bound, "transcendence-degree bound for a named case")
-    sp.add_argument("--case", required=True, choices=sorted(BOUND_CASES))
-
-    sp = add("gamma", _cmd_gamma, "Morita gamma value at a rational argument")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--x", type=_fraction_arg, required=True, metavar="NUM/DEN")
-    sp.add_argument("--prec", type=int, required=True)
-
-    sp = add("gk", _cmd_gk, "Gauss sum against the gamma product, residual valuation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--prec", type=int, required=True, help="target pi-adic valuation")
-
-    sp = add("cm", _cmd_cm, "gamma-product period of an imaginary quadratic field")
-    sp.add_argument("--d", type=int, help="the field is Q(sqrt(-d))")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--prec", type=int, required=True)
-    sp.add_argument("--ramified-n", type=int, help="ramified p = 3 construction for sqrt(-3n)")
-    sp.add_argument("--probe", type=int, metavar="HEIGHT", help="rational reconstruction probe")
-
-    sp = add("kummer", _cmd_kummer, "rank-2 Frobenius and period vector of a Kummer datum")
-    sp.add_argument("--a", type=_fraction_arg, required=True, metavar="NUM/DEN")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--prec", type=int, required=True)
-
-    sp = add("mixed", _cmd_mixed, "invariant period vector of a weight-triangular matrix")
-    sp.add_argument("--matrix", required=True, metavar="FILE.json")
-    sp.add_argument("--v0", required=True, metavar="FILE.json")
-
-    sp = add("hyper", _cmd_hyper, "hypergeometric period matrix from the local solutions")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda0", type=_fraction_arg, required=True, metavar="NUM/DEN")
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True, help="series truncation order")
-    sp.add_argument("--prec", type=int, required=True)
-    sp.add_argument("--at", type=_fraction_arg, required=True, metavar="NUM/DEN")
-
-    sp = add("frob", _cmd_frob, "crystalline Frobenius matrix of y^2 = f(x)")
-    sp.add_argument("--f", required=True, metavar="CUBIC", help='monic cubic, e.g. "x^3-2*x+1"')
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--prec", type=int, required=True)
-    sp.add_argument("--selftest", action="store_true",
-                    help="cross-check against a shifted model")
-
-    sp = add("closure", _cmd_closure, "coefficient subalgebra of a symmetric power")
-    sp.add_argument("--r", type=int, required=True, help="even symmetric power")
-    sp.add_argument("--cap", type=int, default=8, help="total degree cap")
-
-    sp = add("selftest", _cmd_selftest, "run the whole battery of cross-checks")
-    sp.add_argument("--prec", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
-
+        for flag, kw in specs:
+            sp.add_argument(flag, **kw)
     return parser
 
 

@@ -628,6 +628,49 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
         assert code == 2 and "error" in payload, cell
 
+    # JSON nested past the recursion limit, as the matrix and as the vector
+    # (json.load raised RecursionError: a traceback and exit 1)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    matrix_file.write_text(json.dumps(good))
+    v0_file.write_text(json.dumps([1]))
+    error = "the JSON in %s is nested too deeply" % nested
+    for argv in (["mixed", "--matrix", str(nested), "--v0", str(v0_file)],
+                 ["mixed", "--matrix", str(matrix_file), "--v0", str(nested)]):
+        code, payload = run_json(argv)
+        assert (code, payload["error"]) == (2, error), argv
+        assert run_cli(argv) == (2, "mixed: error: %s\n" % error), argv
+
+
+def test_mixed_dimension_budget(tmp_path):
+    # one weight-0 coordinate, then a weight -1 block with 1/5 on its diagonal:
+    # every v_i = -1 / (1/5 - 1) = 5/4
+    def system(n):
+        entries = [[1] + [0] * (n - 1)]
+        entries += [[1] + ["1/5" if j == i else 0 for j in range(1, n)] for i in range(1, n)]
+        return {"p": 5, "precision": 20, "weights": [0] + [-1] * (n - 1), "entries": entries}
+
+    matrix_file = tmp_path / "matrix.json"
+    v0_file = tmp_path / "v0.json"
+    argv = ["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)]
+    matrix_file.write_text(json.dumps(system(cli._MAX_MIXED_DIMENSION)))
+    v0_file.write_text(json.dumps([1]))
+    code, payload = run_json(argv)
+    assert code == 0
+    assert payload["result"]["solution"][1:] == [make_padic(5, Fraction(5, 4), 20).to_json()] * 9
+    # the block solve is cubic: at precision 20, 320 ran past 60 s; the
+    # longest side of either file counts, whatever the weights say
+    for doc, v0 in ((system(400), [1]),
+                    (dict(system(1), entries=[[1] * 400]), [1]),
+                    (system(1), [1] * 400)):
+        matrix_file.write_text(json.dumps(doc))
+        v0_file.write_text(json.dumps(v0))
+        start = time.perf_counter()
+        code, payload = run_json(argv)
+        assert (code, payload["error"]) == (
+            2, "matrix dimension 400 exceeds the configured maximum 10")
+        assert time.perf_counter() - start < 1
+
 
 def test_mixed_far_apart_valuations_finish(tmp_path):
     # one entry at 5^(-10^9): every sum against it must skip the p^gap term
@@ -845,6 +888,37 @@ GOLDEN = {
     # coefficients; the exact first-order solution agrees through 3^15
     "hyper --p 3 --lambda0 2 --e 0 --order 28 --prec 24 --at 5": (0, "1bf5e292f23cfd2e6a36c7cf36e145df2d9e0bf41bd0edeb29aa155f342bcd24"),
 }
+
+def test_commands_table_schema_and_goldens_agree():
+    assert list(cli.COMMANDS) == SCHEMA["properties"]["command"]["enum"]
+    branches = {b["if"]["properties"]["command"]["const"] for b in SCHEMA["allOf"]}
+    assert branches == set(cli.COMMANDS)
+    assert {command.split()[0] for command in GOLDEN} == set(cli.COMMANDS)
+
+
+# one line per subcommand at 80 columns; usage lines, unlike full help
+# pages, read the same on Python 3.10 to 3.13
+USAGE = {
+    "bound": "usage: periods bound [-h] [--json] --case {cm-ss,legendre,noncm-ord,noncm-ss}\n",
+    "gamma": "usage: periods gamma [-h] [--json] --p P --x NUM/DEN --prec PREC\n",
+    "gk": "usage: periods gk [-h] [--json] --p P --a A --prec PREC\n",
+    "cm": "usage: periods cm [-h] [--json] [--d D] --p P --prec PREC\n"
+          "                  [--ramified-n RAMIFIED_N] [--probe HEIGHT]\n",
+    "kummer": "usage: periods kummer [-h] [--json] --a NUM/DEN --p P --prec PREC\n",
+    "mixed": "usage: periods mixed [-h] [--json] --matrix FILE.json --v0 FILE.json\n",
+    "hyper": "usage: periods hyper [-h] [--json] --p P --lambda0 NUM/DEN --e E --order ORDER\n"
+             "                     --prec PREC --at NUM/DEN\n",
+    "frob": "usage: periods frob [-h] [--json] --f CUBIC --p P --prec PREC [--selftest]\n",
+    "closure": "usage: periods closure [-h] [--json] --r R [--cap CAP]\n",
+    "selftest": "usage: periods selftest [-h] [--json] [--prec PREC] [--seed SEED]\n",
+}
+
+
+def test_usage_lines(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    (sub,) = [action for action in cli._parser()._actions if action.dest == "command"]
+    assert {name: sp.format_usage() for name, sp in sub.choices.items()} == USAGE
+
 
 def test_precision_cap_variable_is_ignored():
     # PERIODS_PRECISION_CAP once capped p^N; nothing reads it now
