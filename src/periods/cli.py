@@ -30,14 +30,7 @@ from .frobenius import (
 )
 from .gamma import gamma_p_at
 from .hypergeom import period_matrix_hypergeom, solve_katz_ode
-from .kummer import (
-    KummerData,
-    WeightBlockMatrix,
-    check_frobenius_invariance,
-    frobenius_matrix_kummer,
-    period_vector_kummer,
-    solve_mixed_period,
-)
+from .kummer import kummer_period, solve_mixed_period
 from .padic import (
     PadicElement,
     PrecisionError,
@@ -58,7 +51,7 @@ BOUND_CASES = {
 
 PROBE_MAX_POWER = 8
 
-_MAX_MIXED_PRECISION = 10**4  # each "num/den" cell of a mixed file is embedded at its precision
+_MAX_MIXED_PRECISION = 10**4  # caps a mixed file's precision and each digit dict's length
 _MAX_MIXED_DIMENSION = 10  # the block solve is cubic in it: 10 at precision 10^4 takes about 1 s
 
 
@@ -180,13 +173,8 @@ def _cmd_cm(args):
 
 
 def _cmd_kummer(args):
-    p, n = args.p, args.prec
-    a = args.a
-    data = KummerData(a, p, n)
-    matrix = frobenius_matrix_kummer(data)
-    vec = period_vector_kummer(data)
-    res = check_frobenius_invariance(data)
-    ok = res >= n
+    p, n, a = args.p, args.prec, args.a
+    matrix, vec, res = kummer_period(a, p, n)
     return {
         "a": _frac_json(a),
         "p": p,
@@ -194,7 +182,7 @@ def _cmd_kummer(args):
         "matrix": _matrix_json(matrix),
         "period_vector": [x.to_json() for x in vec],
         "invariance_residual_valuation": _res_json(res),
-    }, ok
+    }, res >= n
 
 
 def _is_int(x):
@@ -214,6 +202,9 @@ def _load_cell(p, cell, n):
         digits = cell.get("digits", [])
         if not (val is None or _is_int(val)) or not isinstance(digits, list):
             raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
+        if len(digits) > _MAX_MIXED_PRECISION:
+            raise ValueError("entry digit count %d exceeds the configured maximum %d"
+                             % (len(digits), _MAX_MIXED_PRECISION))
         rel_prec = cell.get("rel_prec", len(digits))
         if val is None:
             if digits != [] or not (_is_int(rel_prec) and rel_prec == 0):
@@ -228,8 +219,8 @@ def _load_cell(p, cell, n):
         if digits and digits[0] == 0:
             raise ValueError("entry %r: the leading digit of a unit is 0" % (cell,))
         unit = 0
-        for i, digit in enumerate(digits):
-            unit += digit * p**i
+        for digit in reversed(digits):
+            unit = unit * p + digit
         return PadicElement(p, val, unit, rel_prec)
     if isinstance(cell, (int, str)):
         return make_padic(p, _fraction(str(cell)), n)
@@ -276,12 +267,9 @@ def _cmd_mixed(args):
     if dim > _MAX_MIXED_DIMENSION:
         raise ValueError("matrix dimension %d exceeds the configured maximum %d"
                          % (dim, _MAX_MIXED_DIMENSION))
-    entries = tuple(
-        tuple(_load_cell(p, cell, n) for cell in row) for row in mdoc["entries"]
-    )
-    phi = WeightBlockMatrix(entries=entries, weights=tuple(mdoc["weights"]))
+    entries = [[_load_cell(p, cell, n) for cell in row] for row in mdoc["entries"]]
     v0 = [_load_cell(p, cell, n) for cell in values]
-    solution = solve_mixed_period(phi, v0)
+    solution = solve_mixed_period(entries, mdoc["weights"], v0)
     return {
         "p": p,
         "precision": n,

@@ -1,89 +1,43 @@
 """Frobenius matrices and invariant vectors for logarithm-type extensions.
 
-The concrete two-dimensional case pairs the unit 1 with log(a): Frobenius
-acts by [[1, L], [0, p]] where L = iwasawa_log(a^(1-p)), and the associated
-invariant vector is (L/(1-p), 1), whose first entry collapses to
-iwasawa_log(a).  The certificate checks exp_p(-L) = a^(p-1), so a wrong
-digit of L shows as a residual below the precision.
+kummer_period(a, p, n) is the concrete two-dimensional case, which pairs
+the unit 1 with log(a): Frobenius acts by [[1, L], [0, p]] where
+L = iwasawa_log(a^(1-p)), and the associated invariant vector is
+(L/(1-p), 1), whose first entry collapses to iwasawa_log(a).  The
+certificate checks exp_p(-L) = a^(p-1), so a wrong digit of L shows as a
+residual below the precision.
 
-The general solver works on matrices that are block upper-triangular with
+solve_mixed_period works on matrices that are block upper-triangular with
 respect to a weight labelling: the weight-0 coordinates are prescribed and
 every lower-weight block is recovered by back-substitution, using that
 (diagonal block - identity) is invertible away from weight 0.
 """
 
-import functools
 from fractions import Fraction
 
 from .arith import check_precision, check_prime
 from .padic import exp_p, iwasawa_log, make_padic, residual_valuation
 
 
-class KummerData:
-    def __init__(self, a, p, n):
-        a = Fraction(a)
-        if a == 0 or a == 1 or a == -1:
-            raise ValueError("a must be a rational other than 0 and +-1")
-        check_prime(p)
-        if a.numerator % p == 0 or a.denominator % p == 0:
-            raise ValueError("a must be a unit at p")
-        check_precision(n)
-        self.a, self.p, self.n = a, p, n
+def kummer_period(a, p, n):
+    """(Frobenius matrix, period vector, invariance residual) of the unit a at p, precision n.
 
-    @functools.cached_property
-    def log_twist(self):
-        """L = iwasawa_log(a^(1-p)), the (1,2) entry of the Frobenius matrix, computed once."""
-        return iwasawa_log(make_padic(self.p, self.a, self.n) ** (1 - self.p))
-
-
-def frobenius_matrix_kummer(data):
-    one = make_padic(data.p, 1, data.n)
-    zero = make_padic(data.p, 0, data.n)
-    return [
-        [one, data.log_twist],
-        [zero, make_padic(data.p, data.p, data.n)],
-    ]
-
-
-def period_vector_kummer(data):
-    return (data.log_twist / (1 - data.p), make_padic(data.p, 1, data.n))
-
-
-def check_frobenius_invariance(data):
-    """Residual valuation of exp_p(-L) - a^(p-1), L = data.log_twist = (1-p) log(a).
-
-    exp_p's series runs against iwasawa_log's; an L wrong from p^k on leaves exactly k.
+    L = iwasawa_log(a^(1-p)) is computed once.  The residual is the valuation
+    of exp_p(-L) - a^(p-1): exp_p's series runs against iwasawa_log's, and
+    an L wrong from p^k on leaves exactly k.
     """
-    a = make_padic(data.p, data.a, data.n)
-    return residual_valuation(exp_p(-data.log_twist), a ** (data.p - 1))
-
-
-class WeightBlockMatrix:
-    """Square p-adic matrix, upper-triangular with respect to weights.
-
-    entries[i][j] may be nonzero only when weights[i] <= weights[j]; the
-    weight-0 coordinates must be present since they anchor the solve.
-    """
-
-    def __init__(self, entries, weights):
-        self.entries = rows = tuple(tuple(row) for row in entries)
-        self.weights = weights = tuple(weights)
-        n = len(weights)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("matrix shape does not match the weight list")
-        if 0 not in weights:
-            raise ValueError("no weight-0 coordinate")
-        if any(w > 0 for w in weights):
-            raise ValueError("weights must be <= 0")
-        for i in range(n):
-            for j in range(n):
-                if weights[i] > weights[j] and rows[i][j].rel_prec > 0:
-                    raise ValueError(
-                        "entry (%d, %d) violates weight triangularity" % (i, j)
-                    )
-
-    def size(self):
-        return len(self.weights)
+    a = Fraction(a)
+    if a == 0 or a == 1 or a == -1:
+        raise ValueError("a must be a rational other than 0 and +-1")
+    check_prime(p)
+    if a.numerator % p == 0 or a.denominator % p == 0:
+        raise ValueError("a must be a unit at p")
+    check_precision(n)
+    x = make_padic(p, a, n)
+    ell = iwasawa_log(x ** (1 - p))
+    one = make_padic(p, 1, n)
+    matrix = [[one, ell], [make_padic(p, 0, n), make_padic(p, p, n)]]
+    return matrix, (ell / (1 - p), one), residual_valuation(exp_p(-ell), x ** (p - 1))
 
 
 def _solve_dense(matrix, rhs):
@@ -119,16 +73,36 @@ def _solve_dense(matrix, rhs):
     return [rhs[i] / matrix[i][i] for i in range(n)]
 
 
-def solve_mixed_period(phi, v0):
-    """The unique phi-invariant vector whose weight-0 part is v0.
+def _dot(row, v, idx):
+    """The sum of row[j] * v[j] over the nonempty index list idx, added in order."""
+    acc = row[idx[0]] * v[idx[0]]
+    for j in idx[1:]:
+        acc = acc + row[j] * v[j]
+    return acc
 
-    Invariance means phi V = V (columns are period vectors).  The weight-0
+
+def solve_mixed_period(entries, weights, v0):
+    """The unique invariant vector of the square matrix entries whose weight-0 part is v0.
+
+    entries[i][j] may be nonzero only when weights[i] <= weights[j], and the
+    weight-0 coordinates must be present since they anchor the solve.
+    Invariance means entries * V = V (columns are period vectors).  The weight-0
     rows are a consistency condition on v0 and are checked, not solved; each
     negative-weight block is solved, by elimination, against the
     already-known higher-weight coordinates.
     """
-    n = phi.size()
-    zero_idx = [i for i in range(n) if phi.weights[i] == 0]
+    n = len(weights)
+    if len(entries) != n or any(len(row) != n for row in entries):
+        raise ValueError("matrix shape does not match the weight list")
+    if 0 not in weights:
+        raise ValueError("no weight-0 coordinate")
+    if any(w > 0 for w in weights):
+        raise ValueError("weights must be <= 0")
+    for i in range(n):
+        for j in range(n):
+            if weights[i] > weights[j] and entries[i][j].rel_prec > 0:
+                raise ValueError("entry (%d, %d) violates weight triangularity" % (i, j))
+    zero_idx = [i for i in range(n) if weights[i] == 0]
     if len(v0) != len(zero_idx):
         raise ValueError("v0 length does not match the weight-0 coordinates")
 
@@ -136,31 +110,18 @@ def solve_mixed_period(phi, v0):
     for i, x in zip(zero_idx, v0):
         v[i] = x
 
-    # consistency: the weight-0 rows of (phi - I) annihilate v0
+    # consistency: the weight-0 rows of (entries - I) annihilate v0
     for i in zero_idx:
-        acc = None
-        for j in zero_idx:
-            term = phi.entries[i][j] * v[j]
-            acc = term if acc is None else acc + term
-        acc = acc - v[i]
-        if acc.rel_prec > 0:
+        if (_dot(entries[i], v, zero_idx) - v[i]).rel_prec > 0:
             raise ArithmeticError("weight-0 block does not fix v0")
 
-    for weight in sorted({w for w in phi.weights if w != 0}, reverse=True):
-        block = [i for i in range(n) if phi.weights[i] == weight]
-        known = [j for j in range(n) if phi.weights[j] > weight]
-        rows = [[phi.entries[i][j] for j in block] for i in block]
+    for weight in sorted({w for w in weights if w != 0}, reverse=True):
+        block = [i for i in range(n) if weights[i] == weight]
+        known = [j for j in range(n) if weights[j] > weight]
+        rows = [[entries[i][j] for j in block] for i in block]
         for k in range(len(block)):
             rows[k][k] = rows[k][k] - 1
-        rhs = []
-        for i in block:
-            acc = None
-            for j in known:
-                term = phi.entries[i][j] * v[j]
-                acc = term if acc is None else acc + term
-            rhs.append(-acc)
-        sol = _solve_dense(rows, rhs)
+        sol = _solve_dense(rows, [-_dot(entries[i], v, known) for i in block])
         for k, i in enumerate(block):
             v[i] = sol[k]
     return v
-

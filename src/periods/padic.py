@@ -97,6 +97,22 @@ def _capped(p, num, n, den=1):
     return PadicElement(p, *_embed(p, num, n, den))
 
 
+def _digits(u, p, r):
+    """The r lowest base-p digits of u, least significant first.
+
+    Past 64 digits u is split at p^(r//2) and each half recurses, so long
+    digit lists cost a few big divisions instead of r passes over u.
+    """
+    if r > 64:
+        hi, lo = divmod(u, p ** (r // 2))
+        return _digits(lo, p, r // 2) + _digits(hi, p, r - r // 2)
+    out = []
+    for _ in range(r):
+        out.append(u % p)
+        u //= p
+    return out
+
+
 class PadicElement:
     __slots__ = ("p", "val", "unit", "rel_prec")
 
@@ -141,12 +157,7 @@ class PadicElement:
 
     def digits(self):
         """Base-p digits of the unit part, least significant first."""
-        out = []
-        u = self.unit
-        for _ in range(self.rel_prec):
-            out.append(u % self.p)
-            u //= self.p
-        return out
+        return _digits(self.unit, self.p, self.rel_prec)
 
     # -- arithmetic --------------------------------------------------------
 

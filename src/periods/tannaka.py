@@ -6,14 +6,14 @@ O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per degree, which
 irreducible blocks of the torus-invariant coordinate ring the matrix
 coefficients of a given representation actually generate.  The blocks
 to reach are fixed by Peter-Weyl (each even Sym^m once); only the
-generated side is computed.  Coefficients are ints (Fractions only
-where a caller passes them), and the linear algebra is exact and
-fraction-free over Z; nothing is rounded.
+generated side is computed.  A ring element takes int or Fraction
+coefficients; the closure forms only ints, and its linear algebra is
+exact and fraction-free over Z; nothing is rounded.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 MAX_CLOSURE_CAP = 12
 
@@ -156,12 +156,11 @@ def _echelon_insert(pivots, vec):
 
     Fraction-free: pivot rows are primitive integer rows, and a reduction
     step is v <- a*v - b*row with a/b in lowest terms, then v divided by
-    its content.  Every v is a nonzero multiple of the vector the same
-    elimination over Q would hold, so the same pivot keys are installed.
-    A rational vec is first scaled to a primitive integer row.
+    its content.  vec must have int entries.  Every v is a nonzero multiple
+    of the vector the same elimination over Q would hold, so the same pivot
+    keys are installed.
     """
-    den = lcm(*(c.denominator for c in vec.values()))
-    vec = _without_content({k: int(c * den) for k, c in vec.items()})
+    vec = _without_content(vec)
     while vec:
         lead = min(vec)
         row = pivots.get(lead)

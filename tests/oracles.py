@@ -1,6 +1,7 @@
 """Helpers that tests build inputs and oracles with; no command uses them.
 
-teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement;
+teichmuller, is_zero_at_precision and with_rel_prec work on PadicElement,
+and reference_digits is its digit list one digit at a time;
 kummer_weight_matrix and perturbed_invariance on the rank-2 Kummer system
 of periods.kummer; dense_kedlaya is the Frobenius matrix by the dense pole
 reduction, and walked_loss_count its digit loss counted one pole order at a
@@ -26,8 +27,8 @@ from periods.cm import ExponentiatedProduct, _squarefree_kernel, field_discrimin
 from periods.frobenius import _bezout_factor, _divmod_cubic, _int_mul
 from periods.gamma import gamma_p
 from periods.hypergeom import apply_D
-from periods.kummer import KummerData, WeightBlockMatrix, check_frobenius_invariance
-from periods.padic import PadicElement, _capped, _vp, make_padic
+from periods.kummer import kummer_period
+from periods.padic import PadicElement, _capped, _vp, exp_p, make_padic, residual_valuation
 
 
 def teichmuller(x):
@@ -55,6 +56,16 @@ def with_rel_prec(x, n):
     if n < 1:
         raise ValueError("relative precision must stay >= 1")
     return PadicElement(x.p, x.val, x.unit % x.p**n, n)
+
+
+def reference_digits(x):
+    """x.digits() as one % and one // on the whole remaining unit per digit."""
+    out = []
+    u = x.unit
+    for _ in range(x.rel_prec):
+        out.append(u % x.p)
+        u //= x.p
+    return out
 
 
 def _coerce(self, other):
@@ -158,33 +169,31 @@ REFERENCE_OPS = {
 }
 
 
-def kummer_weight_matrix(data):
-    """The weight-ordered companion of the Kummer Frobenius.
+def kummer_weight_matrix(a, p, n):
+    """(entries, weights): the weight-ordered companion of the Kummer Frobenius.
 
     Dualizing [[1, L], [0, p]] (inverse transpose) and listing the mixed
     coordinate first gives [[1/p, -L/p], [0, 1]] with weights (-2, 0); its
-    invariant vector with weight-0 part 1 is exactly period_vector_kummer.
+    invariant vector with weight-0 part 1 is exactly kummer_period's vector.
     """
-    ell = data.log_twist
-    p = data.p
-    one = make_padic(data.p, 1, data.n)
-    zero = make_padic(data.p, 0, data.n)
+    ell = kummer_period(a, p, n)[0][0][1]
+    one = make_padic(p, 1, n)
+    zero = make_padic(p, 0, n)
     entries = (
         (one / p, -(ell / p)),
         (zero, one),
     )
-    return WeightBlockMatrix(entries=entries, weights=(-2, 0))
+    return entries, (-2, 0)
 
 
-def perturbed_invariance(data, k):
-    """check_frobenius_invariance on a copy of data whose L is scaled by (1 + p^k).
+def perturbed_invariance(a, p, n, k):
+    """kummer_period's invariance residual with L = iwasawa_log(a^(1-p)) scaled by (1 + p^k).
 
     exp_p(-L(1 + p^k)) = a^(p-1) exp_p(-L p^k), so the residual valuation
     drops to exactly v(L) + k: a sensitivity control for the certificate.
     """
-    bad = KummerData(data.a, data.p, data.n)
-    vars(bad)["log_twist"] = data.log_twist * (1 + data.p**k)
-    return check_frobenius_invariance(bad)
+    ell = kummer_period(a, p, n)[0][0][1]
+    return residual_valuation(exp_p(-(ell * (1 + p**k))), make_padic(p, a, n) ** (p - 1))
 
 
 def _dense_reduction(terms, f, fpr, v, p, M):

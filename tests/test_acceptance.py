@@ -31,7 +31,7 @@ from periods.frobenius import (
 )
 from periods.gamma import check_reflection, check_translation, gamma_p_at
 from periods.hypergeom import period_matrix_hypergeom, solve_katz_ode
-from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
+from periods.kummer import kummer_period
 from periods.padic import exp_p, iwasawa_log, make_padic, residual_valuation
 from periods.tannaka import coeff_subalgebra_closure
 
@@ -128,9 +128,8 @@ def test_4_kummer_invariance_sweep():
         a = Fraction(num, den)
         if a == 1 or num % p == 0 or den % p == 0:
             continue
-        data = KummerData(a, p, n)
-        assert check_frobenius_invariance(data) >= n, (a, p)
-        vec = period_vector_kummer(data)
+        _, vec, res = kummer_period(a, p, n)
+        assert res >= n, (a, p)
         rv = residual_valuation(vec[0], iwasawa_log(make_padic(p, a, n)))
         assert rv >= n, (a, p, rv)
         pairs += 1

@@ -26,7 +26,7 @@ import pytest
 from periods import cli, frobenius, kummer
 from periods.frobenius import EllipticCurveW, FrobeniusMatrix, charpoly_certificate
 from periods.gamma import check_reflection, check_translation
-from periods.kummer import KummerData, check_frobenius_invariance, period_vector_kummer
+from periods.kummer import kummer_period
 from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
 
 from oracles import REFERENCE_JSON, kummer_weight_matrix, perturbed_invariance
@@ -179,21 +179,20 @@ def test_kummer_invariance():
 
 def test_kummer_fails_on_a_wrong_logarithm(monkeypatch):
     # L off by p^3 gives exp_p(-L) - a^(p-1) a valuation of 3, below --prec
-    right = kummer.KummerData.log_twist.func
-    monkeypatch.setattr(kummer.KummerData, "log_twist", property(lambda d: right(d) + d.p**3))
+    right = kummer.iwasawa_log
+    monkeypatch.setattr(kummer, "iwasawa_log", lambda x: right(x) + x.p**3)
     code, payload = run_json(["kummer", "--a", "2/3", "--p", "5", "--prec", "8"])
     assert code == 1 and payload["ok"] is False
     assert payload["result"]["invariance_residual_valuation"] == 3
 
 
 def test_mixed_solves_kummer_system(tmp_path):
-    data = KummerData(Fraction(2), 5, 8)
-    m = kummer_weight_matrix(data)
+    entries, weights = kummer_weight_matrix(Fraction(2), 5, 8)
     doc = {
         "p": 5,
         "precision": 8,
-        "weights": list(m.weights),
-        "entries": [[e.to_json() for e in row] for row in m.entries],
+        "weights": list(weights),
+        "entries": [[e.to_json() for e in row] for row in entries],
     }
     matrix_file = tmp_path / "matrix.json"
     v0_file = tmp_path / "v0.json"
@@ -204,7 +203,7 @@ def test_mixed_solves_kummer_system(tmp_path):
     )
     assert code == 0
     got = from_json(payload["result"]["solution"][0])
-    want = period_vector_kummer(data)[0]
+    want = kummer_period(Fraction(2), 5, 8)[1][0]
     d = got - want
     assert d.is_exact_zero() or d.min_valuation() >= 6
 
@@ -523,13 +522,12 @@ def test_refused_primes_precisions_and_rationals_exit_2(command, tmp_path):
 
 
 def test_malformed_mixed_files_exit_2(tmp_path):
-    data = KummerData(Fraction(2), 5, 8)
-    m = kummer_weight_matrix(data)
+    entries, weights = kummer_weight_matrix(Fraction(2), 5, 8)
     good = {
         "p": 5,
         "precision": 8,
-        "weights": list(m.weights),
-        "entries": [[e.to_json() for e in row] for row in m.entries],
+        "weights": list(weights),
+        "entries": [[e.to_json() for e in row] for row in entries],
     }
     matrix_file = tmp_path / "matrix.json"
     matrix_file.write_text(json.dumps(good))
@@ -672,6 +670,37 @@ def test_mixed_dimension_budget(tmp_path):
         assert time.perf_counter() - start < 1
 
 
+def test_mixed_digit_budget(tmp_path):
+    # a digit dict of 10^4 digits is admitted at precision 10^4, and one more
+    # digit is refused before any digit is read (the unit was once formed as a
+    # sum of fresh powers p^i: 3 * 10^4 digits took 5 s)
+    rng = random.Random(10**4)
+    n = cli._MAX_MIXED_PRECISION
+    digits = [1 + rng.randrange(4)] + [rng.randrange(5) for _ in range(n - 1)]
+    cell = {"val": 1, "digits": digits, "rel_prec": n}
+    matrix_file = tmp_path / "matrix.json"
+    v0_file = tmp_path / "v0.json"
+    argv = ["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)]
+    doc = {"p": 5, "precision": n, "weights": [-1, 0], "entries": [[cell, 1], [0, 1]]}
+    matrix_file.write_text(json.dumps(doc))
+    v0_file.write_text(json.dumps([1]))
+    code, payload = run_json(argv)
+    x = from_json(dict(cell, p=5))
+    assert x.digits() == digits
+    # the invariant vector is (1/(1 - x), 1)
+    assert code == 0 and payload["result"]["solution"][0] == (-make_padic(5, 1, n) / (x - 1)).to_json()
+    long_cell = dict(cell, digits=digits + [1], rel_prec=n + 1)
+    error = "entry digit count %d exceeds the configured maximum %d" % (n + 1, n)
+    for entries, v0 in (([[long_cell, 1], [0, 1]], [1]), ([[cell, 1], [0, 1]], [long_cell])):
+        matrix_file.write_text(json.dumps(dict(doc, entries=entries)))
+        v0_file.write_text(json.dumps(v0))
+        start = time.perf_counter()
+        code, payload = run_json(argv)
+        assert (code, payload["error"]) == (2, error)
+        assert run_cli(argv) == (2, "mixed: error: %s\n" % error)
+        assert time.perf_counter() - start < 1
+
+
 def test_mixed_far_apart_valuations_finish(tmp_path):
     # one entry at 5^(-10^9): every sum against it must skip the p^gap term
     far = {"val": -10**9, "digits": [1], "rel_prec": 1}
@@ -781,11 +810,11 @@ def test_residuals_are_int_or_inf():
         assert _is_residual(check_translation(y, 6)), a
         assert _is_residual(check_reflection(y, 6)[1]), a
     for a, p in ((Fraction(2, 3), 5), (Fraction(-7, 2), 3), (Fraction(5), 13)):
-        data = KummerData(a, p, 10)
-        assert _is_residual(check_frobenius_invariance(data)), (a, p)
-        perturbed = perturbed_invariance(data, 3)
+        matrix, _, res = kummer_period(a, p, 10)
+        assert _is_residual(res), (a, p)
+        perturbed = perturbed_invariance(a, p, 10, 3)
         assert _is_residual(perturbed), (a, p)
-        assert perturbed == data.log_twist.val + 3, (a, p)
+        assert perturbed == matrix[0][1].val + 3, (a, p)
     curve = EllipticCurveW((1, 1, 0, 1), 5, 4)
     cert = charpoly_certificate(cli.kedlaya_frobenius(curve), -3)
     assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int
@@ -802,24 +831,26 @@ def test_residuals_are_int_or_inf():
         (["gk", "--p", "7", "--a", "2", "--prec", "12"],
          "residual_pi_valuation", "gross_koblitz_residual"),
         (["kummer", "--a", "2/3", "--p", "5", "--prec", "12"],
-         "invariance_residual_valuation", "check_frobenius_invariance"),
+         "invariance_residual_valuation", "residual_valuation"),
         (["hyper", "--p", "7", "--lambda0", "2", "--e", "3", "--order", "12",
           "--prec", "12", "--at", "9"],
          "det_residual_valuation", "residual_valuation"),
     ],
 )
 def test_json_residual_is_null_exactly_when_inf(argv, field, source, monkeypatch):
+    # kummer's residual is taken inside periods.kummer, the others in the cli
+    owner = kummer if argv[0] == "kummer" else cli
     seen = []
-    real = getattr(cli, source)
+    real = getattr(owner, source)
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(cli, source, spy)
+    monkeypatch.setattr(owner, source, spy)
     _, payload = run_json(argv)
     assert type(seen[-1]) is int and payload["result"][field] == seen[-1]
-    monkeypatch.setattr(cli, source, lambda *args: math.inf)
+    monkeypatch.setattr(owner, source, lambda *args: math.inf)
     _, payload = run_json(argv)
     assert payload["result"][field] is None
 

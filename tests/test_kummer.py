@@ -7,36 +7,21 @@ from functools import reduce
 
 import pytest
 
-from periods.kummer import (
-    KummerData,
-    WeightBlockMatrix,
-    _solve_dense,
-    check_frobenius_invariance,
-    frobenius_matrix_kummer,
-    period_vector_kummer,
-    solve_mixed_period,
-)
+from periods.kummer import _solve_dense, kummer_period, solve_mixed_period
 from periods.padic import iwasawa_log, make_padic
 
 from oracles import is_zero_at_precision, kummer_weight_matrix, perturbed_invariance
 
 
 def test_data_validation():
-    with pytest.raises(ValueError):
-        KummerData(Fraction(1), 3, 10)
-    with pytest.raises(ValueError):
-        KummerData(Fraction(0), 3, 10)
-    with pytest.raises(ValueError):
-        KummerData(Fraction(2), 4, 10)
-    with pytest.raises(ValueError):
-        KummerData(Fraction(3), 3, 10)
-    with pytest.raises(ValueError):
-        KummerData(Fraction(1, 3), 3, 10)
+    for a, p in ((Fraction(1), 3), (Fraction(0), 3), (Fraction(2), 4),
+                 (Fraction(3), 3), (Fraction(1, 3), 3)):
+        with pytest.raises(ValueError):
+            kummer_period(a, p, 10)
 
 
 def test_frobenius_matrix_structure():
-    data = KummerData(Fraction(2), 3, 15)
-    phi = frobenius_matrix_kummer(data)
+    phi = kummer_period(Fraction(2), 3, 15)[0]
     assert phi[0][0].lift() == 1 and phi[0][0].val == 0
     assert is_zero_at_precision(phi[1][0]) or phi[1][0].is_exact_zero()
     assert phi[1][1].val == 1 and phi[1][1].unit == 1
@@ -46,17 +31,14 @@ def test_frobenius_matrix_structure():
 
 def test_frobenius_entry_is_log_homomorphic():
     p, n = 7, 12
-    la = frobenius_matrix_kummer(KummerData(Fraction(2), p, n))[0][1]
-    lb = frobenius_matrix_kummer(KummerData(Fraction(3), p, n))[0][1]
-    lab = frobenius_matrix_kummer(KummerData(Fraction(6), p, n))[0][1]
+    la, lb, lab = (kummer_period(Fraction(a), p, n)[0][0][1] for a in (2, 3, 6))
     diff = lab - la - lb
     assert diff.is_exact_zero() or diff.min_valuation() >= 12
 
 
 def test_period_vector_golden():
     # digits pinned from a Fraction-only series oracle run at double depth
-    data = KummerData(Fraction(2), 3, 15)
-    first, second = period_vector_kummer(data)
+    first, second = kummer_period(Fraction(2), 3, 15)[1]
     assert second.lift() == 1
     assert first.val == 1
     assert first.lift() % 3**15 == 8654955
@@ -65,8 +47,7 @@ def test_period_vector_golden():
 
 def test_period_vector_first_entry_is_plain_log():
     for a, p in ((Fraction(2), 3), (Fraction(5), 7), (Fraction(22, 7), 5)):
-        data = KummerData(a, p, 12)
-        first, _ = period_vector_kummer(data)
+        first, _ = kummer_period(a, p, 12)[1]
         direct = iwasawa_log(make_padic(p, a, 12))
         diff = first - direct
         assert diff.is_exact_zero() or diff.min_valuation() >= 12
@@ -74,24 +55,23 @@ def test_period_vector_first_entry_is_plain_log():
 
 def test_period_vector_doubling():
     p, n = 5, 12
-    two = period_vector_kummer(KummerData(Fraction(2), p, n))[0]
-    four = period_vector_kummer(KummerData(Fraction(4), p, n))[0]
+    two = kummer_period(Fraction(2), p, n)[1][0]
+    four = kummer_period(Fraction(4), p, n)[1][0]
     diff = four - 2 * two
     assert diff.is_exact_zero() or diff.min_valuation() >= 12
 
 
 def test_invariance_residual_meets_precision():
-    assert check_frobenius_invariance(KummerData(Fraction(2), 3, 12)) >= 12
-    assert check_frobenius_invariance(KummerData(Fraction(5), 7, 12)) >= 12
+    assert kummer_period(Fraction(2), 3, 12)[2] >= 12
+    assert kummer_period(Fraction(5), 7, 12)[2] >= 12
 
 
 def test_invariance_perturbation_control():
     # scaling L by (1 + p^k) multiplies exp_p(-L) by exp_p(-L p^k), a 1-unit
     # of valuation exactly v(L) + k, which must sit strictly below precision
-    data = KummerData(Fraction(2), 3, 12)
-    v_ell = data.log_twist.val
+    v_ell = kummer_period(Fraction(2), 3, 12)[0][0][1].val
     for k in (2, 5, 8):
-        got = perturbed_invariance(data, k)
+        got = perturbed_invariance(Fraction(2), 3, 12, k)
         assert got == v_ell + k
         assert got < 12
 
@@ -105,7 +85,7 @@ def _kummer_rows(p, seed, count):
         if a in (0, 1, -1) or a.numerator % p == 0 or a.denominator % p == 0:
             continue
         n = rng.randint(1, 60)
-        res = check_frobenius_invariance(KummerData(a, p, n))
+        res = kummer_period(a, p, n)[2]
         rows.append("%s %d %r %s\n" % (a, n, res, res >= n))
     return hashlib.sha256("".join(rows).encode()).hexdigest()[:16]
 
@@ -127,26 +107,24 @@ def test_invariance_frozen_digests(p):
 
 
 def test_solver_reproduces_kummer_vector():
-    data = KummerData(Fraction(2), 3, 15)
-    phi = kummer_weight_matrix(data)
     v0 = (make_padic(3, 1, 15),)
-    got = solve_mixed_period(phi, v0)
-    expect = period_vector_kummer(data)
+    got = solve_mixed_period(*kummer_weight_matrix(Fraction(2), 3, 15), v0)
+    expect = kummer_period(Fraction(2), 3, 15)[1]
     for g, e in zip(got, expect):
         diff = g - e
         assert diff.is_exact_zero() or diff.min_valuation() >= 14
 
 
-def _solve_all_at_once(phi, v0):
+def _solve_all_at_once(entries, weights, v0):
     # oracle for the block solver: every negative-weight coordinate from one
     # elimination against the weight-0 part
-    n = phi.size()
-    zero_idx = [i for i in range(n) if phi.weights[i] == 0]
-    neg = [i for i in range(n) if phi.weights[i] != 0]
-    rows = [[phi.entries[i][j] for j in neg] for i in neg]
+    n = len(weights)
+    zero_idx = [i for i in range(n) if weights[i] == 0]
+    neg = [i for i in range(n) if weights[i] != 0]
+    rows = [[entries[i][j] for j in neg] for i in neg]
     for k in range(len(neg)):
         rows[k][k] = rows[k][k] - 1
-    rhs = [-reduce(operator.add, (phi.entries[i][j] * x for j, x in zip(zero_idx, v0)))
+    rhs = [-reduce(operator.add, (entries[i][j] * x for j, x in zip(zero_idx, v0)))
            for i in neg]
     v = [None] * n
     for i, x in zip(zero_idx + neg, list(v0) + _solve_dense(rows, rhs)):
@@ -174,7 +152,7 @@ def _three_by_three(rng, p, n):
             (d, e, f),
             (zero, zero, one),
         )
-        return WeightBlockMatrix(entries=entries, weights=(-1, -1, 0))
+        return entries, (-1, -1, 0)
 
 
 def test_solver_three_by_three_shape():
@@ -184,13 +162,13 @@ def test_solver_three_by_three_shape():
     rng = random.Random(11)
     p, n = 5, 10
     for _ in range(5):
-        phi = _three_by_three(rng, p, n)
+        entries, weights = _three_by_three(rng, p, n)
         v0 = (make_padic(p, 1, n),)
-        v = solve_mixed_period(phi, v0)
+        v = solve_mixed_period(entries, weights, v0)
         for i in range(3):
             acc = None
             for j in range(3):
-                term = phi.entries[i][j] * v[j]
+                term = entries[i][j] * v[j]
                 acc = term if acc is None else acc + term
             resid = acc - v[i]
             assert resid.is_exact_zero() or resid.min_valuation() >= 9
@@ -202,10 +180,10 @@ def test_solver_shifted_vs_displayed_system():
     # one seeded instance pins the distinction
     rng = random.Random(3)
     p, n = 5, 10
-    phi = _three_by_three(rng, p, n)
-    v = solve_mixed_period(phi, (make_padic(p, 1, n),))
-    lhs0 = phi.entries[0][0] * v[0] + phi.entries[0][1] * v[1]
-    assert (lhs0 - phi.entries[0][2]).min_valuation() < 9
+    entries, weights = _three_by_three(rng, p, n)
+    v = solve_mixed_period(entries, weights, (make_padic(p, 1, n),))
+    lhs0 = entries[0][0] * v[0] + entries[0][1] * v[1]
+    assert (lhs0 - entries[0][2]).min_valuation() < 9
 
 
 def test_solver_split_extension_has_zero_mixed_part():
@@ -214,8 +192,7 @@ def test_solver_split_extension_has_zero_mixed_part():
     one = make_padic(p, 1, n)
     half = make_padic(p, Fraction(1, p), n)
     entries = ((half, zero), (zero, one))
-    phi = WeightBlockMatrix(entries=entries, weights=(-2, 0))
-    v = solve_mixed_period(phi, (one,))
+    v = solve_mixed_period(entries, (-2, 0), (one,))
     assert v[0].is_exact_zero() or is_zero_at_precision(v[0])
     assert v[1].lift() == 1
 
@@ -226,8 +203,8 @@ def test_solver_dense_agrees_with_blocks():
     for _ in range(5):
         phi = _three_by_three(rng, p, n)
         v0 = (make_padic(p, 1, n),)
-        via_blocks = solve_mixed_period(phi, v0)
-        via_dense = _solve_all_at_once(phi, v0)
+        via_blocks = solve_mixed_period(*phi, v0)
+        via_dense = _solve_all_at_once(*phi, v0)
         for x, y in zip(via_blocks, via_dense):
             diff = x - y
             assert diff.is_exact_zero() or diff.min_valuation() >= 9
@@ -247,13 +224,12 @@ def test_solver_three_weight_levels():
         (zero, u[3], u[4]),
         (zero, zero, one),
     )
-    phi = WeightBlockMatrix(entries=entries, weights=(-2, -1, 0))
-    v = solve_mixed_period(phi, (one,))
-    dense = _solve_all_at_once(phi, (one,))
+    v = solve_mixed_period(entries, (-2, -1, 0), (one,))
+    dense = _solve_all_at_once(entries, (-2, -1, 0), (one,))
     for i in range(3):
         acc = None
         for j in range(3):
-            term = phi.entries[i][j] * v[j]
+            term = entries[i][j] * v[j]
             acc = term if acc is None else acc + term
         resid = acc - v[i]
         assert resid.is_exact_zero() or resid.min_valuation() >= 9
@@ -266,21 +242,20 @@ def test_solver_singular_block_is_reported():
     zero = make_padic(p, 0, n)
     one = make_padic(p, 1, n)
     entries = ((one, one), (zero, one))
-    phi = WeightBlockMatrix(entries=entries, weights=(-1, 0))
     with pytest.raises(ArithmeticError):
-        solve_mixed_period(phi, (one,))
+        solve_mixed_period(entries, (-1, 0), (one,))
 
 
 def test_weight_triangularity_enforced():
     p, n = 5, 8
     one = make_padic(p, 1, n)
     zero = make_padic(p, 0, n)
-    with pytest.raises(ValueError):
-        WeightBlockMatrix(entries=((one, zero), (one, one)), weights=(-1, 0))
-    with pytest.raises(ValueError):
-        WeightBlockMatrix(entries=((one, zero), (zero, one)), weights=(-1, -2))
-    with pytest.raises(ValueError):
-        WeightBlockMatrix(entries=((one,),), weights=(0, 0))
+    with pytest.raises(ValueError, match=r"entry \(1, 0\) violates weight triangularity"):
+        solve_mixed_period(((one, zero), (one, one)), (-1, 0), (one,))
+    with pytest.raises(ValueError, match="no weight-0 coordinate"):
+        solve_mixed_period(((one, zero), (zero, one)), (-1, -2), (one,))
+    with pytest.raises(ValueError, match="matrix shape does not match the weight list"):
+        solve_mixed_period(((one,),), (0, 0), (one,))
 
 
 def test_weight_zero_consistency_checked():
@@ -289,9 +264,8 @@ def test_weight_zero_consistency_checked():
     zero = make_padic(p, 0, n)
     two = make_padic(p, 2, n)
     half = make_padic(p, Fraction(1, p), n)
-    phi = WeightBlockMatrix(entries=((half, one), (zero, two)), weights=(-2, 0))
     with pytest.raises(ArithmeticError):
-        solve_mixed_period(phi, (one,))
+        solve_mixed_period(((half, one), (zero, two)), (-2, 0), (one,))
 
 
 def test_solver_v0_length_mismatch():
@@ -299,6 +273,5 @@ def test_solver_v0_length_mismatch():
     one = make_padic(p, 1, n)
     zero = make_padic(p, 0, n)
     half = make_padic(p, Fraction(1, p), n)
-    phi = WeightBlockMatrix(entries=((half, zero), (zero, one)), weights=(-2, 0))
     with pytest.raises(ValueError):
-        solve_mixed_period(phi, (one, one))
+        solve_mixed_period(((half, zero), (zero, one)), (-2, 0), (one, one))

@@ -21,7 +21,13 @@ from periods.padic import (
     residual_valuation,
 )
 
-from oracles import REFERENCE_OPS, is_zero_at_precision, teichmuller, with_rel_prec
+from oracles import (
+    REFERENCE_OPS,
+    is_zero_at_precision,
+    reference_digits,
+    teichmuller,
+    with_rel_prec,
+)
 
 
 def test_make_zero_is_exact():
@@ -66,6 +72,17 @@ def test_kronecker_at_even_b_and_its_refusal():
 def test_make_one():
     x = make_padic(5, 1, 10)
     assert x.val == 0 and x.unit == 1 and x.rel_prec == 10
+
+
+def test_digits_split_agrees_with_one_digit_at_a_time():
+    # past 64 digits the unit is split at p^(r//2); each boundary and a long
+    # list match the per-digit loop, for units of every size below p^r
+    rng = random.Random(64)
+    cases = [(p, r) for p in (2, 3, 5, 13, 101, 10007) for r in (0, 1, 64, 65, 129)]
+    for p, r in cases + [(5, 10**4)]:
+        for unit in {1, p**r - 1, rng.randrange(p**r)} if r else {0}:
+            x = PadicElement(p, 0, unit, r)
+            assert x.digits() == reference_digits(x), (p, r, unit)
 
 
 def test_make_third_in_q5():

@@ -4,7 +4,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -371,7 +371,7 @@ def test_int_elimination_installs_the_fraction_pivot_keys(monkeypatch):
                 assert pivots.keys() == ref.keys(), (r, cap)
                 for lead, row in pivots.items():
                     check_row(row, ref[lead])
-    # a rational vector is scaled to a primitive integer row first
+    # a rational vector, scaled here to an integer row for the int elimination
     rng = random.Random(36)
     keys = [(0, j, k, 0) for j in range(3) for k in range(3)]
     pivots, ref = {}, {}
@@ -379,7 +379,9 @@ def test_int_elimination_installs_the_fraction_pivot_keys(monkeypatch):
         vec = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                for k in rng.sample(keys, rng.randint(1, 4))}
         vec = {k: c for k, c in vec.items() if c}
-        assert _echelon_insert(pivots, vec) == fraction_echelon_insert(ref, vec)
+        den = lcm(*(c.denominator for c in vec.values()))
+        scaled = {k: int(c * den) for k, c in vec.items()}
+        assert _echelon_insert(pivots, scaled) == fraction_echelon_insert(ref, vec)
     assert pivots.keys() == ref.keys() and len(pivots) == len(keys)
     for lead, row in pivots.items():
         check_row(row, ref[lead])
