@@ -918,6 +918,11 @@ GOLDEN = {
     # D(beta) is O(3^15), one digit past the tail that probed the computed
     # coefficients; the exact first-order solution agrees through 3^15
     "hyper --p 3 --lambda0 2 --e 0 --order 28 --prec 24 --at 5": (0, "1bf5e292f23cfd2e6a36c7cf36e145df2d9e0bf41bd0edeb29aa155f342bcd24"),
+    # frob without --selftest, and hyper at v(t) = 2 (t = 25); frozen before
+    # hyper and frob lost their wrapper classes
+    "frob --f x^3+x+1 --p 7 --prec 6": (0, "cf94882d4bee42a38b2406d209a251d53f9969aaa8d0741c8497cc06008aaa83"),
+    "frob --f x^3-x --p 13 --prec 3": (0, "a9c9dfc0dbd6869cb594303f1b953776a6f6493386ae14ef50f0e08f3e6576f7"),
+    "hyper --p 5 --lambda0 3 --e 4 --order 30 --prec 30 --at 28": (0, "5f4f1496ef71b28264206b895791be6e0b79374f4d0c9d797578c7223e6abe8d"),
 }
 
 def test_commands_table_schema_and_goldens_agree():
