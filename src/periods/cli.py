@@ -21,22 +21,11 @@ from json.encoder import encode_basestring_ascii
 from .arith import check_precision, check_prime
 from .cm import algebraicity_probe, cm_period_ramified_p3, cm_period_unramified
 from .cyclotomic import gross_koblitz_residual
-from .frobenius import (
-    EllipticCurveW,
-    charpoly_certificate,
-    count_points,
-    frobenius_selftest,
-    kedlaya_frobenius,
-)
+from .frobenius import charpoly_certificate, count_points, frobenius_selftest, kedlaya_frobenius
 from .gamma import gamma_p_at
-from .hypergeom import period_matrix_hypergeom, solve_katz_ode
+from .hypergeom import hyper_period
 from .kummer import kummer_period, solve_mixed_period
-from .padic import (
-    PadicElement,
-    PrecisionError,
-    make_padic,
-    residual_valuation,
-)
+from .padic import PadicElement, PrecisionError, make_padic
 from .tannaka import GL2, PGL2, TRIVIAL, coeff_subalgebra_closure, homog_dim, torus
 
 SCHEMA_VERSION = 1
@@ -55,16 +44,21 @@ _MAX_MIXED_PRECISION = 10**4  # caps a mixed file's precision and each digit dic
 _MAX_MIXED_DIMENSION = 10  # the block solve is cubic in it: 10 at precision 10^4 takes about 1 s
 
 
-def _fraction(text):
+def _fraction(text, name=None):
+    """The rational text; an error text calls it name, by default repr(text)."""
     # exponent notation is refused before Fraction expands "1e300000"; str(x)
     # raises past the int-string limit here, not in the JSON echo of x
+    name = name or repr(text)
     if "e" in text.lower():
-        raise ValueError("exponent notation in %r; write num/den" % text)
+        raise ValueError("exponent notation in %s; write num/den" % name)
     try:
         x = Fraction(text)
+        str(x)
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text)
-    str(x)
+        raise ValueError("zero denominator in %s" % name)
+    except ValueError:
+        # Fraction's own text repeats the whole literal
+        raise ValueError("%s is not a num/den rational within the int-string limit" % name)
     return x
 
 
@@ -189,42 +183,43 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_cell(p, cell, n):
-    """A matrix/vector entry from its file form.
+def _load_cell(p, cell, n, where):
+    """A matrix/vector entry from its file form; error texts name it by where.
 
     Accepts an integer, a "num/den" string, or the dict emitted by
-    to_json (p optional there, but must match when present).
+    to_json (p optional there, but must match when present).  No text
+    repeats the cell, which can be as long as the file.
     """
     if isinstance(cell, dict):
         if cell.get("p", p) != p:
-            raise ValueError("entry prime %r differs from the matrix prime %d" % (cell.get("p"), p))
+            raise ValueError("%s: its p differs from the matrix prime %d" % (where, p))
         val = cell.get("val")
         digits = cell.get("digits", [])
         if not (val is None or _is_int(val)) or not isinstance(digits, list):
-            raise ValueError("entry %r needs an integer val and a digit list" % (cell,))
+            raise ValueError("%s needs an integer val and a digit list" % where)
         if len(digits) > _MAX_MIXED_PRECISION:
             raise ValueError("entry digit count %d exceeds the configured maximum %d"
                              % (len(digits), _MAX_MIXED_PRECISION))
         rel_prec = cell.get("rel_prec", len(digits))
         if val is None:
             if digits != [] or not (_is_int(rel_prec) and rel_prec == 0):
-                raise ValueError("entry %r: an exact zero (null val) has no digits" % (cell,))
+                raise ValueError("%s: an exact zero (null val) has no digits" % where)
             return PadicElement(p, None, 0, 0)
         if val > n:
-            raise ValueError("entry %r: val exceeds the file's precision %d" % (cell, n))
+            raise ValueError("%s: val exceeds the file's precision %d" % (where, n))
         if not all(_is_int(d) and 0 <= d < p for d in digits):
-            raise ValueError("entry %r has a digit outside [0, %d)" % (cell, p))
+            raise ValueError("%s has a digit outside [0, %d)" % (where, p))
         if not _is_int(rel_prec) or rel_prec != len(digits):
-            raise ValueError("entry %r: rel_prec must equal the number of digits" % (cell,))
+            raise ValueError("%s: rel_prec must equal the number of digits" % where)
         if digits and digits[0] == 0:
-            raise ValueError("entry %r: the leading digit of a unit is 0" % (cell,))
+            raise ValueError("%s: the leading digit of a unit is 0" % where)
         unit = 0
         for digit in reversed(digits):
             unit = unit * p + digit
         return PadicElement(p, val, unit, rel_prec)
     if isinstance(cell, (int, str)):
-        return make_padic(p, _fraction(str(cell)), n)
-    raise ValueError("cannot interpret %r as a matrix entry" % (cell,))
+        return make_padic(p, _fraction(str(cell), where), n)
+    raise ValueError("%s is not an integer, a num/den string or a digit dict" % where)
 
 
 def _load_json(path):
@@ -267,8 +262,9 @@ def _cmd_mixed(args):
     if dim > _MAX_MIXED_DIMENSION:
         raise ValueError("matrix dimension %d exceeds the configured maximum %d"
                          % (dim, _MAX_MIXED_DIMENSION))
-    entries = [[_load_cell(p, cell, n) for cell in row] for row in mdoc["entries"]]
-    v0 = [_load_cell(p, cell, n) for cell in values]
+    entries = [[_load_cell(p, cell, n, "matrix entry [%d][%d]" % (i, j)) for j, cell in enumerate(row)]
+               for i, row in enumerate(mdoc["entries"])]
+    v0 = [_load_cell(p, cell, n, "vector entry [%d]" % i) for i, cell in enumerate(values)]
     solution = solve_mixed_period(entries, mdoc["weights"], v0)
     return {
         "p": p,
@@ -281,13 +277,7 @@ def _cmd_mixed(args):
 def _cmd_hyper(args):
     p, n = args.p, args.prec
     lam0, e, order, at = args.lambda0, args.e, args.order, args.at
-    sol = solve_katz_ode(make_padic(p, lam0, n), e, order, n)
-    matrix = period_matrix_hypergeom(sol, make_padic(p, at, n))
-    det = matrix.determinant()
-    achieved = matrix.achieved_precision()
-    rv = residual_valuation(det, make_padic(p, 1, n))
-    # alpha(lam) is never exact zero, so achieved is an int
-    ok = rv >= achieved
+    matrix, achieved, det, rv = hyper_period(lam0, e, order, at, p, n)
     return {
         "p": p,
         "precision": n,
@@ -295,11 +285,11 @@ def _cmd_hyper(args):
         "lambda0": _frac_json(lam0),
         "e": e,
         "at": _frac_json(at),
-        "matrix": _matrix_json(matrix.entries),
+        "matrix": _matrix_json(matrix),
         "achieved_precision": achieved,
         "determinant": det.to_json(),
         "det_residual_valuation": _res_json(rv),
-    }, ok
+    }, rv >= achieved
 
 
 def _parse_cubic(text):
@@ -331,22 +321,21 @@ def _cmd_frob(args):
     p, n = args.p, args.prec
     f = _parse_cubic(args.f)
     deep = args.selftest
-    curve = EllipticCurveW(f, p, n)
-    matrix = frobenius_selftest(curve) if deep else kedlaya_frobenius(curve)
+    matrix = (frobenius_selftest if deep else kedlaya_frobenius)(f, p, n)
     a_p = count_points(f, p)
-    cert = charpoly_certificate(matrix, a_p)
+    trace, det, tv, dv = charpoly_certificate(matrix, a_p, p)
     return {
         "f": list(f),
         "p": p,
         "precision": n,
         "selftest": bool(deep),
-        "matrix": _matrix_json(matrix.entries),
-        "trace": matrix.trace().to_json(),
-        "determinant": matrix.determinant().to_json(),
+        "matrix": _matrix_json(matrix),
+        "trace": trace.to_json(),
+        "determinant": det.to_json(),
         "a_p": a_p,
-        "trace_residual_valuation": _res_json(cert.trace_valuation),
-        "det_residual_valuation": _res_json(cert.det_valuation),
-    }, cert.ok
+        "trace_residual_valuation": _res_json(tv),
+        "det_residual_valuation": _res_json(dv),
+    }, tv >= n and dv >= n
 
 
 def _cmd_closure(args):

@@ -106,15 +106,6 @@ def _good_cubic(f, p, least):
     return g
 
 
-class EllipticCurveW:
-    """y^2 = f(x), f a monic integer cubic, p >= 5 of good reduction."""
-
-    def __init__(self, f, p, n):
-        self.f = _good_cubic(f, p, 5)
-        check_precision(n)
-        self.p, self.n = p, n
-
-
 def count_points(f, p):
     """Trace of Frobenius a_p = p + 1 - #E(F_p) by direct enumeration.
 
@@ -130,19 +121,6 @@ def count_points(f, p):
 
 
 # -- the Frobenius matrix ----------------------------------------------------
-
-class FrobeniusMatrix(namedtuple("FrobeniusMatrix", "entries curve")):
-    """Action on the basis {dx/y, x dx/y}; column i is the image of basis i."""
-
-    __slots__ = ()
-
-    def trace(self):
-        return self.entries[0][0] + self.entries[1][1]
-
-    def determinant(self):
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
 
 def _loss_count(p, K):
     """Digits the divisors take from the classes at the cut K.
@@ -285,8 +263,11 @@ def _build_plan(p, n):
     return _Plan(K, M, tuple(scalars[::-1]), tuple(U * p**e % M for U, e in walk), p ** (W - n))
 
 
-def kedlaya_frobenius(curve):
-    """Frobenius matrix on {dx/y, x dx/y} to the curve's precision.
+def kedlaya_frobenius(f, p, n):
+    """Frobenius matrix ((a, b), (c, d)) of y^2 = f(x) on {dx/y, x dx/y} to p^n.
+
+    Column i is the image of basis element i.  f is a monic integer cubic with
+    good reduction at the prime p >= 5, and n >= 1.
 
     The binomial series for 1/sigma(y) is cut after E^K, K = _series_cut(p, n).
     The cut is proven (Kedlaya, J. Ramanujan Math. Soc. 16 (2001), Lemmas 2
@@ -320,13 +301,12 @@ def kedlaya_frobenius(curve):
     (p, n) is not cached); per curve are only the Bezout factor, the
     vertical maps, the powers f^j, the window walk and the joins.
     """
-    p, n = curve.p, curve.n
+    f = list(_good_cubic(f, p, 5))
+    check_precision(n)
     plan = _plans.get((p, n))
     if plan is None:
         plan = _plans[p, n] = _build_plan(p, n)
     K, M = plan.K, plan.M
-
-    f = list(curve.f)
     fpr = [f[i] * i for i in range(1, 4)]
     v = _bezout_factor(f, fpr, M)
     (t00, t01, s00, s01), (t10, t11, s10, s11) = _vertical_maps(f, fpr, v, M)
@@ -345,12 +325,11 @@ def kedlaya_frobenius(curve):
         cols = [(((P - 2) * (a0 * t00 + a1 * t10) + a0 * s00 + a1 * s10) % M,
                  ((P - 2) * (a0 * t01 + a1 * t11) + a0 * s01 + a1 * s11) % M)
                 for a0, a1 in cols]
-    entries = tuple(tuple(_capped(p, col[r], n, plan.pe) for col in cols) for r in (0, 1))
-    return FrobeniusMatrix(entries=entries, curve=curve)
+    return tuple(tuple(_capped(p, col[r], n, plan.pe) for col in cols) for r in (0, 1))
 
 
-def frobenius_selftest(curve):
-    """Check the matrix against the model y^2 = g(X) = f(X + 1).
+def frobenius_selftest(f, p, n):
+    """kedlaya_frobenius(f, p, n), checked against the model y^2 = g(X) = f(X + 1).
 
     Frobenius on H^1 does not depend on the lift (Monsky-Washnitzer), and
     dx/y = dX/y, x dx/y = (X + 1) dX/y are the columns of B = [[1, 1], [0, 1]]
@@ -359,27 +338,24 @@ def frobenius_selftest(curve):
     Raises ArithmeticError when an entry moves below p^n.  The point-count
     certificate is the caller's, as for an unchecked matrix.
     """
-    p, n = curve.p, curve.n
-    base = kedlaya_frobenius(curve)
-    c0, c1, c2 = curve.f[:3]
-    shifted = EllipticCurveW((c0 + c1 + c2 + 1, c1 + 2 * c2 + 3, c2 + 3, 1), p, n)
-    (a, b), (c, d) = kedlaya_frobenius(shifted).entries
+    base = kedlaya_frobenius(f, p, n)
+    c0, c1, c2 = f[:3]
+    (a, b), (c, d) = kedlaya_frobenius((c0 + c1 + c2 + 1, c1 + 2 * c2 + 3, c2 + 3, 1), p, n)
     moved = ((a - c, a + b - c - d), (c, c + d))
     res = min(residual_valuation(x, y)
-              for row, mrow in zip(base.entries, moved) for x, y in zip(row, mrow))
+              for row, mrow in zip(base, moved) for x, y in zip(row, mrow))
     if res < n:
         raise ArithmeticError("matrix digits moved under a change of model: the models "
                               "agree to %d of %d digits" % (res, n))
     return base
 
 
-# residual valuations of trace - a_p and det - p against a target
-CharpolyCertificate = namedtuple("CharpolyCertificate", "ok trace_valuation det_valuation")
+def charpoly_certificate(matrix, a_p, p):
+    """(trace, det, v(trace - a_p), v(det - p)) of a Frobenius matrix.
 
-
-def charpoly_certificate(matrix, a_p):
-    """Check trace = a_p and det = p to the matrix's precision."""
-    n = matrix.curve.n
-    tv = residual_valuation(matrix.trace(), a_p)
-    dv = residual_valuation(matrix.determinant(), matrix.curve.p)
-    return CharpolyCertificate(ok=tv >= n and dv >= n, trace_valuation=tv, det_valuation=dv)
+    The characteristic polynomial of Frobenius is x^2 - a_p x + p; the caller
+    compares the two residuals with the matrix's precision.
+    """
+    (a, b), (c, d) = matrix
+    trace, det = a + d, a * d - b * c
+    return trace, det, residual_valuation(trace, a_p), residual_valuation(det, p)

@@ -12,57 +12,44 @@ evaluated near the base point has determinant 1 by the Wronskian argument.
 Coefficients live in Q_p and the recurrence divides by (k+1)(k+2) at each
 order, so valuations can sink like -v_p(k!); evaluation accounts for that
 through a tail bound proven from the equation instead of pretending the
-series converges like a unit-coefficient one.
+series converges like a unit-coefficient one.  A series is the tuple of its
+coefficients c_0 .. c_order in t, and lam0 travels beside it.
 """
 
-from collections import namedtuple
-
 from .arith import check_prime
-from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic
+from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic, residual_valuation
 
 
-class FormalSeries(namedtuple("FormalSeries", "lam0 coeffs")):
-    """Truncated power series in t = lam - lam0: coeffs holds c_0 .. c_order."""
+def evaluate(lam0, coeffs, lam):
+    """Value at lam, with the truncation tail folded into the precision.
 
-    __slots__ = ()
-
-    @property
-    def p(self):
-        return self.lam0.p
-
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def evaluate(self, lam):
-        """Value at lam, with the truncation tail folded into the precision.
-
-        Requires v(t) >= 1, t = lam - lam0.  For a solution f with an integral
-        (value, D-value) pair, and for g = Df, v(c_k) >= -v_p(k!): the
-        equation reads f' = g/q, g' = -f with 1/q in Z_p[[t]] (q(0) is a
-        unit), so k! c_k and k! g_k are integral by induction on k.  Order k
-        thus adds at valuation >= k v(t) - v_p(k!); the O()s of the computed
-        coefficients already ride in the Horner value.  The tail is that
-        bound at k = T + 1, which is NOT proven to be the minimum over k > T:
-        it drops at multiples of p^(v(t)+1), and
-        test_tail_minimum_past_the_next_order pins a digit it gets wrong.
-        Adding O(p^tail) caps the value: the result is O(p^tail) when the
-        tail reaches its valuation, and otherwise keeps the digits below it.
-        """
-        t = lam - self.lam0
-        vt = t.min_valuation()
-        if vt < 1:
-            raise ValueError("evaluation point is outside the unit disc")
-        acc = self.coeffs[-1]
-        for k in range(self.order() - 1, -1, -1):
-            acc = acc * t + self.coeffs[k]
-        kk = self.order() + 1
-        tail = kk * vt - _vp_factorial(kk, self.p)
-        return acc + PadicElement(self.p, tail, 0, 0)
+    Requires v(t) >= 1, t = lam - lam0.  For a solution f with an integral
+    (value, D-value) pair, and for g = Df, v(c_k) >= -v_p(k!): the
+    equation reads f' = g/q, g' = -f with 1/q in Z_p[[t]] (q(0) is a
+    unit), so k! c_k and k! g_k are integral by induction on k.  Order k
+    thus adds at valuation >= k v(t) - v_p(k!); the O()s of the computed
+    coefficients already ride in the Horner value.  The tail is that
+    bound at k = T + 1, which is NOT proven to be the minimum over k > T:
+    it drops at multiples of p^(v(t)+1), and
+    test_tail_minimum_past_the_next_order pins a digit it gets wrong.
+    Adding O(p^tail) caps the value: the result is O(p^tail) when the
+    tail reaches its valuation, and otherwise keeps the digits below it.
+    """
+    t = lam - lam0
+    vt = t.min_valuation()
+    if vt < 1:
+        raise ValueError("evaluation point is outside the residue disc of lambda0: "
+                         "v(at - lambda0) = %d, not >= 1" % vt)
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    kk = len(coeffs)
+    tail = kk * vt - _vp_factorial(kk, lam0.p)
+    return acc + PadicElement(lam0.p, tail, 0, 0)
 
 
-def apply_D(f):
+def apply_D(lam0, c):
     """q(t) f'(t) for q(t) = (t + lam0)(t + lam0 - 1), order drops by one."""
-    lam0, c = f.lam0, f.coeffs
     q0 = lam0 * (lam0 - 1)
     q1 = 2 * lam0 - 1
     # a constant's derivative is c0 - c0, zero at c0's own precision
@@ -75,11 +62,12 @@ def apply_D(f):
         if k >= 2:
             acc = acc + d[k - 2]
         out.append(acc)
-    return FormalSeries(lam0, tuple(out))
+    return tuple(out)
 
 
 def solve_second_order(lam0, pairs, order, n):
-    """The solutions of D^2 f = -q f, one per (value, D-value) pair at the base.
+    """The coefficients of the solutions of D^2 f = -q f, one tuple per
+    (value, D-value) pair at the base.
 
     Works order-by-order: writing u = Df, the t^k coefficient of
     Du + q f = 0 pins c_{k+2} after dividing by q0^2 (k+1)(k+2), which is
@@ -123,44 +111,28 @@ def solve_second_order(lam0, pairs, order, n):
             ck2 = -rest / den
             c.append(ck2)
             u.append(q0b * ck2 + b + kc)
-    return tuple(FormalSeries(lam0, tuple(c)) for c, _ in sols)
+    return tuple(tuple(c) for c, _ in sols)
 
 
-def solve_katz_ode(lam0, e, order, n):
-    """The normalized solution pair (alpha, beta) through the given order.
+def hyper_period(lam0, e, order, at, p, n):
+    """(matrix, achieved precision, determinant, v(det - 1)) at lam = at.
 
-    alpha has value 1 and D-derivative e at the base point, beta value 0 and
-    D-derivative 1.
+    The matrix is [[D beta, -D alpha], [-beta, alpha]] of the solutions through
+    the given order, alpha with value 1 and D-derivative e at the rational base
+    point lam0, beta with value 0 and D-derivative 1.  The achieved precision
+    is the lowest absolute precision of an entry (alpha(lam) is never exact
+    zero, so it is an int); a matrix without one certified digit (a shortfall
+    from the truncation tail or the coefficient divisions) raises
+    PrecisionError naming it.
     """
-    return solve_second_order(lam0, ((1, e), (0, 1)), order, n)
-
-
-class HypergeomPeriodMatrix(namedtuple("HypergeomPeriodMatrix", "entries")):
-    # entries: ((D beta, -D alpha), (-beta, alpha)) evaluated
-    __slots__ = ()
-
-    def determinant(self):
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
-    def achieved_precision(self):
-        """The lowest absolute precision of an entry."""
-        return min(x.abs_precision() for row in self.entries for x in row)
-
-
-def period_matrix_hypergeom(sol, lam):
-    """Evaluate [[D beta, -D alpha], [-beta, alpha]] at lam.
-
-    A matrix without one certified digit (a shortfall from the truncation
-    tail or the coefficient divisions) raises PrecisionError naming the
-    achievable precision.
-    """
-    alpha, beta = sol
-    matrix = HypergeomPeriodMatrix((
-        (apply_D(beta).evaluate(lam), -apply_D(alpha).evaluate(lam)),
-        (-beta.evaluate(lam), alpha.evaluate(lam)),
-    ))
-    got = matrix.achieved_precision()
+    base = make_padic(p, lam0, n)
+    alpha, beta = solve_second_order(base, ((1, e), (0, 1)), order, n)
+    lam = make_padic(p, at, n)
+    matrix = ((evaluate(base, apply_D(base, beta), lam), -evaluate(base, apply_D(base, alpha), lam)),
+              (-evaluate(base, beta, lam), evaluate(base, alpha, lam)))
+    got = min(x.abs_precision() for row in matrix for x in row)
     if got < 1:
         raise PrecisionError("achievable absolute precision %d is below the requested 1" % got)
-    return matrix
+    (a, b), (c, d) = matrix
+    det = a * d - b * c
+    return matrix, got, det, residual_valuation(det, make_padic(p, 1, n))

@@ -396,16 +396,16 @@ def fraction_echelon_insert(pivots, vec):
     return False
 
 
-def wronskian_defect(alpha, beta):
+def wronskian_defect(lam0, a, b):
     """Orders where alpha D(beta) - beta D(alpha) provably differs from 1.
 
-    The Wronskian of genuine solutions is the constant 1, so any coefficient
+    a and b are the coefficients of alpha and beta in t = lam - lam0.  The
+    Wronskian of genuine solutions is the constant 1, so any coefficient
     with a certain nonzero digit convicts the solver; coefficients that are
     merely zero-to-their-precision are fine (precision decays with order,
     it does not lie).
     """
-    a, b = alpha.coeffs, beta.coeffs
-    da, db = apply_D(alpha).coeffs, apply_D(beta).coeffs
+    da, db = apply_D(lam0, a), apply_D(lam0, b)
     bad = []
     for k in range(min(len(a), len(b), len(da), len(db))):
         # t^k of alpha D(beta) and of beta D(alpha), each summed in order

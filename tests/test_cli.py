@@ -23,8 +23,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from periods import cli, frobenius, kummer
-from periods.frobenius import EllipticCurveW, FrobeniusMatrix, charpoly_certificate
+from periods import cli, frobenius, hypergeom, kummer
+from periods.frobenius import charpoly_certificate
 from periods.gamma import check_reflection, check_translation
 from periods.kummer import kummer_period
 from periods.padic import PadicElement, iwasawa_log, make_padic, residual_valuation
@@ -260,6 +260,11 @@ def test_hyper_rejects_far_evaluation_point():
     )
     assert code == 2
     assert "error" in payload
+    # 3 lies in the unit disc, but not in the residue disc of lambda0 = 2
+    error = "evaluation point is outside the residue disc of lambda0: v(at - lambda0) = 0, not >= 1"
+    argv = "hyper --p 5 --lambda0 2 --e 1 --order 8 --prec 12 --at 3".split()
+    assert run_json(argv)[1]["error"] == error
+    assert run_cli(argv) == (2, "hyper: error: %s\n" % error)
 
 
 def test_frob_matches_point_count():
@@ -305,12 +310,12 @@ def test_frob_selftest_certificate_miss_exits_1(monkeypatch):
 def test_frob_selftest_model_mismatch_exits_1(monkeypatch):
     real = frobenius.kedlaya_frobenius
 
-    def moved(curve):
-        m = real(curve)
-        if curve.f == (1, 1, 0, 1):
+    def moved(f, p, n):
+        m = real(f, p, n)
+        if f == (1, 1, 0, 1):
             return m
-        (a, b), (c, d) = m.entries
-        return type(m)(entries=((a + 5**3, b), (c, d)), curve=curve)
+        (a, b), (c, d) = m
+        return ((a + 5**3, b), (c, d))
 
     monkeypatch.setattr(frobenius, "kedlaya_frobenius", moved)
     code, payload = run_json(["frob", "--f", "x^3+x+1", "--p", "5", "--prec", "4", "--selftest"])
@@ -490,8 +495,11 @@ _SWEEP = sorted(
     + ["mixed --matrix 5:4:1e300000 --v0 v0.json"]
     + ["kummer --a 1/0 --p 7 --prec 2", "mixed --matrix 5:4:1/0 --v0 v0.json"]
 )
-# the reason a refused rational must name, whether argparse or execute reports it
+# the reason a refused rational must name, whether argparse or execute reports
+# it; a mixed cell is named by its place, never repeated
 _REASONS = {"1e": "exponent notation in '1e", "1/0": "zero denominator in '1/0'"}
+_CELL_REASONS = {"1e": "exponent notation in matrix entry [0][0]; write num/den",
+                 "1/0": "zero denominator in matrix entry [0][0]"}
 
 
 @pytest.mark.parametrize("command", _SWEEP)
@@ -515,7 +523,7 @@ def test_refused_primes_precisions_and_rationals_exit_2(command, tmp_path):
         # argparse's own refusal of a value its type function rejects
         code, payload = exc.code, {"error": stderr.getvalue()}
     assert code == 2 and "error" in payload, payload
-    for bad, reason in _REASONS.items():
+    for bad, reason in (_CELL_REASONS if argv[0] == "mixed" else _REASONS).items():
         if bad in command:
             assert reason in payload["error"], payload
     assert time.perf_counter() - start < 1
@@ -575,20 +583,21 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         assert (code, payload["error"]) == (2, error), doc
 
     # cells of another prime or of a type the loader does not read, in the
-    # matrix and in the vector
+    # matrix and in the vector, each named by its place
     for cell, error in (
         ({"p": 7, "val": 0, "digits": [1], "rel_prec": 1},
-         "entry prime 7 differs from the matrix prime 5"),
-        (1.5, "cannot interpret 1.5 as a matrix entry"),
-        ([1], "cannot interpret [1] as a matrix entry"),
+         ": its p differs from the matrix prime 5"),
+        (1.5, " is not an integer, a num/den string or a digit dict"),
+        ([1], " is not an integer, a num/den string or a digit dict"),
     ):
         entries = [list(row) for row in good["entries"]]
         entries[0][0] = cell
-        for doc, v0 in ((dict(good, entries=entries), [1]), (good, [cell])):
+        for doc, v0, place in ((dict(good, entries=entries), [1], "matrix entry [0][0]"),
+                               (good, [cell], "vector entry [0]")):
             matrix_file.write_text(json.dumps(doc))
             v0_file.write_text(json.dumps(v0))
             code, payload = run_json(["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)])
-            assert (code, payload["error"]) == (2, error), (cell, v0)
+            assert (code, payload["error"]) == (2, place + error), (cell, v0)
 
     # cells that to_json never writes: digits outside [0, p), a val that is
     # not an int, a zero leading digit, rel_prec other than the digit count,
@@ -638,6 +647,36 @@ def test_malformed_mixed_files_exit_2(tmp_path):
         code, payload = run_json(argv)
         assert (code, payload["error"]) == (2, error), argv
         assert run_cli(argv) == (2, "mixed: error: %s\n" % error), argv
+
+
+def test_mixed_errors_name_the_cell_not_its_contents(tmp_path):
+    # each text once repeated the whole cell: 30 KB for the digit dict, 689 KB
+    # for the list cell, 300 KB for the list p and 100 KB for a string cell
+    rng = random.Random(39)
+    digits = [1] + [rng.randrange(5) for _ in range(9998)] + [7]
+    long_list = [rng.randrange(10**6) for _ in range(10**5)]
+    doc = {"p": 5, "precision": 10**4, "weights": [-1, 0], "entries": [[1, 1], [0, 1]]}
+    matrix_file = tmp_path / "matrix.json"
+    v0_file = tmp_path / "v0.json"
+    argv = ["mixed", "--matrix", str(matrix_file), "--v0", str(v0_file)]
+    for entries, v0, error in (
+        ([[{"val": 1, "digits": digits, "rel_prec": len(digits)}, 1], [0, 1]], [1],
+         "matrix entry [0][0] has a digit outside [0, 5)"),
+        ([[1, 1], [0, 1]], [long_list],
+         "vector entry [0] is not an integer, a num/den string or a digit dict"),
+        ([[1, 1], [{"p": long_list, "val": 0, "digits": [1], "rel_prec": 1}, 1]], [1],
+         "matrix entry [1][0]: its p differs from the matrix prime 5"),
+        ([[1, "1/" + "x" * 10**5], [0, 1]], [1],
+         "matrix entry [0][1] is not a num/den rational within the int-string limit"),
+        ([[1, 1], [0, 1]], ["1e" + "5" * 10**5],
+         "exponent notation in vector entry [0]; write num/den"),
+    ):
+        matrix_file.write_text(json.dumps(dict(doc, entries=entries)))
+        v0_file.write_text(json.dumps(v0))
+        code, payload = run_json(argv)
+        assert (code, payload["error"]) == (2, error)
+        assert len(error) < 200
+        assert run_cli(argv) == (2, "mixed: error: %s\n" % error)
 
 
 def test_mixed_dimension_budget(tmp_path):
@@ -726,7 +765,7 @@ def test_mixed_cells_written_by_to_json_load():
     for x in (PadicElement(5, 2, 13, 3), PadicElement(5, -1, 1, 1),
               PadicElement(5, 4, 0, 0), PadicElement(5, None, 0, 0),
               PadicElement(5, 8, 1, 1)):
-        assert cli._load_cell(5, x.to_json(), 8) == x
+        assert cli._load_cell(5, x.to_json(), 8, "vector entry [0]") == x
 
 
 def test_error_messages_carry_achievable_precision():
@@ -815,14 +854,12 @@ def test_residuals_are_int_or_inf():
         perturbed = perturbed_invariance(a, p, 10, 3)
         assert _is_residual(perturbed), (a, p)
         assert perturbed == matrix[0][1].val + 3, (a, p)
-    curve = EllipticCurveW((1, 1, 0, 1), 5, 4)
-    cert = charpoly_certificate(cli.kedlaya_frobenius(curve), -3)
-    assert type(cert.trace_valuation) is int and type(cert.det_valuation) is int
+    _, _, tv, dv = charpoly_certificate(cli.kedlaya_frobenius((1, 1, 0, 1), 5, 4), -3, 5)
+    assert type(tv) is int and type(dv) is int
     # an exactly-zero trace against a_p = 0 gives inf; det - p does not vanish
     zero = PadicElement(5, None, 0, 0)
-    exact = FrobeniusMatrix(entries=((zero, zero), (zero, zero)), curve=curve)
-    cert = charpoly_certificate(exact, 0)
-    assert (cert.trace_valuation, cert.det_valuation, cert.ok) == (math.inf, 1, False)
+    _, _, tv, dv = charpoly_certificate(((zero, zero), (zero, zero)), 0, 5)
+    assert (tv, dv, tv >= 4 and dv >= 4) == (math.inf, 1, False)
 
 
 @pytest.mark.parametrize(
@@ -838,8 +875,8 @@ def test_residuals_are_int_or_inf():
     ],
 )
 def test_json_residual_is_null_exactly_when_inf(argv, field, source, monkeypatch):
-    # kummer's residual is taken inside periods.kummer, the others in the cli
-    owner = kummer if argv[0] == "kummer" else cli
+    # kummer's and hyper's residuals are taken inside their modules, gk's in the cli
+    owner = {"kummer": kummer, "hyper": hypergeom}.get(argv[0], cli)
     seen = []
     real = getattr(owner, source)
 
@@ -864,7 +901,7 @@ def test_frob_json_residuals_are_null_exactly_when_inf(monkeypatch):
     monkeypatch.setattr(
         cli,
         "charpoly_certificate",
-        lambda *args: real(*args)._replace(trace_valuation=math.inf, det_valuation=math.inf),
+        lambda *args: real(*args)[:2] + (math.inf, math.inf),
     )
     _, payload = run_json(argv)
     assert all(payload["result"][f] is None for f in fields)

@@ -5,26 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from periods.hypergeom import (
-    FormalSeries,
-    apply_D,
-    period_matrix_hypergeom,
-    solve_katz_ode,
-    solve_second_order,
-)
+from periods.hypergeom import apply_D, evaluate, hyper_period, solve_second_order
 from periods.padic import PadicElement, PrecisionError, _vp_factorial, make_padic
 
 from oracles import exact_katz, is_zero_at_precision, wronskian_defect
 
 
-def _series(p, n, coeffs, lam0=2):
-    base = make_padic(p, lam0, n)
-    return FormalSeries(base, [make_padic(p, c, n) for c in coeffs])
+def _katz_pair(lam0, e, order, n):
+    """The coefficients of alpha (value 1, D-value e) and beta (value 0, D-value 1)."""
+    return solve_second_order(lam0, ((1, e), (0, 1)), order, n)
+
+
+def _series(p, n, coeffs):
+    return [make_padic(p, c, n) for c in coeffs]
 
 
 def _add(f, g):
     """Coefficientwise f + g through the lower of the two orders."""
-    return FormalSeries(f.lam0, [x + y for x, y in zip(f.coeffs, g.coeffs)])
+    return [x + y for x, y in zip(f, g)]
 
 
 def _mul(f, g):
@@ -33,35 +31,35 @@ def _mul(f, g):
     With _add this is the series algebra, kept as an oracle: apply_D and
     wronskian_defect run on coefficient tuples without it.
     """
-    if not isinstance(g, FormalSeries):
-        return FormalSeries(f.lam0, [c * g for c in f.coeffs])
+    if not isinstance(g, (list, tuple)):
+        return [c * g for c in f]
     out = []
-    for k in range(min(f.order(), g.order()) + 1):
-        acc = f.coeffs[0] * g.coeffs[k]
+    for k in range(min(len(f), len(g))):
+        acc = f[0] * g[k]
         for i in range(1, k + 1):
-            acc = acc + f.coeffs[i] * g.coeffs[k - i]
+            acc = acc + f[i] * g[k - i]
         out.append(acc)
-    return FormalSeries(f.lam0, out)
+    return out
 
 
 def _all_zero(series):
     return all(
-        c.is_exact_zero() or is_zero_at_precision(c) for c in series.coeffs
+        c.is_exact_zero() or is_zero_at_precision(c) for c in series
     )
 
 
 def test_apply_D_kills_constants():
     f = _series(5, 10, [7])
-    assert _all_zero(apply_D(f))
+    assert _all_zero(apply_D(make_padic(5, 2, 10), f))
 
 
 def test_apply_D_of_t_is_the_coefficient_quadratic():
     # D(t) = (t + lam0)(t + lam0 - 1); with lam0 = 2 that is 2 + 3t + t^2
     f = _series(5, 10, [0, 1, 0, 0])
-    got = apply_D(f)
-    assert got.order() == 2
+    got = apply_D(make_padic(5, 2, 10), f)
+    assert len(got) == 3
     expected = [2, 3, 1]
-    for c, e in zip(got.coeffs, expected):
+    for c, e in zip(got, expected):
         diff = c - e
         assert diff.is_exact_zero() or diff.min_valuation() >= 10
 
@@ -69,26 +67,26 @@ def test_apply_D_of_t_is_the_coefficient_quadratic():
 def test_apply_D_is_a_derivation():
     rng = random.Random(5)
     p, n = 7, 12
+    lam0 = make_padic(p, 2, n)
     for _ in range(5):
         f = _series(p, n, [rng.randrange(p**n) for _ in range(9)])
         g = _series(p, n, [rng.randrange(p**n) for _ in range(9)])
-        lhs = apply_D(_mul(f, g))
-        rhs = _add(_mul(f, apply_D(g)), _mul(g, apply_D(f)))
-        m = min(lhs.order(), rhs.order())
-        for k in range(m + 1):
-            diff = lhs.coeffs[k] - rhs.coeffs[k]
+        lhs = apply_D(lam0, _mul(f, g))
+        rhs = _add(_mul(f, apply_D(lam0, g)), _mul(g, apply_D(lam0, f)))
+        for k in range(min(len(lhs), len(rhs))):
+            diff = lhs[k] - rhs[k]
             assert diff.is_exact_zero() or is_zero_at_precision(diff)
 
 
 def test_solver_rejects_bad_base_points():
     with pytest.raises(ValueError):
-        solve_katz_ode(make_padic(5, 1, 10), 0, 10, 10)
+        _katz_pair(make_padic(5, 1, 10), 0, 10, 10)
     with pytest.raises(ValueError):
-        solve_katz_ode(make_padic(5, 0, 10), 0, 10, 10)
+        _katz_pair(make_padic(5, 0, 10), 0, 10, 10)
     with pytest.raises(ValueError):
-        solve_katz_ode(make_padic(5, 6, 10), 0, 10, 10)
+        _katz_pair(make_padic(5, 6, 10), 0, 10, 10)
     for solve in (lambda: solve_second_order(2, ((1, 0),), 4, 4),
-                  lambda: solve_katz_ode(2, 0, 4, 4)):
+                  lambda: _katz_pair(2, 0, 4, 4)):
         with pytest.raises(TypeError) as err:
             solve()
         assert str(err.value) == "base point must be a p-adic element"
@@ -96,7 +94,7 @@ def test_solver_rejects_bad_base_points():
 
 def test_solver_rejects_fractional_e():
     lam0 = make_padic(5, 2, 10)
-    runs = [(lambda e=e: solve_katz_ode(lam0, e, 10, 10), 0)
+    runs = [(lambda e=e: _katz_pair(lam0, e, 10, 10), 0)
             for e in (make_padic(5, Fraction(1, 5), 10), Fraction(1, 5))]
     # the tail bound needs every (value, D-value) pair integral, not e alone,
     # and a pair without an e is named by its place
@@ -110,21 +108,21 @@ def test_solver_rejects_fractional_e():
 
 def test_beta_linear_coefficient():
     lam0 = make_padic(5, 2, 12)
-    _, beta = solve_katz_ode(lam0, 0, 10, 12)
-    diff = beta.coeffs[1] - Fraction(1, 2)
+    _, beta = _katz_pair(lam0, 0, 10, 12)
+    diff = beta[1] - Fraction(1, 2)
     assert diff.is_exact_zero() or diff.min_valuation() >= 12
 
 
 def test_defining_equation_residual():
     lam0 = make_padic(5, 2, 20)
-    alpha, beta = solve_katz_ode(lam0, 3, 16, 20)
+    alpha, beta = _katz_pair(lam0, 3, 16, 20)
     # q is an exact polynomial, so padding it out with genuine zeros keeps
     # the product order high enough to read the residual past order 2
     q = _series(5, 20, [2, 3, 1] + [0] * 16)
     for f in (alpha, beta):
-        resid = _add(apply_D(apply_D(f)), _mul(q, f))
-        for k in range(f.order() - 1):
-            c = resid.coeffs[k]
+        resid = _add(apply_D(lam0, apply_D(lam0, f)), _mul(q, f))
+        for k in range(len(f) - 2):
+            c = resid[k]
             assert c.is_exact_zero() or is_zero_at_precision(c)
 
 
@@ -132,32 +130,32 @@ def test_golden_coefficients():
     # frozen from an exact rational recurrence run; the order-40 entries sit
     # at the -v_p(k!) floor the divisions predict
     lam0 = make_padic(5, 2, 40)
-    alpha, beta = solve_katz_ode(lam0, 0, 40, 40)
+    alpha, beta = _katz_pair(lam0, 0, 40, 40)
     alpha_expect = [1, 0, Fraction(-1, 4), Fraction(1, 4), Fraction(-5, 24),
                     Fraction(27, 160), Fraction(-53, 384)]
     beta_expect = [0, Fraction(1, 2), Fraction(-3, 8), Fraction(1, 4),
                    Fraction(-11, 64), Fraction(1, 8), Fraction(-123, 1280)]
     for k in range(7):
-        da = alpha.coeffs[k] - alpha_expect[k]
-        db = beta.coeffs[k] - beta_expect[k]
+        da = alpha[k] - alpha_expect[k]
+        db = beta[k] - beta_expect[k]
         assert da.is_exact_zero() or da.min_valuation() >= 30
         assert db.is_exact_zero() or db.min_valuation() >= 30
-    assert alpha.coeffs[40].min_valuation() >= -9
-    assert beta.coeffs[40].min_valuation() >= -9
+    assert alpha[40].min_valuation() >= -9
+    assert beta[40].min_valuation() >= -9
 
 
 def test_wronskian_series_clean():
     lam0 = make_padic(5, 2, 40)
-    alpha, beta = solve_katz_ode(lam0, 0, 40, 40)
-    assert wronskian_defect(alpha, beta) == []
+    alpha, beta = _katz_pair(lam0, 0, 40, 40)
+    assert wronskian_defect(lam0, alpha, beta) == []
 
 
 def test_wronskian_flags_a_corrupted_solution():
     lam0 = make_padic(5, 2, 20)
-    alpha, beta = solve_katz_ode(lam0, 0, 12, 20)
-    broken = list(beta.coeffs)
+    alpha, beta = _katz_pair(lam0, 0, 12, 20)
+    broken = list(beta)
     broken[4] = broken[4] + 1
-    assert wronskian_defect(alpha, FormalSeries(lam0, broken)) != []
+    assert wronskian_defect(lam0, alpha, broken) != []
 
 
 def test_solution_space_linearity():
@@ -165,33 +163,30 @@ def test_solution_space_linearity():
     p, n, T = 7, 16, 12
     lam0 = make_padic(p, 3, n)
     e = make_padic(p, 2, n)
-    alpha, beta = solve_katz_ode(lam0, e, T, n)
+    alpha, beta = _katz_pair(lam0, e, T, n)
     for _ in range(5):
         x0 = rng.randrange(p**n)
         x1 = rng.randrange(p**n)
         (direct,) = solve_second_order(lam0, ((x0, x1),), T, n)
         combo = _add(_mul(alpha, x0), _mul(beta, make_padic(p, x1, n) - e * x0))
         for k in range(T + 1):
-            diff = direct.coeffs[k] - combo.coeffs[k]
+            diff = direct[k] - combo[k]
             assert diff.is_exact_zero() or is_zero_at_precision(diff)
 
 
 def test_precision_monotonicity():
     lam0_lo = make_padic(5, 2, 14)
     lam0_hi = make_padic(5, 2, 28)
-    lo_a, lo_b = solve_katz_ode(lam0_lo, 0, 16, 14)
-    hi_a, hi_b = solve_katz_ode(lam0_hi, 0, 24, 28)
+    lo_a, lo_b = _katz_pair(lam0_lo, 0, 16, 14)
+    hi_a, hi_b = _katz_pair(lam0_hi, 0, 24, 28)
     for low, high in ((lo_a, hi_a), (lo_b, hi_b)):
-        for k in range(low.order() + 1):
-            diff = low.coeffs[k] - high.coeffs[k]
+        for k in range(len(low)):
+            diff = low[k] - high[k]
             assert diff.is_exact_zero() or is_zero_at_precision(diff)
 
 
 def test_matrix_at_base_point():
-    lam0 = make_padic(5, 2, 14)
-    sol = solve_katz_ode(lam0, 3, 12, 14)
-    m = period_matrix_hypergeom(sol, lam0)
-    (a, b), (c, d) = m.entries
+    ((a, b), (c, d)), _, _, _ = hyper_period(2, 3, 12, 2, 5, 14)
     assert a.lift() == 1 and d.lift() == 1
     assert c.is_exact_zero() or is_zero_at_precision(c)
     diff = b + 3
@@ -200,10 +195,8 @@ def test_matrix_at_base_point():
 
 def test_matrix_golden_at_shifted_point():
     # digits frozen from the exact-recurrence oracle evaluated at t = 5
-    lam0 = make_padic(5, 2, 40)
-    sol = solve_katz_ode(lam0, 0, 40, 40)
-    m = period_matrix_hypergeom(sol, make_padic(5, 7, 40))
-    (db, nda), (nb, a) = m.entries
+    m, got, det, _ = hyper_period(2, 0, 40, 7, 5, 40)
+    (db, nda), (nb, a) = m
     assert db.val == 0
     assert db.digits()[:12] == [1, 0, 1, 3, 3, 0, 1, 3, 2, 1, 3, 4]
     assert nda.val == 1
@@ -212,18 +205,13 @@ def test_matrix_golden_at_shifted_point():
     assert nb.digits()[:11] == [2, 3, 1, 3, 2, 2, 1, 4, 4, 1, 1]
     assert a.val == 0
     assert a.digits()[:12] == [1, 0, 1, 0, 1, 3, 0, 4, 2, 0, 2, 4]
-    assert m.achieved_precision() == 23
-    det = m.determinant()
+    assert got == 23
     assert (det - 1).min_valuation() >= 23
 
 
 def test_determinant_is_one_across_the_disc():
-    lam0 = make_padic(7, 3, 24)
-    sol = solve_katz_ode(lam0, 1, 20, 24)
     for shift in (7, 14, 49, 7 * 6):
-        m = period_matrix_hypergeom(sol, lam0 + shift)
-        det = m.determinant()
-        target = m.achieved_precision()
+        _, target, det, _ = hyper_period(3, 1, 20, 3 + shift, 7, 24)
         assert (det - 1).min_valuation() >= target
 
 
@@ -251,17 +239,17 @@ def _evaluation_cases(p, seed, count):
         r = rng.randint(1, 12)
         u = rng.randrange(p**r)
         t = PadicElement(p, rng.randint(1, 4), u - u % p + rng.randrange(1, p), r)
-        yield FormalSeries(lam0, coeffs), lam0 + t
+        yield lam0, coeffs, lam0 + t
 
 
-def _ladder_branch(series, lam):
+def _ladder_branch(lam0, coeffs, lam):
     """Which case of the value/tail comparison evaluate meets, 0 to 4."""
-    t = lam - series.lam0
-    acc = series.coeffs[-1]
-    for c in reversed(series.coeffs[:-1]):
+    t = lam - lam0
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * t + c
-    kk = series.order() + 1
-    tail = kk * t.val - _vp_factorial(kk, series.p)
+    kk = len(coeffs)
+    tail = kk * t.val - _vp_factorial(kk, lam0.p)
     if acc.is_exact_zero():
         return 0
     if is_zero_at_precision(acc):
@@ -287,35 +275,35 @@ def test_evaluate_frozen_digests(p):
     # normal with the tail at or below its valuation, inside its digits, or
     # at or past its absolute precision
     cases = list(_evaluation_cases(p, p, 300))
-    assert {_ladder_branch(s, lam) for s, lam in cases} == set(range(5))
+    assert {_ladder_branch(*case) for case in cases} == set(range(5))
     text = "".join(
-        "%r %d %d\n" % (y.val, y.unit, y.rel_prec) for y in (s.evaluate(lam) for s, lam in cases)
+        "%r %d %d\n" % (y.val, y.unit, y.rel_prec) for y in (evaluate(*case) for case in cases)
     )
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == EVALUATE_DIGESTS[p]
 
 
 def test_evaluation_domain_enforced():
-    lam0 = make_padic(5, 2, 12)
-    sol = solve_katz_ode(lam0, 0, 8, 12)
-    with pytest.raises(ValueError):
-        period_matrix_hypergeom(sol, make_padic(5, 3, 12))
+    # 3 lies in the unit disc but not in the residue disc of lambda0 = 2
+    with pytest.raises(ValueError) as err:
+        hyper_period(2, 0, 8, 3, 5, 12)
+    assert str(err.value) == ("evaluation point is outside the residue disc of lambda0: "
+                              "v(at - lambda0) = 0, not >= 1")
+    with pytest.raises(ValueError) as err:
+        hyper_period(2, 0, 8, Fraction(1, 5), 5, 12)
+    assert str(err.value).endswith("v(at - lambda0) = -1, not >= 1")
 
 
 def test_precision_shortfall_is_loud():
     # pushing the order far past the working precision drives the tracked
     # error bounds through the floor; the matrix call must refuse rather
     # than hand back digits it cannot certify
-    lam0 = make_padic(5, 2, 16)
-    sol = solve_katz_ode(lam0, 0, 40, 16)
     with pytest.raises(PrecisionError):
-        period_matrix_hypergeom(sol, make_padic(5, 7, 16))
+        hyper_period(2, 0, 40, 7, 5, 16)
 
 
 def test_deeper_points_evaluate_sharper():
-    lam0 = make_padic(5, 2, 20)
-    sol = solve_katz_ode(lam0, 0, 12, 20)
-    near = period_matrix_hypergeom(sol, lam0 + 5).achieved_precision()
-    deep = period_matrix_hypergeom(sol, lam0 + 25).achieved_precision()
+    near = hyper_period(2, 0, 12, 2 + 5, 5, 20)[1]
+    deep = hyper_period(2, 0, 12, 2 + 25, 5, 20)[1]
     assert deep >= near
 
 
@@ -339,12 +327,11 @@ def _misses(p, lam0, e, order, n, at):
     integral, and k v(t) - v_p(k!) >= k (v(t) - 1/2) + 1/2 at odd p.
     """
     try:
-        sol = solve_katz_ode(make_padic(p, lam0, n), e, order, n)
-        matrix = period_matrix_hypergeom(sol, make_padic(p, at, n))
+        matrix = hyper_period(lam0, e, order, at, p, n)[0]
     except PrecisionError:
         return None
     t = Fraction(at) - lam0
-    entries = [x for row in matrix.entries for x in row]
+    entries = [x for row in matrix for x in row]
     prec = max(x.abs_precision() for x in entries)
     vt = _vp_exact(t, p)
     big_k = max(0, -(-(2 * prec - 1) // (2 * vt - 1)))
@@ -395,7 +382,7 @@ def test_tail_minimum_past_the_next_order(p, lam0, e, order, n, at):
 
 
 def _derivation_cases(p, seed, count):
-    """Solution pairs; a third corrupted, a third cut to unequal orders.
+    """(lam0, alpha, beta) solution pairs; a third corrupted, a third cut to unequal orders.
 
     The corruptions swap in an exact zero, an O(p^A) or a random element,
     and an order-0 pair and an O(p^A) coefficient close the list.
@@ -404,19 +391,20 @@ def _derivation_cases(p, seed, count):
     for j in range(count):
         n = rng.randint(4, 24)
         lam0 = make_padic(p, rng.choice([2, p + 2, 2 - p]), n)
-        alpha, beta = solve_katz_ode(lam0, rng.randrange(p**n), rng.randint(2, 12), n)
-        a, b = list(alpha.coeffs), list(beta.coeffs)
+        alpha, beta = _katz_pair(lam0, rng.randrange(p**n), rng.randint(2, 12), n)
+        a, b = list(alpha), list(beta)
         if j % 3 == 1:
             victim = rng.choice([a, b])
             victim[rng.randrange(len(victim))] = _random_element(rng, p)
         elif j % 3 == 2:
             b = b[:rng.randint(1, len(b))]
-        yield FormalSeries(lam0, a), FormalSeries(lam0, b)
+        yield lam0, a, b
     lam0 = make_padic(p, 2, 10)
-    yield FormalSeries(lam0, [make_padic(p, 3, 10)]), FormalSeries(lam0, [make_padic(p, 0, 10)])
+    yield lam0, [make_padic(p, 3, 10)], [make_padic(p, 0, 10)]
     yield (
-        FormalSeries(lam0, [make_padic(p, 1, 10), PadicElement(p, 3, 0, 0), make_padic(p, 4, 10)]),
-        FormalSeries(lam0, [make_padic(p, 0, 10), make_padic(p, 1, 10), PadicElement(p, -2, 0, 0)]),
+        lam0,
+        [make_padic(p, 1, 10), PadicElement(p, 3, 0, 0), make_padic(p, 4, 10)],
+        [make_padic(p, 0, 10), make_padic(p, 1, 10), PadicElement(p, -2, 0, 0)],
     )
 
 
@@ -433,10 +421,10 @@ DERIVATION_DIGESTS = {
 @pytest.mark.parametrize("p", sorted(DERIVATION_DIGESTS))
 def test_apply_D_and_wronskian_frozen_digests(p):
     lines = []
-    for alpha, beta in _derivation_cases(p, p, 50):
+    for lam0, alpha, beta in _derivation_cases(p, p, 50):
         for f in (alpha, beta):
-            lines += ["%r %d %d" % (c.val, c.unit, c.rel_prec) for c in apply_D(f).coeffs]
-        lines.append(repr(wronskian_defect(alpha, beta)))
+            lines += ["%r %d %d" % (c.val, c.unit, c.rel_prec) for c in apply_D(lam0, f)]
+        lines.append(repr(wronskian_defect(lam0, alpha, beta)))
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DERIVATION_DIGESTS[p]
 
@@ -453,8 +441,8 @@ def _solve_lines(p):
             lam0 = make_padic(p, p + 2, n)
             e = make_padic(p, Fraction(p + 1, 2), n)
             runs = (
-                lambda: solve_katz_ode(lam0, 0, order, n),
-                lambda: solve_katz_ode(lam0, e, order, n),
+                lambda: _katz_pair(lam0, 0, order, n),
+                lambda: _katz_pair(lam0, e, order, n),
                 lambda: solve_second_order(lam0, ((12345, Fraction(-7, 4)),), order, n),
             )
             for run in runs:
@@ -465,7 +453,7 @@ def _solve_lines(p):
                     yield str(err)
                     continue
                 for f in sols:
-                    yield from ("%r %d %d" % (c.val, c.unit, c.rel_prec) for c in f.coeffs)
+                    yield from ("%r %d %d" % (c.val, c.unit, c.rel_prec) for c in f)
 
 
 # sha256 prefix of _solve_lines(p), frozen from the solver that ran the
