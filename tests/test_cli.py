@@ -960,6 +960,11 @@ GOLDEN = {
     "frob --f x^3+x+1 --p 7 --prec 6": (0, "cf94882d4bee42a38b2406d209a251d53f9969aaa8d0741c8497cc06008aaa83"),
     "frob --f x^3-x --p 13 --prec 3": (0, "a9c9dfc0dbd6869cb594303f1b953776a6f6493386ae14ef50f0e08f3e6576f7"),
     "hyper --p 5 --lambda0 3 --e 4 --order 30 --prec 30 --at 28": (0, "5f4f1496ef71b28264206b895791be6e0b79374f4d0c9d797578c7223e6abe8d"),
+    # the other three bound cases, a torus as the group and as the fixed
+    # subgroup; frozen before groups became (kind, rank) pairs
+    "bound --case cm-ss": (0, "3014374848da75357b3c6d8e456a2cb65ea36294acbc9fe34bac30040b2b1a93"),
+    "bound --case noncm-ord": (0, "a9f7668b4fb6dadbb8ec1463e7d702d7112a5a7b6a2270dc7311561d34dbf47e"),
+    "bound --case legendre": (0, "39edeb07705b2ef590db3e8c7cf95149f1f6b074db0a6b4a3c8fdcb80f87d5c0"),
 }
 
 def test_commands_table_schema_and_goldens_agree():
