@@ -26,16 +26,16 @@ from .gamma import gamma_p_at
 from .hypergeom import hyper_period
 from .kummer import kummer_period, solve_mixed_period
 from .padic import PadicElement, PrecisionError, make_padic
-from .tannaka import GL2, PGL2, TRIVIAL, coeff_subalgebra_closure, homog_dim, torus
+from .tannaka import coeff_subalgebra_closure, homog_dim
 
 SCHEMA_VERSION = 1
 
 # (description, ambient group, fixed subgroup) per named curve/family case
 BOUND_CASES = {
-    "cm-ss": ("supersingular with extra endomorphisms", torus(1), TRIVIAL),
-    "noncm-ss": ("supersingular, generic", PGL2, TRIVIAL),
-    "noncm-ord": ("ordinary, generic", PGL2, torus(1)),
-    "legendre": ("the one-parameter family", GL2, torus(1)),
+    "cm-ss": ("supersingular with extra endomorphisms", ("torus", 1), ("trivial", 0)),
+    "noncm-ss": ("supersingular, generic", ("pgl2", 0), ("trivial", 0)),
+    "noncm-ord": ("ordinary, generic", ("pgl2", 0), ("torus", 1)),
+    "legendre": ("the one-parameter family", ("gl2", 0), ("torus", 1)),
 }
 
 PROBE_MAX_POWER = 8
@@ -90,7 +90,7 @@ def _matrix_json(entries):
 
 
 def _group_json(g):
-    return {"kind": g.kind, "rank": g.rank}
+    return {"kind": g[0], "rank": g[1]}
 
 
 def _cmd_bound(args):
@@ -148,7 +148,7 @@ def _cmd_cm(args):
         "precision": n,
         "ramified_n": n0,
         "power": prod.power,
-        "factors": prod.json_factors(),
+        "factors": [{"base": b.to_json(), "exponent": _frac_json(e)} for b, e in prod.factors],
         "collapsed": prod.collapsed.to_json(),
         "probe": None,
     }

@@ -12,7 +12,9 @@ Gamma values at fractions with denominator a modulus M:
 Both run through one loop on ints.  Every nonzero exponent is +c or -c, so
 the lcm-cleared power is c's denominator, and only that integer power is
 evaluated p-adically (no root extraction behind the caller's back).  A
-modulus M above 10^6 is refused before any work that grows with it.
+modulus M above 10^6 is refused before any work that grows with it.  A
+period is a plain named tuple (factors, power, collapsed), and the JSON of
+its factors is written by the command.
 """
 
 import math
@@ -74,21 +76,10 @@ def imag_quad_data(d):
     return ImagQuadData(d=d, disc=disc, conductor=-disc, h=class_number(disc), w=w)
 
 
-class ExponentiatedProduct(namedtuple("ExponentiatedProduct", "factors power collapsed")):
-    """A product of p-adic units with exact rational exponents.
-
-    factors holds (PadicElement, Fraction) pairs, and collapsed =
-    prod(base ^ (exp * power)) where power is the lcm of the exponent
-    denominators, so collapsed is an honest integer-power value.
-    """
-
-    __slots__ = ()
-
-    def json_factors(self):
-        return [
-            {"base": b.to_json(), "exponent": [e.numerator, e.denominator]}
-            for b, e in self.factors
-        ]
+# factors holds (PadicElement, Fraction) pairs, and collapsed =
+# prod(base ^ (exp * power)) where power is the lcm of the exponent
+# denominators, so collapsed is an honest integer-power value
+ExponentiatedProduct = namedtuple("ExponentiatedProduct", "factors power collapsed")
 
 
 def _bounded(modulus):

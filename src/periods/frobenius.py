@@ -232,8 +232,15 @@ _plans = {}
 def _build_plan(p, n):
     """The _Plan of (p, n); PrecisionError over the step budget, before any work,
     or when W leaves a row short of digits."""
-    K = _series_cut(p, n)
-    if p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS:
+    def over_budget(K):
+        return p * (3 * K * K + 9 * K + 4) * (1 + n * p.bit_length() // 64) > _MAX_STEPS
+
+    # the count grows with K, and K >= n - 1: that bound is priced before
+    # _series_cut's log_p(2n) steps of big-int divisions
+    K = max(n - 1, 0)
+    if not over_budget(K):
+        K = _series_cut(p, n)
+    if over_budget(K):
         raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
                              "configured maximum %d" % (p, n, _MAX_STEPS))
     W = n + _loss_count(p, K)

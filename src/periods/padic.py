@@ -305,27 +305,6 @@ class PadicElement:
 
     # -- rendering ------------------------------------------------------------
 
-    def __str__(self):
-        if self.val is None:
-            return "0 (exact)"
-        if self.rel_prec == 0:
-            return "O(%d^%d)" % (self.p, self.val)
-        parts = []
-        for i, d in enumerate(self.digits()):
-            if i == 0:
-                parts.append(str(d))
-            elif i == 1:
-                parts.append("%d*%d" % (d, self.p))
-            else:
-                parts.append("%d*%d^%d" % (d, self.p, i))
-        return "%d^%d * (%s) + O(%d^%d)" % (
-            self.p,
-            self.val,
-            " + ".join(parts),
-            self.p,
-            self.val + self.rel_prec,
-        )
-
     def __repr__(self):
         return "PadicElement(p=%d, val=%r, unit=%d, rel_prec=%d)" % (
             self.p,

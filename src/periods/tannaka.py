@@ -6,13 +6,13 @@ O(SL2) = Q[a,b,c,d]/(ad - bc - 1) that decides, per degree, which
 irreducible blocks of the torus-invariant coordinate ring the matrix
 coefficients of a given representation actually generate.  The blocks
 to reach are fixed by Peter-Weyl (each even Sym^m once); only the
-generated side is computed.  A ring element takes int or Fraction
-coefficients; the closure forms only ints, and its linear algebra is
-exact and fraction-free over Z; nothing is rounded.
+generated side is computed.  A group is a (kind, rank) pair, rank 0 but
+for a torus; a ring element is a normal-form dict {exponent tuple:
+coefficient}.  The closure forms only int coefficients, and its linear
+algebra is exact and fraction-free over Z; nothing is rounded.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb, gcd
 
 MAX_CLOSURE_CAP = 12
@@ -23,29 +23,16 @@ _GROUPS = {"torus": None, "gl2": (4, 2), "sl2": (3, 1), "pgl2": (3, 1),
            "fiber-product": (2 + 4 - 1, 3), "trivial": (0, 0)}
 
 
-class GroupDesc:
-    def __init__(self, kind, rank=0):
-        if kind not in _GROUPS:
-            raise ValueError("unknown group kind %r" % (kind,))
-        if kind == "torus":
-            if rank < 1:
-                raise ValueError("a torus needs a positive rank")
-        elif rank != 0:
-            raise ValueError("only tori carry a rank")
-        self.kind, self.rank = kind, rank
-
-
-GL2 = GroupDesc("gl2")
-PGL2 = GroupDesc("pgl2")
-TRIVIAL = GroupDesc("trivial")
-
-
-def torus(rank):
-    return GroupDesc("torus", rank)
-
-
 def _row(g):
-    return _GROUPS[g.kind] or (g.rank, g.rank)
+    kind, rank = g
+    if kind not in _GROUPS:
+        raise ValueError("unknown group kind %r" % (kind,))
+    if kind == "torus":
+        if rank < 1:
+            raise ValueError("a torus needs a positive rank")
+    elif rank != 0:
+        raise ValueError("only tori carry a rank")
+    return _GROUPS[kind] or (rank, rank)
 
 
 def dim_group(g):
@@ -54,10 +41,10 @@ def dim_group(g):
 
 def homog_dim(g, h):
     """Dimension of G/H for a designated embedding of H in G."""
-    if not (h.kind == "trivial" or h.kind == "torus" and h.rank <= _row(g)[1]):
-        raise ValueError("no designated embedding of %r in %r"
-                         % (h.kind, g.kind))
-    return dim_group(g) - dim_group(h)
+    dg, dh = dim_group(g), dim_group(h)
+    if not (h[0] == "trivial" or h[0] == "torus" and h[1] <= _row(g)[1]):
+        raise ValueError("no designated embedding of %r in %r" % (h[0], g[0]))
+    return dg - dh
 
 
 # -- the coordinate ring of SL2 ---------------------------------------------
@@ -69,16 +56,11 @@ def homog_dim(g, h):
 # translation by diag(t, 1/t) scales a, c by t and b, d by 1/t; left
 # translation scales a, b by t and c, d by 1/t.
 
-def _reduce_terms(pairs):
+def _normal_form(pairs):
+    """The dict {monomial: coefficient} of sum c * monomial over (monomial, c)."""
     out = {}
     for key, coeff in pairs:
-        key = tuple(key)
-        if len(key) != 4 or min(key) < 0:
-            raise ValueError("bad monomial %r" % (key,))
-        if type(coeff) is bool or not isinstance(coeff, (int, Fraction)):
-            raise TypeError("a coefficient must be an int or a Fraction, not %r"
-                            % (coeff,))
-        if not coeff:
+        if not coeff:  # else it could reach the del below on a missing key
             continue
         i, j, k, l = key
         # a^i d^l = a^(i-m) (1 + bc)^m d^(l-m), expanded binomially
@@ -93,33 +75,9 @@ def _reduce_terms(pairs):
     return out
 
 
-class CoeffRingElement:
-    """An element of Q[a,b,c,d]/(ad - bc - 1) in normal form."""
-
-    def __init__(self, terms):
-        self.terms = tuple(sorted(_reduce_terms(terms).items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffRingElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    @classmethod
-    def monomial(cls, i, j, k, l, coeff=1):
-        return cls(terms=(((i, j, k, l), coeff),))
-
-    @classmethod
-    def one(cls):
-        return cls.monomial(0, 0, 0, 0)
-
-    def __mul__(self, other):
-        if not isinstance(other, CoeffRingElement):
-            return NotImplemented
-        prod = []
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                prod.append((tuple(x + y for x, y in zip(k1, k2)), c1 * c2))
-        return CoeffRingElement(terms=tuple(prod))
+def _ring_mul(x, y):
+    return _normal_form((tuple(u + v for u, v in zip(k1, k2)), c1 * c2)
+                        for k1, c1 in x.items() for k2, c2 in y.items())
 
 
 def matrix_coefficients(r):
@@ -139,7 +97,7 @@ def matrix_coefficients(r):
         for s in range(max(0, m - h), min(h, m) + 1):
             t = m - s
             pairs.append(((h - s, h - t, s, t), comb(h, s) * comb(h, t)))
-        out.append(CoeffRingElement(terms=tuple(pairs)))
+        out.append(_normal_form(pairs))
     return tuple(out)
 
 
@@ -205,9 +163,9 @@ def coeff_subalgebra_closure(r, cap=8):
     # every product of coefficients has a single left weight, so the span
     # splits into one pivot table per weight; a product already in the span
     # generates nothing new, so only the new ones are multiplied further
-    one = CoeffRingElement.one()
+    one = {(0, 0, 0, 0): 1}
     tables = {0: {}}
-    _echelon_insert(tables[0], dict(one.terms))
+    _echelon_insert(tables[0], one)
     if 0 < r <= cap:
         gens = matrix_coefficients(r)
         level = [(0, one)]
@@ -215,8 +173,8 @@ def coeff_subalgebra_closure(r, cap=8):
             new = []
             for w, x in level:
                 for m, g in enumerate(gens):
-                    y, wy = x * g, w + r - 2 * m
-                    if _echelon_insert(tables.setdefault(wy, {}), dict(y.terms)):
+                    y, wy = _ring_mul(x, g), w + r - 2 * m
+                    if _echelon_insert(tables.setdefault(wy, {}), y):
                         new.append((wy, y))
             level = new
     reached = {}

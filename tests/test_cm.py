@@ -1,11 +1,14 @@
 import hashlib
+import io
 import json
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from periods import cli
 from periods.cm import (
     algebraicity_probe,
     class_number,
@@ -319,13 +322,15 @@ def test_probe_rejects_negative_valuation():
 
 
 def test_exponentiated_product_json_factors():
-    prod = cm_period_unramified(1, 5, 6)
-    (entry,) = prod.json_factors()
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["cm", "--d", "1", "--p", "5", "--prec", "6", "--json"]) == 0
+    (entry,) = json.loads(buf.getvalue())["result"]["factors"]
     assert entry["exponent"] == [-1, 1]
     assert entry["base"]["p"] == 5
 
 
-# sha256 prefix of the canonical JSON of (power, json_factors, collapsed)
+# sha256 prefix of the canonical JSON of (power, factors, collapsed)
 # of every product, or of the exception type and text: cm_period_unramified
 # over the first 120 squarefree d at N = 1, 2, 4, 7 for each p (2 and 9 are
 # refused), and cm_period_ramified_p3 over n in [-1, 60) for each N.  At
@@ -363,7 +368,9 @@ def _cm_record(f, *args):
         prod = f(*args)
     except Exception as e:
         return [type(e).__name__, str(e)]
-    return [prod.power, prod.json_factors(), prod.collapsed.to_json()]
+    factors = [{"base": b.to_json(), "exponent": [e.numerator, e.denominator]}
+               for b, e in prod.factors]
+    return [prod.power, factors, prod.collapsed.to_json()]
 
 
 def _outcome(f, *args):

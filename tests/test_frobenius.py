@@ -1,11 +1,15 @@
 import hashlib
+import io
+import json
 import random
+import time
 from collections import namedtuple
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from periods import frobenius
+from periods import cli, frobenius
 from periods.arith import is_prime
 from periods.cm import rational_reconstruct
 from periods.frobenius import charpoly_certificate, count_points, frobenius_selftest, kedlaya_frobenius
@@ -634,3 +638,32 @@ def test_an_over_budget_shape_is_refused_each_time(monkeypatch):
         assert str(err.value) == ("the Kedlaya step count at p = 100003, precision 2 exceeds "
                                   "the configured maximum 500000")
         assert (100003, 2) not in frobenius._plans
+
+
+# the largest n whose Kedlaya step count the budget admits, per p; frozen
+# before the cut's lower bound n - 1 was priced ahead of _series_cut
+ADMITTED_PRECISION = {5: 85, 7: 74, 101: 22, 1009: 8, 10007: 3}
+
+
+@pytest.mark.parametrize("p", sorted(ADMITTED_PRECISION))
+def test_the_step_budget_admission_boundary(p, monkeypatch):
+    monkeypatch.setattr(frobenius, "_plans", {})
+    n = ADMITTED_PRECISION[p]
+    assert frobenius._build_plan(p, n).K == frobenius._series_cut(p, n)
+    with pytest.raises(PrecisionError) as err:
+        frobenius._build_plan(p, n + 1)
+    assert str(err.value) == ("the Kedlaya step count at p = %d, precision %d exceeds "
+                              "the configured maximum 500000" % (p, n + 1))
+
+
+def test_the_largest_readable_precision_is_refused_at_once():
+    # 10^4299 has the 4300 digits int() reads by default; _series_cut alone
+    # took about a minute there, pricing n - 1 first refuses it in no time
+    buf = io.StringIO()
+    started = time.monotonic()
+    with redirect_stdout(buf):
+        code = cli.main(["frob", "--f", "x^3+x+1", "--p", "7", "--prec", str(10**4299), "--json"])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert json.loads(buf.getvalue())["error"].startswith(
+        "the Kedlaya step count at p = 7, precision 1000")

@@ -90,3 +90,13 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=False)
     assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
+def test_src_defines_no_class_but_the_scalar_and_its_error():
+    # groups are (kind, rank) pairs, ring elements normal-form dicts and the
+    # records named tuples: the p-adic scalar and its error are the classes
+    names = {node.name
+             for path in sorted((ROOT / "src" / "periods").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)}
+    assert names == {"PadicElement", "PrecisionError"}
