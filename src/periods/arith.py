@@ -9,13 +9,21 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
+def _quote(n):
+    """n as %d writes it, for an error text; past 40 digits its first 20 and its length."""
+    digits = "%d" % abs(n)
+    if len(digits) <= 40:
+        return "%d" % n
+    return "%s%s...(%d digits)" % ("-" * (n < 0), digits[:20], len(digits))
+
+
 def is_prime(n):
     """Deterministic Miller-Rabin for n < psi_13 = 3317044064679887385961981.
 
     Raises ValueError at and above psi_13, where no answer is proven.
     """
     if n >= _PROVEN_BELOW:
-        raise ValueError("primality of %d is not proven (limit %d)" % (n, _PROVEN_BELOW))
+        raise ValueError("primality of %s is not proven (limit %d)" % (_quote(n), _PROVEN_BELOW))
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -45,7 +53,7 @@ _PRIMES_FROM = {3: "an odd prime", 5: "a prime >= 5"}
 def check_prime(p, least=3):
     """The one prime check: ValueError unless p is a prime >= least (3 or 5)."""
     if p < least or not is_prime(p):
-        raise ValueError("p = %d is not %s" % (p, _PRIMES_FROM[least]))
+        raise ValueError("p = %s is not %s" % (_quote(p), _PRIMES_FROM[least]))
 
 
 def check_precision(n):

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .arith import check_precision, check_prime
+from .arith import _quote, check_precision, check_prime
 from .cm import algebraicity_probe, cm_period_ramified_p3, cm_period_unramified
 from .cyclotomic import gross_koblitz_residual
 from .frobenius import charpoly_certificate, count_points, frobenius_selftest, kedlaya_frobenius
@@ -247,8 +247,8 @@ def _cmd_mixed(args):
     check_prime(p)
     check_precision(n)
     if n > _MAX_MIXED_PRECISION:
-        raise ValueError("matrix precision %d exceeds the configured maximum %d"
-                         % (n, _MAX_MIXED_PRECISION))
+        raise ValueError("matrix precision %s exceeds the configured maximum %d"
+                         % (_quote(n), _MAX_MIXED_PRECISION))
     if isinstance(vdoc, dict):
         if "values" not in vdoc:
             raise ValueError("vector file lacks the 'values' key")

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import check_prime, kronecker
+from .arith import _quote, check_prime, kronecker
 from .gamma import _admit, gamma_p
 from .padic import PadicElement, PrecisionError, _capped
 
@@ -41,7 +41,7 @@ def _squarefree_kernel(d):
 def field_discriminant(d):
     """Discriminant of Q(sqrt(-d)) for squarefree d: -d or -4d."""
     if d <= 0 or _squarefree_kernel(d) != d:
-        raise ValueError("%d is not squarefree" % d)
+        raise ValueError("%s is not squarefree" % _quote(d))
     return -d if d % 4 == 3 else -4 * d
 
 
@@ -84,8 +84,8 @@ ExponentiatedProduct = namedtuple("ExponentiatedProduct", "factors power collaps
 
 def _bounded(modulus):
     if modulus > _MAX_MODULUS:
-        raise ValueError("Gamma-product modulus %d exceeds the configured maximum %d"
-                         % (modulus, _MAX_MODULUS))
+        raise ValueError("Gamma-product modulus %s exceeds the configured maximum %d"
+                         % (_quote(modulus), _MAX_MODULUS))
     return modulus
 
 
@@ -143,7 +143,7 @@ def rational_reconstruct(x, height):
     with |num|, |den| <= height and num = den * x mod p^A.
     """
     if height < 1:
-        raise ValueError("height must be >= 1, got %d" % height)
+        raise ValueError("height must be >= 1, got %s" % _quote(height))
     if not isinstance(x, PadicElement):
         raise TypeError("expected a PadicElement")
     if x.min_valuation() < 0:
@@ -154,7 +154,7 @@ def rational_reconstruct(x, height):
     modulus = x.p**a
     if modulus <= 2 * height * height:
         raise PrecisionError(
-            "absolute precision %d too low for height bound %d" % (a, height)
+            "absolute precision %d too low for height bound %s" % (a, _quote(height))
         )
     # lattice {(u, v): u = v*x mod p^A}; shortest vector by the Euclid walk
     r0, t0 = modulus, 0

@@ -30,7 +30,7 @@ window walk; K, W, the row scalars and the window multipliers depend on
 from collections import namedtuple
 from math import comb, prod
 
-from .arith import check_precision, check_prime, kronecker
+from .arith import _quote, check_precision, check_prime, kronecker
 from .padic import PrecisionError, _capped, _vp, _vp_factorial, residual_valuation
 
 # p(3K^2 + 9K + 4) reduction steps at the proven cut K = _series_cut(p, n), times
@@ -241,8 +241,8 @@ def _build_plan(p, n):
     if not over_budget(K):
         K = _series_cut(p, n)
     if over_budget(K):
-        raise PrecisionError("the Kedlaya step count at p = %d, precision %d exceeds the "
-                             "configured maximum %d" % (p, n, _MAX_STEPS))
+        raise PrecisionError("the Kedlaya step count at p = %d, precision %s exceeds the "
+                             "configured maximum %d" % (p, _quote(n), _MAX_STEPS))
     W = n + _loss_count(p, K)
     M = p**W
     # the window's D run from p down in 3K + 2 segments of odd numbers, p - 2

@@ -45,7 +45,7 @@ Normalization: gamma_p(0) = 1, gamma_p(1) = -1.
 import math
 from fractions import Fraction
 
-from .arith import check_precision, check_prime
+from .arith import _quote, check_precision, check_prime
 from .padic import (
     PadicElement, PrecisionError, _cutoff, _exp_cut, _exp_int, _vp, make_padic, residual_valuation,
 )
@@ -77,8 +77,8 @@ def _admit(p, n):
         big_k = _cutoff(w, lambda k: k - _vp(k, p))
         if work(big_k, w) <= _MAX_WORK:
             return w, big_k
-    raise PrecisionError("work for Gamma_p at p = %d, N = %d exceeds the configured maximum "
-                         "%d word-operations" % (p, n, _MAX_WORK))
+    raise PrecisionError("work for Gamma_p at p = %d, N = %s exceeds the configured maximum "
+                         "%d word-operations" % (p, _quote(n), _MAX_WORK))
 
 
 def _range_prod(lo, hi, mod):

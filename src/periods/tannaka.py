@@ -15,6 +15,8 @@ algebra is exact and fraction-free over Z; nothing is rounded.
 from collections import namedtuple
 from math import comb, gcd
 
+from .arith import _quote
+
 MAX_CLOSURE_CAP = 12
 
 # kind -> (dimension, rank of a maximal torus), a torus having its rank for
@@ -158,8 +160,8 @@ def coeff_subalgebra_closure(r, cap=8):
     if cap < 0 or cap % 2:
         raise ValueError("the degree cap must be a nonnegative even number")
     if cap > MAX_CLOSURE_CAP:
-        raise ValueError("degree cap %d exceeds the configured maximum %d"
-                         % (cap, MAX_CLOSURE_CAP))
+        raise ValueError("degree cap %s exceeds the configured maximum %d"
+                         % (_quote(cap), MAX_CLOSURE_CAP))
     # every product of coefficients has a single left weight, so the span
     # splits into one pivot table per weight; a product already in the span
     # generates nothing new, so only the new ones are multiplied further

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periods.arith import is_prime, kronecker
+from periods.arith import _quote, is_prime, kronecker
 from periods.padic import (
     PadicElement,
     PrecisionError,
@@ -67,6 +67,16 @@ def test_kronecker_at_even_b_and_its_refusal():
         with pytest.raises(ValueError) as err:
             kronecker(3, b)
         assert str(err.value) == "kronecker needs b >= 1, got %d" % b
+
+
+
+def test_a_long_int_is_quoted_by_its_first_digits_and_length():
+    # up to 40 digits an int is written in full, as %d wrote it
+    for n in (0, -7, 10**40 - 1, -(10**40 - 1)):
+        assert _quote(n) == "%d" % n
+    assert _quote(10**40) == "10000000000000000000...(41 digits)"
+    assert _quote(-(10**40 + 12345)) == "-10000000000000000000...(41 digits)"
+    assert _quote(-int("9" * 4300)) == "-99999999999999999999...(4300 digits)"
 
 
 def test_make_one():
