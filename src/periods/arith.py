@@ -10,11 +10,18 @@ _PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _quote(n):
-    """n as %d writes it, for an error text; past 40 digits its first 20 and its length."""
-    digits = "%d" % abs(n)
-    if len(digits) <= 40:
+    """n as %d writes it, for an error text; past 40 digits its first 20 and its length.
+
+    The length and the first digits come from powers of 10, so an int past
+    the int-string limit, which %d refuses, is quoted too.
+    """
+    m = abs(n)
+    if m < 10**40:
         return "%d" % n
-    return "%s%s...(%d digits)" % ("-" * (n < 0), digits[:20], len(digits))
+    k = int((m.bit_length() - 1) * 0.30102999)  # at most log10(m), 0.30102999 < log10(2)
+    while 10 ** (k + 1) <= m:
+        k += 1
+    return "%s%d...(%d digits)" % ("-" * (n < 0), m // 10 ** (k - 19), k + 1)
 
 
 def is_prime(n):

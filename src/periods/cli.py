@@ -1,6 +1,10 @@
 """Command line front end.
 
-One subcommand per computation.  Every subcommand takes --json, which
+One subcommand per computation, each a row of COMMANDS.  A well-formed
+command line (full option names, each at most once, every value valid) is
+read straight from that table by _table_args; argparse, built from the same
+rows by _parser, reads the rest, so help pages, abbreviated names and every
+refusal keep its texts and exit codes.  Every subcommand takes --json, which
 switches the output to a canonical serialization (sorted keys, fixed
 indentation) of an envelope validating against schema/output.json; the
 text mode is for eyeballs only.  Exit status: 0 when every check in the
@@ -391,8 +395,9 @@ def _selftest_requests(n, rng):
 def _cmd_selftest(args):
     n = args.prec
     rows = {}
-    for argv, pins in _selftest_requests(n, random.Random(args.seed)):
-        req = _parser().parse_args(argv.split())
+    for line, pins in _selftest_requests(n, random.Random(args.seed)):
+        argv = line.split()
+        req = _table_args(argv) or _parser().parse_args(argv)
         result, ok = req.handler(req)
         rows.setdefault(req.command, []).append(ok and all(result[k] == v for k, v in pins.items()))
     checks = [
@@ -536,9 +541,10 @@ def _opt(flag, **kw):
 _rational = functools.partial(_opt, type=_fraction_arg, metavar="NUM/DEN")
 _prec = functools.partial(_opt, "--prec")
 _P = _opt("--p")
+_JSON = ("--json", {"action": "store_true", "help": "canonical JSON output"})
 
 # name -> (help, handler, option specs in usage order); `periods --help`
-# lists the commands in this order, and each one also takes --json
+# lists the commands in this order, and each one also takes _JSON first
 COMMANDS = {
     "bound": ("transcendence-degree bound for a named case", _cmd_bound, [
         _opt("--case", type=None, choices=sorted(BOUND_CASES))]),
@@ -572,7 +578,8 @@ COMMANDS = {
 
 @functools.cache
 def _parser():
-    # built on the first main call, then reused: parse_args keeps no state
+    # built for the first command line _table_args declines, then reused:
+    # parse_args keeps no state
     parser = argparse.ArgumentParser(
         prog="periods",
         description="exact p-adic periods: special values, Frobenius matrices, dimension bounds",
@@ -581,10 +588,57 @@ def _parser():
     for name, (help_text, handler, specs) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--json", action="store_true", help="canonical JSON output")
-        for flag, kw in specs:
+        for flag, kw in (_JSON, *specs):
             sp.add_argument(flag, **kw)
     return parser
+
+
+def _table_args(argv):
+    """The Namespace _parser() would give argv, read from COMMANDS; None if argparse must decide.
+
+    It reads a command followed by options of its row, each at most once and
+    under its full name.  A flag takes no value; any other option takes the
+    one after "=" or the next token, which must not be empty, must not start
+    with "-" and must pass the option's type and choices (a negative value
+    reaches here as --x=-5/4).  An absent option takes its default unless it
+    is required.  Help, abbreviations, repeats, stray tokens and every
+    refusal are left to argparse, which keeps their texts and exit codes.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, specs = COMMANDS[argv[0]]
+    specs = dict((_JSON, *specs))
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        kw = specs.get(flag)
+        if kw is None or flag in given:
+            return None
+        if "action" in kw:  # a store_true flag
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, "")
+            if text.startswith("-"):
+                return None
+        if not text:
+            return None
+        try:  # the exceptions argparse turns into a refusal
+            value = text if kw["type"] is None else kw["type"](text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    names = {"command": argv[0], "handler": handler}
+    for flag, kw in specs.items():
+        if flag not in given and kw.get("required"):
+            return None
+        names[flag[2:].replace("-", "_")] = given.get(flag, kw.get("default", False))
+    return argparse.Namespace(**names)
 
 
 def _join_negative_values(argv):
@@ -606,8 +660,8 @@ def _join_negative_values(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser().parse_args(_join_negative_values(argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    args = _table_args(argv) or _parser().parse_args(argv)
     code, payload = execute(args)
     if args.json:
         sys.stdout.write(_canonical_json(payload))

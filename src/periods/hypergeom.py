@@ -16,7 +16,7 @@ series converges like a unit-coefficient one.  A series is the tuple of its
 coefficients c_0 .. c_order in t, and lam0 travels beside it.
 """
 
-from .arith import check_prime
+from .arith import _quote, check_prime
 from .padic import PadicElement, PrecisionError, _vp_factorial, make_padic, residual_valuation
 
 
@@ -132,7 +132,7 @@ def hyper_period(lam0, e, order, at, p, n):
               (-evaluate(base, beta, lam), evaluate(base, alpha, lam)))
     got = min(x.abs_precision() for row in matrix for x in row)
     if got < 1:
-        raise PrecisionError("achievable absolute precision %d is below the requested 1" % got)
+        raise PrecisionError("achievable absolute precision %s is below the requested 1" % _quote(got))
     (a, b), (c, d) = matrix
     det = a * d - b * c
     return matrix, got, det, residual_valuation(det, make_padic(p, 1, n))

@@ -11,11 +11,13 @@ import json
 import math
 import os
 import random
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 import time
-from collections import OrderedDict, namedtuple
+from collections import Counter, OrderedDict, namedtuple
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -998,6 +1000,99 @@ def test_usage_lines(monkeypatch):
     assert {name: sp.format_usage() for name, sp in sub.choices.items()} == USAGE
 
 
+# main reads a well-formed command line straight from COMMANDS
+# (cli._table_args) and builds argparse only for the rest: the reader gives
+# argparse's own Namespace or None, never a request argparse refuses
+
+
+def _no_parser():
+    raise AssertionError("argparse was built for a well-formed command line")
+
+
+# (valid, invalid) value texts per option type, valid as argparse sees them
+_INTS = (("3", "5", "13", "0", "-5", " 7"), ("-", "", "1e5", "1/0", "x", "9" * 4301))
+_RATIONALS = (("1/2", "-5/4", "7", "2.5"), ("-", "", "1e5", "1/0", "a/b"))
+_TEXTS = (("x^3+x+1", "phi.json"), ("-x", "", "-"))
+_STRAYS = ("-h", "--help", "--", "stray", "-", "-5", "--no-such", "--seed", "--cap=8")
+
+
+def _random_value(rng, kw):
+    valid, invalid = {int: _INTS, cli._fraction_arg: _RATIONALS}.get(kw["type"], _TEXTS)
+    if "choices" in kw:
+        valid, invalid = kw["choices"], valid + ("no-such-case",)
+    return rng.choice(valid if rng.random() < 0.9 else invalid)
+
+
+def _random_argv(rng):
+    """A command line over one command's options: full and abbreviated names,
+    "=" and separate values, missing and repeated options, stray tokens."""
+    if rng.random() < 0.01:
+        return []
+    command = rng.choice(list(cli.COMMANDS) * 4 + ["no-such", "--help", ""])
+    argv = [command]
+    specs = [cli._JSON, *cli.COMMANDS.get(command, (None, None, []))[2]]
+    for flag, kw in rng.sample(specs, len(specs)) * rng.choice((1,) * 9 + (2,)):
+        if rng.random() < 0.04 or (not kw.get("required") and rng.random() < 0.5):
+            continue
+        name = flag if rng.random() < 0.9 or len(flag) < 4 else flag[:rng.randrange(3, len(flag))]
+        if "action" in kw:
+            argv.append(name + rng.choice(("",) * 16 + ("=1", "=")))
+            continue
+        value, form = _random_value(rng, kw), rng.random()
+        if form < 0.45:
+            argv.append(name + "=" + value)
+        elif form < 0.98:
+            argv += [name, value]
+        else:
+            argv.append(name)
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(_STRAYS))
+    return argv if rng.random() < 0.5 else cli._join_negative_values(argv)
+
+
+def _argparse_vars(argv):
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._parser().parse_args(argv))
+    except SystemExit:  # a refusal, or a help page
+        return None
+
+
+def test_table_reader_agrees_with_argparse():
+    rng = random.Random(42)
+    outcomes = Counter()
+    for _ in range(20000):
+        argv = _random_argv(rng)
+        got, want = cli._table_args(argv), _argparse_vars(argv)
+        if got is not None:
+            assert want is not None and vars(got) == want, argv
+        outcomes["table" if got else "argparse" if want else "refused"] += 1
+    # each path is taken thousands of times
+    assert min(outcomes[k] for k in ("table", "argparse", "refused")) > 2000, outcomes
+    # argparse alone reads a repeated option (the last one wins) or an abbreviation
+    gamma = ["gamma", "--p", "5", "--x", "1/2"]
+    for argv in (gamma + ["--prec", "3", "--prec", "4"], gamma + ["--prec", "3", "--json", "--json"],
+                 gamma + ["--pre", "3"], gamma + ["--prec", "3", "--js"]):
+        assert cli._table_args(argv) is None and _argparse_vars(argv), argv
+
+
+def test_readme_examples_are_golden_requests():
+    # so test_golden_json_output reads every README example without argparse
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [" ".join(shlex.split(line, comments=True)[1:])
+                for line in re.findall(r"^periods .*", readme, re.M)]
+    assert len(examples) == 11 and set(examples) <= set(GOLDEN)
+
+
+def test_selftest_requests_are_read_from_the_table(monkeypatch):
+    for seed in (0, 1):
+        for n in (1, 10, 20):
+            for line, _ in cli._selftest_requests(n, random.Random(seed)):
+                assert vars(cli._table_args(line.split())) == _argparse_vars(line.split()), line
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    assert run_cli(["selftest", "--prec", "3", "--seed", "1", "--json"])[0] == 0
+
+
 def test_precision_cap_variable_is_ignored():
     # PERIODS_PRECISION_CAP once capped p^N; nothing reads it now
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1022,7 +1117,9 @@ README_PHI = {
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_json_output(command, tmp_path):
+def test_golden_json_output(command, tmp_path, monkeypatch):
+    # every golden request is read from COMMANDS, without argparse
+    monkeypatch.setattr(cli, "_parser", _no_parser)
     (tmp_path / "phi.json").write_text(json.dumps(README_PHI))
     (tmp_path / "v0.json").write_text(json.dumps([1]))
     argv = [str(tmp_path / t) if t.endswith(".json") else t for t in command.split()]

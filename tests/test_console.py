@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import README_PHI
+from test_cli import README_PHI, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
-BIG = str(10**4299)  # the 4300 digits int() reads by default; "10**4299" in a row
+BIG = str(10**4299)  # the 4300 digits int() reads by default; "10**4299" or "3*10**4299" in a row
 
 
 def canonical(out):  # the json module's own indent=2 text
@@ -27,6 +27,14 @@ def canonical(out):  # the json module's own indent=2 text
 
 def brief(out):  # no long argument or input repeated
     return len(out) < 1024
+
+
+def error(text):  # the --json refusal, word for word
+    return lambda out: json.loads(out)["error"] == text
+
+
+def same_as(request):  # the stdout of another request, run in process
+    return lambda out: out == run_cli(request.split())[1]
 
 
 def digit_dict(count):
@@ -103,6 +111,16 @@ REQUESTS = [  # (request, exit code, input files, stdout check)
     ("closure --r 2 --cap 10**4299 --json", 2, {}, brief),
     ("mixed --matrix huge-precision.json --v0 v0.json --json", 2, {"huge-precision.json": {
         "p": 5, "precision": 10**4299, "weights": [-2, 0], "entries": [["1/5", 1], [0, 1]]}, **V0}, brief),
+    # 4d has 4301 digits, one more than %d writes
+    ("cm --d 3*10**4299 --p 5 --prec 2 --json", 2, {}, error(
+        "Gamma-product modulus 12000000000000000000...(4301 digits) exceeds the configured maximum 1000000")),
+    ("hyper --p 7 --lambda0 2 --e 3 --order 2000 --prec 4 --at 9 --json", 2, {}, error(
+        "achievable absolute precision -13628289486412631416...(295 digits) is below the requested 1")),
+    # command lines that only argparse reads: help, abbreviations and refusals
+    ("gamma --help", 0, {}, None),
+    ("gamma --p 5 --x 1/2 --pre 3 --json", 0, {}, same_as("gamma --p 5 --x 1/2 --prec 3 --json")),
+    ("gamma --p 5 --x 1/2 --json", 2, {}, None),
+    ("frob --f x^3+x+1 --p 5 --prec 4 --json=1", 2, {}, None),
 ]
 
 
@@ -112,7 +130,8 @@ def test_request(req, code, files, check, tmp_path):
     for name, doc in files.items():
         (tmp_path / name).write_text(doc(rng) if callable(doc) else json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    run = subprocess.run([sys.executable, "-m", "periods.cli"] + req.replace("10**4299", BIG).split(),
+    argv = req.replace("3*10**4299", "3" + BIG[1:]).replace("10**4299", BIG).split()
+    run = subprocess.run([sys.executable, "-m", "periods.cli"] + argv,
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10)
     assert run.returncode == code, run.stdout[:2000] + run.stderr[-2000:]
     assert check is None or check(run.stdout), run.stdout[:2000]
